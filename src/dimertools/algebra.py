@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -20,7 +20,7 @@ from .matchings import PerfectMatching, enumerate_matchings
 from .rationallp import solve_lp
 from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
                       vadd, vsub)
-from .symmetry import WeightFunction, default_r_symmetry
+from .symmetry import default_r_symmetry
 
 
 @dataclass(frozen=True)
@@ -37,14 +37,6 @@ class PathClass:
             raise DimerError("classes do not compose")
         return PathClass(self.tail, other.head, vadd(self.hom, other.hom),
                          self.deg + other.deg)
-
-
-@dataclass
-class GradedPiece:
-    i: int
-    j: int
-    d: int                        # weight under the integral grading
-    basis: list[PathClass]
 
 
 @dataclass
@@ -96,19 +88,17 @@ def _rank(rows: list[list[Fraction]]) -> int:
 class ToricData:
     """All lattice bookkeeping for one dimer model.
 
-    Built from the torus graph; holds the quiver, the matchings, an
-    integral strictly positive grading (default: the sum of all perfect
-    matchings) and concrete base paths anchoring the M_ij coordinates.
+    Built from the torus graph; holds the quiver, the matchings, the
+    grading and concrete base paths anchoring the M_ij coordinates.  The
+    grading is always the default R-symmetry, the sum of all perfect
+    matchings, so its degree `lam` is the number of matchings.
     """
 
-    def __init__(self, g: TorusGraph, q: Optional[Quiver] = None,
-                 weights: Optional[WeightFunction] = None) -> None:
+    def __init__(self, g: TorusGraph, q: Optional[Quiver] = None) -> None:
         self.g = g
         self.q = q if q is not None else Quiver(g)
         self.matchings = enumerate_matchings(g, self.q)
-        if weights is None:
-            weights = default_r_symmetry(self.matchings, self.q)
-        w = weights.integral()
+        w = default_r_symmetry(self.matchings, self.q).integral()
         self.wts = [int(x) for x in w.weights]
         self.lam = int(w.degree)
         if any(x <= 0 for x in self.wts):
@@ -127,20 +117,21 @@ class ToricData:
         self._beta_eval: dict[tuple[int, int], list[int]] = {}
         self._pts_cache: dict[tuple[int, int, int], list[PathClass]] = {}
         self._closure_cache: dict[tuple[int, ...], frozenset] = {}
+        self._reports: dict[int, AlgebraReport] = {}
         self.rels = fterm_relations(self.q)
+        # F-term substitutions, each relation read both ways
+        self._subs = [s for _, plus, minus in self.rels
+                      for s in ((plus, minus), (minus, plus))]
 
     # -- plumbing ---------------------------------------------------------
 
     def _build_base_paths(self) -> None:
-        out_arrows: list[list[int]] = [[] for _ in range(self.q.n_vertices)]
-        for a in self.q.arrows:
-            out_arrows[a.tail].append(a.id)
         for i in range(self.q.n_vertices):
             seen = {i: ()}
             queue = deque([i])
             while queue:
                 v = queue.popleft()
-                for a in out_arrows[v]:
+                for a in self.q.out_arrows[v]:
                     h = self.q.arrows[a].head
                     if h not in seen:
                         seen[h] = seen[v] + (a,)
@@ -241,11 +232,6 @@ class ToricData:
         self._pts_cache[key] = out
         return out
 
-    def lattice_points(self, i: int, j: int, max_degree: int
-                       ) -> list[GradedPiece]:
-        return [GradedPiece(i, j, d, self._piece(i, j, d))
-                for d in range(max_degree + 1)]
-
     # -- F-term rewriting -------------------------------------------------
 
     def fterm_closure(self, path: Sequence[int]) -> frozenset[tuple[int, ...]]:
@@ -253,16 +239,12 @@ class ToricData:
         start = tuple(path)
         if start in self._closure_cache:
             return self._closure_cache[start]
-        subs = []
-        for _, plus, minus in self.rels:
-            subs.append((tuple(plus), tuple(minus)))
-            subs.append((tuple(minus), tuple(plus)))
         seen = {start}
         queue = deque([start])
         cls = self.path_class(start) if start else None
         while queue:
             p = queue.popleft()
-            for lhs, rhs in subs:
+            for lhs, rhs in self._subs:
                 n = len(lhs)
                 for k in range(len(p) - n + 1):
                     if p[k:k + n] == lhs:
@@ -279,9 +261,7 @@ class ToricData:
 
     def paths_from(self, i: int, max_weight: int) -> list[tuple[int, ...]]:
         """Every path out of vertex i of weight at most max_weight."""
-        out_arrows: list[list[int]] = [[] for _ in range(self.q.n_vertices)]
-        for a in self.q.arrows:
-            out_arrows[a.tail].append(a.id)
+        out_arrows = self.q.out_arrows
         results: list[tuple[int, ...]] = []
         stack: list[int] = []
 
@@ -304,7 +284,7 @@ class ToricData:
 
         Surjectivity: every lattice point in every graded piece is the
         class of an actual path.  Injectivity: all paths with one class
-        form a single F-term class.
+        form a single F-term class.  The report is kept for `cy3_check`.
         """
         failures: list[AlgebraFailure] = []
         stats = []
@@ -337,7 +317,9 @@ class ToricData:
                                 f"{len(reps)} paths split into several "
                                 "F-term classes"))
                     stats.append((i, j, d, len(pts), ncls))
-        return AlgebraReport(not failures, max_degree, failures, stats)
+        report = AlgebraReport(not failures, max_degree, failures, stats)
+        self._reports[max_degree] = report
+        return report
 
     # -- extremal-avoiding paths -----------------------------------------
 
@@ -351,34 +333,7 @@ class ToricData:
         if window is None:
             from .zigzag import zigzag_paths
             window = 4 * max(p.period for p in zigzag_paths(self.q))
-        out_arrows: list[list[int]] = [[] for _ in range(self.q.n_vertices)]
-        for a in self.q.arrows:
-            if a.id not in pm.support:
-                out_arrows[a.tail].append(a.id)
-        start = (i, (0, 0))
-        target = (j, hom)
-        prev: dict[tuple[int, Vec], tuple] = {start: None}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            if node == target:
-                arrows = []
-                while prev[node] is not None:
-                    node, a = prev[node]
-                    arrows.append(a)
-                return tuple(reversed(arrows))
-            v, off = node
-            for a in out_arrows[v]:
-                arr = self.q.arrows[a]
-                o2 = vadd(off, arr.offset)
-                if max(abs(o2[0] - hom[0]), abs(o2[1] - hom[1])) > window \
-                        and max(abs(o2[0]), abs(o2[1])) > window:
-                    continue
-                nxt = (arr.head, o2)
-                if nxt not in prev:
-                    prev[nxt] = (node, a)
-                    queue.append(nxt)
-        return None
+        return self.q.covering_walk(i, j, hom, window, skip=pm.support)
 
     # -- the Calabi-Yau complex ------------------------------------------
 
@@ -389,9 +344,12 @@ class ToricData:
         indexed by (arrow or vertex, lattice point); the differentials act
         by splitting off the first arrow of the partner paths of each
         relation.  Exactness at the second and third terms is a rank
-        condition over the rationals.
+        condition over the rationals.  Reuses the algebraic consistency
+        report of the same degree bound if one was computed.
         """
-        pre = self.algebraic_consistency(max_degree)
+        pre = self._reports.get(max_degree)
+        if pre is None:
+            pre = self.algebraic_consistency(max_degree)
         if not pre.ok:
             raise DimerError("algebraic consistency fails up to degree "
                              f"{max_degree}: Calabi-Yau bases undefined")
@@ -459,31 +417,18 @@ class ToricData:
     def closed_points(self, max_weight: int) -> list[PathClass]:
         """All elements of M_o^+ (closed classes nonnegative on every
         matching) of weight at most max_weight."""
-        # vars: hx+, hx-, hy+, hy-, dd+, dd-
-        a_ub, b_ub = [], []
-        for m in self.matchings:
-            # dd + c.h >= 0
-            a_ub.append([-m.cls[0], m.cls[0], -m.cls[1], m.cls[1], -1, 1])
-            b_ub.append(0)
-        a_ub.append([self.rho[0], -self.rho[0], self.rho[1], -self.rho[1],
-                     self.lam, -self.lam])
-        b_ub.append(max_weight)
-        a_ub.append([-self.rho[0], self.rho[0], -self.rho[1], self.rho[1],
-                     -self.lam, self.lam])
-        b_ub.append(0)
-        bounds = []
-        for sense in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            c = [sense[0], -sense[0], sense[1], -sense[1], 0, 0]
-            res = solve_lp(c, [], [], a_ub, b_ub)
-            if res.status == "infeasible":
-                return []
-            if res.status != "optimal":
-                raise DimerError("M_o^+ slice unbounded; degenerate model")
-            bounds.append(res.objective)
-        hx_hi, neg_hx_lo, hy_hi, neg_hy_lo = bounds
+        # A closed class (h, dd) needs dd + c_k.h >= 0 for every matching k
+        # and 0 <= lam*dd + rho.h <= max_weight.  Eliminating dd leaves
+        # (lam*c_k - rho).h + max_weight >= 0 on the homology offset h.
+        box = _bounding_box([(self.lam * m.cls[0] - self.rho[0],
+                              self.lam * m.cls[1] - self.rho[1], max_weight)
+                             for m in self.matchings])
+        if box is None:
+            return []
+        (x0, x1), (y0, y1) = box
         out = []
-        for hx in range(math.ceil(-neg_hx_lo), math.floor(hx_hi) + 1):
-            for hy in range(math.ceil(-neg_hy_lo), math.floor(hy_hi) + 1):
+        for hx in range(x0, x1 + 1):
+            for hy in range(y0, y1 + 1):
                 lo = max(-(m.cls[0] * hx + m.cls[1] * hy)
                          for m in self.matchings)
                 num_hi = max_weight - self.rho[0] * hx - self.rho[1] * hy

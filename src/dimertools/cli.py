@@ -57,13 +57,13 @@ def cmd_report(args, rep: Reporter) -> int:
     failure."""
     try:
         g = _load(args.input)
+        q = dualize(g)
     except (OSError, DimerError) as e:
         rep.emit({"kind": "rung", "name": "load", "ok": False,
                   "summary": str(e)})
         return 2
     rep.emit({"kind": "rung", "name": "load", "ok": True,
               "summary": f"{len(g.colors)} vertices {len(g.edges)} edges"})
-    q = dualize(g)
 
     ok = symmetry.euler_check(q)
     rep.emit({"kind": "rung", "name": "euler", "ok": ok,
@@ -89,13 +89,11 @@ def cmd_report(args, rep: Reporter) -> int:
     if not nd.ok:
         return 1
 
-    ms = matchings.enumerate_matchings(g, q)
-    r = symmetry.default_r_symmetry(ms, q)
-    ok = all(w > 0 for w in r.weights)
-    rep.emit({"kind": "rung", "name": "r-symmetry", "ok": ok,
-              "summary": f"degree {r.degree} from {len(ms)} matchings"})
-    if not ok:
-        return 1
+    # raises DimerError unless the default R-symmetry is strictly positive
+    td = algebra.ToricData(g, q)
+    rep.emit({"kind": "rung", "name": "r-symmetry", "ok": True,
+              "summary": f"degree {td.lam} from {len(td.matchings)} "
+              "matchings"})
 
     af = symmetry.find_anomaly_free(q)
     rep.emit({"kind": "rung", "name": "anomaly-free", "ok": af is not None,
@@ -124,7 +122,6 @@ def cmd_report(args, rep: Reporter) -> int:
     if not po:
         return 1
 
-    td = algebra.ToricData(g, q)
     ar = td.algebraic_consistency(args.max_degree)
     rep.emit({"kind": "rung", "name": "algebraic", "ok": ar.ok,
               "summary": f"degree<={args.max_degree} "
@@ -244,18 +241,28 @@ def cmd_gen_square(args, rep: Reporter) -> int:
     return 0
 
 
+def _pick(items: list, k: int, what: str):
+    """items[k], or a ValueError naming how many items there are."""
+    try:
+        return items[k]
+    except IndexError:
+        raise ValueError(f"{what} index {k} out of range: the model has "
+                         f"{len(items)}") from None
+
+
 def cmd_svg(args, rep: Reporter) -> int:
     g = _load(args.input)
     layers = [s for s in args.layers.split(",") if s]
     kwargs = {}
-    if "matching" in layers:
+    if "matching" in layers or "zigzag" in layers:
         q = dualize(g)
-        ms = matchings.enumerate_matchings(g, q)
-        kwargs["matching"] = ms[args.matching]
-    if "zigzag" in layers:
-        paths = zigzag.zigzag_paths(dualize(g))
-        kwargs["path"] = paths[args.path]
     try:
+        if "matching" in layers:
+            kwargs["matching"] = _pick(matchings.enumerate_matchings(g, q),
+                                       args.matching, "perfect matching")
+        if "zigzag" in layers:
+            kwargs["path"] = _pick(zigzag.zigzag_paths(q), args.path,
+                                   "zig-zag path")
         text = render.emit_svg(g, layers or ("tiling",), **kwargs)
     except ValueError as e:
         print(str(e), file=sys.stderr)

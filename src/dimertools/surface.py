@@ -130,11 +130,6 @@ class TorusGraph:
         i = rot.index(e)
         return rot[(i + 1) % len(rot)]
 
-    def _pred(self, v: int, e: int) -> int:
-        rot = self.rotation[v]
-        i = rot.index(e)
-        return rot[(i - 1) % len(rot)]
-
     def other_end(self, e: int, v: int) -> int:
         ed = self.edges[e]
         return ed.white if v == ed.black else ed.black
@@ -194,9 +189,6 @@ class TorusGraph:
     @property
     def white_vertices(self) -> list[int]:
         return [v for v, c in enumerate(self.colors) if c == WHITE]
-
-    def edges_at(self, v: int) -> list[int]:
-        return list(self.rotation[v])
 
 
 # ---------------------------------------------------------------------------
@@ -363,6 +355,9 @@ class Quiver:
             offset = vsub(pos_in_face[d_tail], pos_in_face[d_head])
             arrows.append(Arrow(e.id, tail, head, e.id, offset))
         self.arrows = arrows
+        self.out_arrows: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        for a in arrows:
+            self.out_arrows[a.tail].append(a.id)
 
         # Quiver faces: one per dimer vertex.  Around a black vertex the dual
         # arrows in rotation order form the (anticlockwise) black face; around
@@ -394,34 +389,44 @@ class Quiver:
         self.gamma_y = self._closed_walk_with_class((0, 1))
 
     def _closed_walk_with_class(self, target: Vec) -> list[int]:
-        out: dict[int, list[Arrow]] = {v: [] for v in range(self.n_vertices)}
-        for a in self.arrows:
-            out[a.tail].append(a)
-        start = 0
         for radius in (2, 4, 8, 16):
-            seen = {(start, (0, 0)): None}
-            queue = deque([(start, (0, 0))])
-            while queue:
-                v, off = queue.popleft()
-                for a in out[v]:
-                    noff = vadd(off, a.offset)
-                    if max(abs(noff[0]), abs(noff[1])) > radius:
-                        continue
-                    state = (a.head, noff)
-                    if state in seen:
-                        continue
-                    seen[state] = (v, off, a.id)
-                    if state == (start, target):
-                        walk = []
-                        cur = state
-                        while seen[cur] is not None:
-                            pv, poff, aid = seen[cur]
-                            walk.append(aid)
-                            cur = (pv, poff)
-                        walk.reverse()
-                        return walk
-                    queue.append(state)
+            walk = self.covering_walk(0, 0, target, radius)
+            if walk is not None:
+                return list(walk)
         raise TopologyError(f"no closed walk with class {target} found")
+
+    def covering_walk(self, i: int, j: int, hom: Vec, window: int,
+                      skip: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
+        """A shortest walk i -> j with offset sum `hom` that uses no arrow
+        in `skip`, by breadth-first search on the covering graph Q0 x Z^2.
+        Only lifts within `window` (max norm) of the start or of the end
+        are visited; None means no such walk inside that window."""
+        skip = frozenset(skip)
+        start, target = (i, (0, 0)), (j, hom)
+        prev: dict[tuple[int, Vec], Optional[tuple]] = {start: None}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            if node == target:
+                walk = []
+                while prev[node] is not None:
+                    node, a = prev[node]
+                    walk.append(a)
+                return tuple(reversed(walk))
+            v, off = node
+            for a in self.out_arrows[v]:
+                if a in skip:
+                    continue
+                arr = self.arrows[a]
+                o2 = vadd(off, arr.offset)
+                if max(abs(o2[0] - hom[0]), abs(o2[1] - hom[1])) > window \
+                        and max(abs(o2[0]), abs(o2[1])) > window:
+                    continue
+                nxt = (arr.head, o2)
+                if nxt not in prev:
+                    prev[nxt] = (node, a)
+                    queue.append(nxt)
+        return None
 
     def _check(self) -> None:
         # every arrow in exactly one black and one white face

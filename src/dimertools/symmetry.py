@@ -14,7 +14,7 @@ inequality holds iff the optimum is strictly positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from typing import Optional, Sequence
@@ -127,27 +127,3 @@ def _solve_weights(q: Quiver, rhombic: bool) -> Optional[WeightFunction]:
     assert wf.check(q)
     return wf
 
-
-@dataclass
-class ConsistencyReport:
-    """Accumulated verdicts of the consistency ladder.
-
-    Later rungs (geometric, algebraic) are filled in by their own modules;
-    this type just aggregates.
-    """
-    euler_ok: bool = False
-    nondegenerate: bool = False
-    r_symmetry: Optional[WeightFunction] = None
-    anomaly_free_r: Optional[WeightFunction] = None
-    rhombic_r: Optional[WeightFunction] = None
-    geometric: Optional[bool] = None
-    algebraic_up_to: Optional[int] = None
-
-    def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
-        if self.anomaly_free_r is not None:
-            assert self.r_symmetry is not None
-        if self.rhombic_r is not None:
-            assert self.anomaly_free_r is not None

@@ -1,12 +1,15 @@
 """Graded pieces, F-term classes, bounded-degree consistency and the
 one-sided complex."""
 
+import math
 import random
 
 import pytest
 
-from conftest import CONSISTENT
+from conftest import CONSISTENT, NONDEGENERATE
 from dimertools.algebra import PathClass, ToricData
+from dimertools.polygen import pattern_to_dimer, square_pattern
+from dimertools.rationallp import solve_lp
 from dimertools.surface import DimerError, load_file
 from conftest import fixture_path
 
@@ -118,6 +121,64 @@ def test_cy3_exact():
 def test_cy3_requires_algebraic():
     with pytest.raises(DimerError):
         toric("xyloops").cy3_check(2)
+
+
+def test_cy3_reuses_consistency_report(monkeypatch):
+    """cy3_check after algebraic_consistency at the same degree bound does
+    not run the consistency pass again."""
+    td = toric("memeg")
+    calls = []
+    original = ToricData.paths_from
+
+    def counting(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(ToricData, "paths_from", counting)
+    assert td.algebraic_consistency(3).ok
+    assert td.cy3_check(3).ok
+    assert len(calls) == td.q.n_vertices
+
+
+def closed_points_lp(td, max_weight):
+    """Oracle: M_o^+ up to max_weight by bounding (h, dd) jointly with
+    three-variable LPs, then listing dd per offset h."""
+    # vars: hx+, hx-, hy+, hy-, dd+, dd-
+    a_ub = [[-m.cls[0], m.cls[0], -m.cls[1], m.cls[1], -1, 1]
+            for m in td.matchings]                      # dd + c.h >= 0
+    b_ub = [0] * len(a_ub)
+    rx, ry, lam = td.rho[0], td.rho[1], td.lam
+    a_ub += [[rx, -rx, ry, -ry, lam, -lam], [-rx, rx, -ry, ry, -lam, lam]]
+    b_ub += [max_weight, 0]                     # 0 <= lam*dd + rho.h <= W
+    bounds = []
+    for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        res = solve_lp([sx, -sx, sy, -sy, 0, 0], [], [], a_ub, b_ub)
+        if res.status == "infeasible":
+            return []
+        assert res.status == "optimal"
+        bounds.append(res.objective)
+    hx_hi, neg_hx_lo, hy_hi, neg_hy_lo = bounds
+    out = []
+    for hx in range(math.ceil(-neg_hx_lo), math.floor(hx_hi) + 1):
+        for hy in range(math.ceil(-neg_hy_lo), math.floor(hy_hi) + 1):
+            lo = max(-(m.cls[0] * hx + m.cls[1] * hy) for m in td.matchings)
+            for dd in range(lo, (max_weight - rx * hx - ry * hy) // lam + 1):
+                if 0 <= lam * dd + rx * hx + ry * hy <= max_weight:
+                    out.append(((hx, hy), dd))
+    return out
+
+
+@pytest.mark.parametrize("model", list(NONDEGENERATE) + ["square-1",
+                                                          "square-2"])
+def test_closed_points_match_lp_oracle(model):
+    if model.startswith("square-"):
+        td = ToricData(pattern_to_dimer(square_pattern(int(model[-1]))))
+    else:
+        td = toric(model)
+    lam = td.lam
+    for w in (0, 1, lam, 2 * lam, 3 * lam + 1):
+        got = [(m.hom, m.deg) for m in td.closed_points(w)]
+        assert got == closed_points_lp(td, w), (model, w)
 
 
 def test_center_generators_hexagonal():

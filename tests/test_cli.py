@@ -151,3 +151,66 @@ def test_unknown_flag_rejected():
 def test_negative_degree_rejected():
     assert main(["report", str(fixture_path("hexagonal")),
                  "--max-degree", "-1"]) == 2
+
+
+# hexagonal with every edge offset set to 0 0: it loads, but its cycle
+# classes do not generate Z^2, so the dual quiver cannot be built
+FLAT_HEXAGONAL = """DIMER 1
+vertex 0 B
+vertex 1 W
+edge 0 0 1 0 0
+edge 1 0 1 0 0
+edge 2 0 1 0 0
+rot 0 0 1 2
+rot 1 0 1 2
+"""
+
+
+def test_report_undualizable_model_fails_load(capsys, tmp_path):
+    model = tmp_path / "flat.dimer"
+    model.write_text(FLAT_HEXAGONAL)
+    code, out = run(capsys, "report", model, "--format", "json-lines")
+    assert code == 2
+    (rec,) = [json.loads(l) for l in out.splitlines()]
+    assert (rec["kind"], rec["name"], rec["ok"]) == ("rung", "load", False)
+    assert "closed walk" in rec["summary"]
+    code, out = run(capsys, "report", model)
+    assert code == 2
+    assert out.startswith("RUNG load FAIL") and len(out.splitlines()) == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["balwnopm", "--layers", "tiling,quiver,matching,zigzag"],
+    ["three_rhombi", "--layers", "tiling,quiver,matching,zigzag"],
+    ["hexagonal", "--layers", "matching", "--matching", "3"],
+    ["hexagonal", "--layers", "zigzag", "--path", "99"],
+])
+def test_svg_index_out_of_range(capsys, argv):
+    """No matching to draw, or an index past the end, is an input error
+    with a one-line message."""
+    code = main(["svg", str(fixture_path(argv[0]))] + argv[1:])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert len(err.splitlines()) == 1 and "out of range" in err
+
+
+def test_report_enumerates_matchings_once(capsys, monkeypatch):
+    from dimertools import algebra, matchings, symmetry
+    calls = []
+
+    def counting(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        return wrapper
+
+    for module in (matchings, algebra):
+        monkeypatch.setattr(module, "enumerate_matchings",
+                            counting(module, "enumerate_matchings"))
+    for module in (symmetry, algebra):
+        monkeypatch.setattr(module, "default_r_symmetry",
+                            counting(module, "default_r_symmetry"))
+    assert run(capsys, "report", fixture_path("memeg"))[0] == 0
+    assert sorted(calls) == ["default_r_symmetry", "enumerate_matchings"]
