@@ -112,10 +112,12 @@ class ToricData:
         dgy = sum(a in self.pi0 for a in gy)
         self.rho = (sum(self.wts[a] for a in gx) - self.lam * dgx,
                     sum(self.wts[a] for a in gy) - self.lam * dgy)
-        self._base: dict[tuple[int, int], tuple[int, ...]] = {}
+        # base path beta_ij per vertex pair, with its class
+        self._base: dict[tuple[int, int],
+                         tuple[tuple[int, ...], PathClass]] = {}
         self._build_base_paths()
         self._beta_eval: dict[tuple[int, int], list[int]] = {}
-        self._pts_cache: dict[tuple[int, int, int], list[PathClass]] = {}
+        self._pieces_cache: dict[tuple[int, int], list[list[PathClass]]] = {}
         self._closure_cache: dict[tuple[int, ...], frozenset] = {}
         self._reports: dict[int, AlgebraReport] = {}
         self.rels = fterm_relations(self.q)
@@ -138,7 +140,7 @@ class ToricData:
                         queue.append(h)
             assert len(seen) == self.q.n_vertices, "quiver not connected"
             for j, p in seen.items():
-                self._base[(i, j)] = p
+                self._base[(i, j)] = (p, self.path_class(p, at=i))
 
     def path_class(self, arrows: Sequence[int],
                    at: Optional[int] = None) -> PathClass:
@@ -161,14 +163,10 @@ class ToricData:
     def path_weight(self, arrows: Sequence[int]) -> int:
         return sum(self.wts[a] for a in arrows)
 
-    def _beta(self, i: int, j: int) -> tuple[tuple[int, ...], PathClass]:
-        p = self._base[(i, j)]
-        return p, self.path_class(p, at=i)
-
     def _beta_evals(self, i: int, j: int) -> list[int]:
         key = (i, j)
         if key not in self._beta_eval:
-            p = self._base[key]
+            p, _ = self._base[key]
             self._beta_eval[key] = [sum(a in m.support for a in p)
                                     for m in self.matchings]
         return self._beta_eval[key]
@@ -176,16 +174,14 @@ class ToricData:
     # -- the lattice ------------------------------------------------------
 
     def weight(self, m: PathClass) -> int:
-        _, b = self._beta(m.tail, m.head)
+        p, b = self._base[(m.tail, m.head)]
         z = vsub(m.hom, b.hom)
-        num = (self.path_weight(self._base[(m.tail, m.head)])
-               + self.lam * (m.deg - b.deg)
-               + self.rho[0] * z[0] + self.rho[1] * z[1])
-        return num
+        return (self.path_weight(p) + self.lam * (m.deg - b.deg)
+                + self.rho[0] * z[0] + self.rho[1] * z[1])
 
     def pm_eval(self, idx: int, m: PathClass) -> int:
         """Value of the idx-th enumerated matching on the class m."""
-        _, b = self._beta(m.tail, m.head)
+        _, b = self._base[(m.tail, m.head)]
         z = vsub(m.hom, b.hom)
         c = self.matchings[idx].cls
         return (self._beta_evals(m.tail, m.head)[idx]
@@ -194,43 +190,43 @@ class ToricData:
     def in_M_plus(self, m: PathClass) -> bool:
         return all(self.pm_eval(k, m) >= 0 for k in range(len(self.matchings)))
 
-    def _piece(self, i: int, j: int, d: int) -> list[PathClass]:
-        """All m in M_ij^+ of weight exactly d, by exact LP bounding box on
-        the homology offset followed by integrality filtering."""
-        key = (i, j, d)
-        if key in self._pts_cache:
-            return self._pts_cache[key]
-        if d < 0:
-            return []
-        beta_arrows, b = self._beta(i, j)
-        wb = self.path_weight(beta_arrows)
-        evals = self._beta_evals(i, j)
-        # constraint per matching k, in z = hom - hom(beta):
-        #   lam*evals[k] + d - wb + (lam*c_k - rho) . z  >=  0
-        cons = []
-        for k, m in enumerate(self.matchings):
-            cx = self.lam * m.cls[0] - self.rho[0]
-            cy = self.lam * m.cls[1] - self.rho[1]
-            cons.append((cx, cy, self.lam * evals[k] + d - wb))
-        box = _bounding_box(cons)
-        if box is None:
-            self._pts_cache[key] = []
-            return []
-        (x0, x1), (y0, y1) = box
-        out = []
-        for zx in range(x0, x1 + 1):
-            for zy in range(y0, y1 + 1):
-                num = d - wb - self.rho[0] * zx - self.rho[1] * zy
-                if num % self.lam:
-                    continue
-                m = PathClass(i, j, vadd(b.hom, (zx, zy)),
-                              b.deg + num // self.lam)
-                if self.in_M_plus(m):
-                    assert self.weight(m) == d
-                    out.append(m)
-        out.sort(key=lambda m: (m.hom, m.deg))
-        self._pts_cache[key] = out
-        return out
+    def _pieces(self, i: int, j: int,
+                max_weight: int) -> list[list[PathClass]]:
+        """M_ij^+ up to max_weight: entry d lists the elements of weight d
+        in (hom, deg) order.
+
+        In z = hom - hom(beta) and e = deg - deg(beta) a matching of class c
+        pairs to its value on beta plus e + c.z, so the matchings of class c
+        ask e >= -(low[c] + c.z), low[c] being their least value on beta.
+        The weight wb + lam*e + rho.z is the sum of all these pairings and
+        never negative; eliminating e from weight <= max_weight leaves one
+        row per class on z for the bounding box.
+        """
+        key = (i, j)
+        if len(self._pieces_cache.get(key, ())) <= max_weight:
+            beta, b = self._base[key]
+            wb = self.path_weight(beta)
+            low: dict[Vec, int] = {}
+            for m, ev in zip(self.matchings, self._beta_evals(i, j)):
+                low[m.cls] = min(ev, low.get(m.cls, ev))
+            out: list[list[PathClass]] = [[] for _ in range(max_weight + 1)]
+            box = _bounding_box([(self.lam * c[0] - self.rho[0],
+                                  self.lam * c[1] - self.rho[1],
+                                  self.lam * lc + max_weight - wb)
+                                 for c, lc in low.items()])
+            if box is not None:
+                (x0, x1), (y0, y1) = box
+                for zx in range(x0, x1 + 1):
+                    for zy in range(y0, y1 + 1):
+                        w0 = wb + self.rho[0] * zx + self.rho[1] * zy
+                        e0 = max(-(lc + c[0] * zx + c[1] * zy)
+                                 for c, lc in low.items())
+                        hom = vadd(b.hom, (zx, zy))
+                        for e in range(e0, (max_weight - w0) // self.lam + 1):
+                            out[w0 + self.lam * e].append(
+                                PathClass(i, j, hom, b.deg + e))
+            self._pieces_cache[key] = out
+        return self._pieces_cache[key][:max_weight + 1]
 
     # -- F-term rewriting -------------------------------------------------
 
@@ -298,8 +294,7 @@ class ToricData:
             assert self.in_M_plus(cls), "actual path outside M+"
         for i in range(nv):
             for j in range(nv):
-                for d in range(max_degree + 1):
-                    pts = self._piece(i, j, d)
+                for d, pts in enumerate(self._pieces(i, j, max_degree)):
                     ncls = 0
                     for m in pts:
                         reps = groups.get(m, [])
@@ -356,15 +351,19 @@ class ToricData:
         rel_of = {a: (plus, minus) for a, plus, minus in self.rels}
         failures: list[tuple[int, int, str]] = []
         stats = []
+
+        def piece(i: int, j: int, d: int) -> list[PathClass]:
+            return self._pieces(i, j, max_degree)[d] if d >= 0 else []
+
         for j in range(self.q.n_vertices):
             for d in range(max_degree + 1):
                 basis1 = [(b.id, m) for b in self.q.arrows
-                          for m in self._piece(b.head, j, d - self.wts[b.id])]
+                          for m in piece(b.head, j, d - self.wts[b.id])]
                 basis2 = [(a.id, m) for a in self.q.arrows
-                          for m in self._piece(
+                          for m in piece(
                               a.tail, j, d - (self.lam - self.wts[a.id]))]
                 basis3 = [(v, m) for v in range(self.q.n_vertices)
-                          for m in self._piece(v, j, d - self.lam)]
+                          for m in piece(v, j, d - self.lam)]
                 idx1 = {key: n for n, key in enumerate(basis1)}
                 idx2 = {key: n for n, key in enumerate(basis2)}
 
@@ -381,10 +380,8 @@ class ToricData:
 
                 def col3(v: int, m: PathClass) -> dict[int, int]:
                     out: dict[int, int] = {}
-                    for b in self.q.arrows:
-                        if b.head != v:
-                            continue
-                        key = (b.id, self.path_class([b.id]).compose(m))
+                    for b in self.q.in_arrows[v]:
+                        key = (b, self.path_class([b]).compose(m))
                         n = idx2[key]
                         out[n] = out.get(n, 0) - 1
                     return {k: v for k, v in out.items() if v}
@@ -416,30 +413,9 @@ class ToricData:
 
     def closed_points(self, max_weight: int) -> list[PathClass]:
         """All elements of M_o^+ (closed classes nonnegative on every
-        matching) of weight at most max_weight."""
-        # A closed class (h, dd) needs dd + c_k.h >= 0 for every matching k
-        # and 0 <= lam*dd + rho.h <= max_weight.  Eliminating dd leaves
-        # (lam*c_k - rho).h + max_weight >= 0 on the homology offset h.
-        box = _bounding_box([(self.lam * m.cls[0] - self.rho[0],
-                              self.lam * m.cls[1] - self.rho[1], max_weight)
-                             for m in self.matchings])
-        if box is None:
-            return []
-        (x0, x1), (y0, y1) = box
-        out = []
-        for hx in range(x0, x1 + 1):
-            for hy in range(y0, y1 + 1):
-                lo = max(-(m.cls[0] * hx + m.cls[1] * hy)
-                         for m in self.matchings)
-                num_hi = max_weight - self.rho[0] * hx - self.rho[1] * hy
-                hi = num_hi // self.lam
-                for dd in range(lo, hi + 1):
-                    w = self.lam * dd + self.rho[0] * hx + self.rho[1] * hy
-                    if 0 <= w <= max_weight:
-                        if (hx, hy, dd) != (0, 0, 0):
-                            assert w > 0, "nonzero closed class of weight 0"
-                        out.append(PathClass(0, 0, (hx, hy), dd))
-        return out
+        matching) of weight at most max_weight, in (hom, deg) order."""
+        return sorted((m for piece in self._pieces(0, 0, max_weight)
+                       for m in piece), key=lambda m: (m.hom, m.deg))
 
     def center_generators(self, max_weight: int) -> list[PathClass]:
         """Closed lattice points that are not sums of two smaller nonzero

@@ -72,7 +72,7 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     """Complete duplicate-free matching list, classes against the first.
 
     The reference matching is the lexicographically least support in
-    canonical edge order, which the backtracking order produces first.
+    canonical edge order; the supports are sorted so that it comes first.
     """
     supports = _matching_backtrack(g, {e.id for e in g.edges})
     supports.sort(key=lambda s: sorted(s))

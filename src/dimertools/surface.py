@@ -356,8 +356,10 @@ class Quiver:
             arrows.append(Arrow(e.id, tail, head, e.id, offset))
         self.arrows = arrows
         self.out_arrows: list[list[int]] = [[] for _ in range(self.n_vertices)]
+        self.in_arrows: list[list[int]] = [[] for _ in range(self.n_vertices)]
         for a in arrows:
             self.out_arrows[a.tail].append(a.id)
+            self.in_arrows[a.head].append(a.id)
 
         # Quiver faces: one per dimer vertex.  Around a black vertex the dual
         # arrows in rotation order form the (anticlockwise) black face; around

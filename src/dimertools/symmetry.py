@@ -64,12 +64,8 @@ def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
 
 def _vertex_stars(q: Quiver) -> list[tuple[list[int], int]]:
     """Per quiver vertex: arrows incident to it (head or tail) and |H_v|."""
-    stars = []
-    for v in range(q.n_vertices):
-        inc = [a.id for a in q.arrows if a.head == v]
-        out = [a.id for a in q.arrows if a.tail == v]
-        stars.append((inc + out, len(inc)))
-    return stars
+    return [(inc + out, len(inc))
+            for inc, out in zip(q.in_arrows, q.out_arrows)]
 
 
 def find_anomaly_free(q: Quiver) -> Optional[WeightFunction]:

@@ -55,7 +55,7 @@ def test_criterion_01_hexagonal():
         td = ToricData(g, q)
         rep = td.algebraic_consistency(6)
         assert rep.ok
-        sizes = [len(td._piece(0, 0, d)) for d in range(7)]
+        sizes = [len(td._pieces(0, 0, d)[d]) for d in range(7)]
         assert sizes == [comb(d + 2, 2) for d in range(7)]
         assert sizes == [1, 3, 6, 10, 15, 21, 28]
         assert td.cy3_check(4).ok
@@ -97,7 +97,7 @@ def test_criterion_03_nonminimal_conifold():
             for i in range(q.n_vertices):
                 for j in range(q.n_vertices):
                     for d in range(2 * 4 + 1):
-                        per_degree[d] += len(td._piece(i, j, d))
+                        per_degree[d] += len(td._pieces(i, j, d)[d])
             dims[name, "dims"] = per_degree
         assert dims["conifold", "nf"] == dims["nonmin_conifold", "nf"]
         assert tds["conifold"].lam == tds["nonmin_conifold"].lam

@@ -77,7 +77,7 @@ def test_face_cycle_class():
 
 def test_hexagonal_piece_sizes():
     td = toric("hexagonal")
-    assert [len(td._piece(0, 0, d)) for d in range(7)] == \
+    assert [len(td._pieces(0, 0, d)[d]) for d in range(7)] == \
         [1, 3, 6, 10, 15, 21, 28]
 
 
@@ -181,6 +181,63 @@ def test_closed_points_match_lp_oracle(model):
         assert got == closed_points_lp(td, w), (model, w)
 
 
+def piece_lp(td, i, j, d):
+    """Oracle: the elements of M_ij^+ of weight exactly d, by an LP box on
+    z = hom - hom(beta) with one row per matching, then filtering the grid
+    points for an integral reference count and for membership in M_ij^+."""
+    beta = td._base[(i, j)][0]
+    b = td.path_class(beta, at=i)
+    wb = td.path_weight(beta)
+    lam, (rx, ry) = td.lam, td.rho
+    # lam*(value of matching k on beta) + d - wb + (lam*c_k - rho).z >= 0
+    rows = [(lam * m.cls[0] - rx, lam * m.cls[1] - ry,
+             lam * sum(a in m.support for a in beta) + d - wb)
+            for m in td.matchings]
+    a_ub = [[-ax, ax, -ay, ay] for ax, ay, _ in rows]
+    b_ub = [c for _, _, c in rows]
+    bounds = []
+    for sx, sy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+        res = solve_lp([sx, -sx, sy, -sy], [], [], a_ub, b_ub)
+        if res.status == "infeasible":
+            return []
+        assert res.status == "optimal"
+        bounds.append(res.objective)
+    x_hi, neg_x_lo, y_hi, neg_y_lo = bounds
+    out = []
+    for zx in range(math.ceil(-neg_x_lo), math.floor(x_hi) + 1):
+        for zy in range(math.ceil(-neg_y_lo), math.floor(y_hi) + 1):
+            num = d - wb - rx * zx - ry * zy
+            if num % lam == 0:
+                m = PathClass(i, j, (b.hom[0] + zx, b.hom[1] + zy),
+                              b.deg + num // lam)
+                if td.in_M_plus(m):
+                    out.append(m)
+    return sorted(out, key=lambda m: (m.hom, m.deg))
+
+
+@pytest.mark.parametrize("model", list(NONDEGENERATE) + ["square-1"])
+def test_pieces_match_lp_oracle(model):
+    """Every graded piece up to weight 2*lam equals the per-weight LP scan,
+    whether the pieces were listed for a smaller bound first or not; the
+    only closed class of weight 0 is zero."""
+    if model.startswith("square-"):
+        td = ToricData(pattern_to_dimer(square_pattern(int(model[-1]))))
+    else:
+        td = toric(model)
+    top = 2 * td.lam
+    nv = td.q.n_vertices
+    for i in range(nv):
+        td._pieces(i, (i + 1) % nv, td.lam)
+    for i in range(nv):
+        for j in range(nv):
+            pieces = td._pieces(i, j, top)
+            assert len(pieces) == top + 1
+            for d in range(top + 1):
+                assert td._pieces(i, j, d)[d] == pieces[d]
+                assert pieces[d] == piece_lp(td, i, j, d), (model, i, j, d)
+    assert [(m.hom, m.deg) for m in td.closed_points(0)] == [((0, 0), 0)]
+
+
 def test_center_generators_hexagonal():
     td = toric("hexagonal")
     gens = td.center_generators(8)
@@ -212,7 +269,8 @@ def test_lattice_points_cover_paths():
         td = toric(name)
         for path in random_paths(td, rng, 40, 5):
             cls = td.path_class(path)
-            pts = td._piece(cls.tail, cls.head, td.weight(cls))
+            d = td.weight(cls)
+            pts = td._pieces(cls.tail, cls.head, d)[d]
             assert cls in pts
 
 

@@ -1,10 +1,13 @@
 """Command line behaviour: exit codes, report format, format parity."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
-from conftest import fixture_path
+from conftest import ALL_FIXTURES, FIXTURES, fixture_path
 from dimertools.cli import main
 
 
@@ -214,3 +217,28 @@ def test_report_enumerates_matchings_once(capsys, monkeypatch):
                             counting(module, "default_r_symmetry"))
     assert run(capsys, "report", fixture_path("memeg"))[0] == 0
     assert sorted(calls) == ["default_r_symmetry", "enumerate_matchings"]
+
+
+# reports each fixture as json-lines; the first line says whether asserts run
+REPORT_ALL = """
+import sys
+from dimertools.cli import main
+print(__debug__)
+for name in sys.argv[2:]:
+    code = main(["report", f"{sys.argv[1]}/{name}.dimer",
+                 "--format", "json-lines"])
+    print("exit", name, code)
+"""
+
+
+def test_report_same_without_asserts():
+    """`python -O` strips asserts; no verdict or count may depend on them."""
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parents[1]))
+    outs = [subprocess.run([sys.executable, *flags, "-c", REPORT_ALL,
+                            str(FIXTURES), *ALL_FIXTURES],
+                           env=env, capture_output=True, text=True,
+                           check=True).stdout.split("\n", 1)
+            for flags in ([], ["-O"])]
+    assert [out[0] for out in outs] == ["True", "False"]
+    assert outs[0][1] == outs[1][1]
+    assert outs[0][1].count("exit ") == len(ALL_FIXTURES)
