@@ -118,12 +118,18 @@ class ToricData:
         self._build_base_paths()
         self._beta_eval: dict[tuple[int, int], list[int]] = {}
         self._pieces_cache: dict[tuple[int, int], list[list[PathClass]]] = {}
-        self._closure_cache: dict[tuple[int, ...], frozenset] = {}
         self._reports: dict[int, AlgebraReport] = {}
-        self.rels = fterm_relations(self.q)
-        # F-term substitutions, each relation read both ways
-        self._subs = [s for _, plus, minus in self.rels
-                      for s in ((plus, minus), (minus, plus))]
+        # the F-term relation p_a^+ = p_a^- of each arrow a; each one read
+        # both ways is a rewrite, filed under the first arrow it replaces
+        self.rels = {a: (plus, minus)
+                     for a, plus, minus in fterm_relations(self.q)}
+        self._rewrites: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
+        for a, (plus, minus) in self.rels.items():
+            if self.path_class(plus) != self.path_class(minus):
+                raise DimerError(f"F-term relation of arrow {a} joins paths "
+                                 "of different classes")
+            for lhs, rhs in ((plus, minus), (minus, plus)):
+                self._rewrites.setdefault(lhs[0], []).append((lhs, rhs))
 
     # -- plumbing ---------------------------------------------------------
 
@@ -231,29 +237,22 @@ class ToricData:
     # -- F-term rewriting -------------------------------------------------
 
     def fterm_closure(self, path: Sequence[int]) -> frozenset[tuple[int, ...]]:
-        """All paths reachable by F-term substitutions."""
+        """All paths reachable by F-term rewrites; computed afresh on every
+        call, not cached.  Each relation was checked to keep the path class
+        when this object was built, so the closure lies in one class."""
         start = tuple(path)
-        if start in self._closure_cache:
-            return self._closure_cache[start]
         seen = {start}
         queue = deque([start])
-        cls = self.path_class(start) if start else None
         while queue:
             p = queue.popleft()
-            for lhs, rhs in self._subs:
-                n = len(lhs)
-                for k in range(len(p) - n + 1):
-                    if p[k:k + n] == lhs:
-                        p2 = p[:k] + rhs + p[k + n:]
+            for k, a in enumerate(p):
+                for lhs, rhs in self._rewrites[a]:
+                    if p[k:k + len(lhs)] == lhs:
+                        p2 = p[:k] + rhs + p[k + len(lhs):]
                         if p2 not in seen:
-                            if cls is not None:
-                                assert self.path_class(p2) == cls
                             seen.add(p2)
                             queue.append(p2)
-        result = frozenset(seen)
-        for p in result:
-            self._closure_cache[p] = result
-        return result
+        return frozenset(seen)
 
     def paths_from(self, i: int, max_weight: int) -> list[tuple[int, ...]]:
         """Every path out of vertex i of weight at most max_weight."""
@@ -304,9 +303,7 @@ class ToricData:
                                 "lattice point with no representative path"))
                             continue
                         ncls += 1
-                        closure = self.fterm_closure(reps[0])
-                        extra = set(reps) - set(closure)
-                        if extra:
+                        if not self.fterm_closure(reps[0]).issuperset(reps):
                             failures.append(AlgebraFailure(
                                 "injectivity", m, d,
                                 f"{len(reps)} paths split into several "
@@ -348,7 +345,6 @@ class ToricData:
         if not pre.ok:
             raise DimerError("algebraic consistency fails up to degree "
                              f"{max_degree}: Calabi-Yau bases undefined")
-        rel_of = {a: (plus, minus) for a, plus, minus in self.rels}
         failures: list[tuple[int, int, str]] = []
         stats = []
 
@@ -369,7 +365,7 @@ class ToricData:
 
                 def col2(a: int, m: PathClass) -> dict[int, int]:
                     out: dict[int, int] = {}
-                    for sign, p in ((1, rel_of[a][0]), (-1, rel_of[a][1])):
+                    for sign, p in zip((1, -1), self.rels[a]):
                         b = p[0]
                         rest = self.path_class(
                             p[1:], at=self.q.arrows[b].head)

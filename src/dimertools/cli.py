@@ -254,8 +254,8 @@ def cmd_svg(args, rep: Reporter) -> int:
     g = _load(args.input)
     layers = [s for s in args.layers.split(",") if s]
     kwargs = {}
-    if "matching" in layers or "zigzag" in layers:
-        q = dualize(g)
+    if {"matching", "zigzag", "quiver"} & set(layers):
+        q = kwargs["q"] = dualize(g)
     try:
         if "matching" in layers:
             kwargs["matching"] = _pick(matchings.enumerate_matchings(g, q),

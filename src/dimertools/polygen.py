@@ -387,17 +387,19 @@ def load_pattern(text: str) -> CurvePattern:
         parts = ln.split()
         try:
             if parts[0] == "crossing":
-                assert int(parts[1]) == n_crossings, "ids must be in order"
+                if int(parts[1]) != n_crossings:
+                    raise ParseError(f"bad line {ln!r}: ids must be in order")
                 n_crossings += 1
             elif parts[0] == "segment":
                 sid, cur, c1, p1, c2, p2, dx, dy = map(int, parts[1:])
-                assert sid == len(segments), "ids must be in order"
+                if sid != len(segments):
+                    raise ParseError(f"bad line {ln!r}: ids must be in order")
                 segments.append(Segment(sid, cur, c1, p1, c2, p2, (dx, dy)))
             elif parts[0] == "curve":
                 curves[int(parts[1])] = tuple(map(int, parts[2:]))
             else:
                 raise ParseError(f"unknown record {parts[0]!r}")
-        except (ValueError, IndexError, AssertionError) as e:
+        except (ValueError, IndexError) as e:
             raise ParseError(f"bad line {ln!r}: {e}") from e
     if sorted(curves) != list(range(len(curves))):
         raise ParseError("curve ids must be 0..n-1")

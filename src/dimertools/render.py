@@ -11,7 +11,7 @@ from __future__ import annotations
 from typing import Optional, Sequence
 
 from .matchings import PerfectMatching
-from .surface import BLACK, TorusGraph, dualize
+from .surface import BLACK, Quiver, TorusGraph, dualize
 from .zigzag import ZigZagPath
 
 LAYERS = ("tiling", "quiver", "matching", "zigzag")
@@ -64,10 +64,12 @@ def _face_centers(g: TorusGraph, pos) -> dict[int, tuple[float, float]]:
 def emit_svg(g: TorusGraph, layers: Sequence[str] = ("tiling",),
              matching: Optional[PerfectMatching] = None,
              path: Optional[ZigZagPath] = None,
-             tiles: tuple[int, int] = (3, 1), scale: float = 120.0) -> str:
+             tiles: tuple[int, int] = (3, 1), scale: float = 120.0,
+             q: Optional[Quiver] = None) -> str:
     """Render the model over a tiles[0] x tiles[1] array of fundamental
     domains.  Unknown layer names raise ValueError; the matching and
-    zigzag layers need their respective arguments."""
+    zigzag layers need their respective arguments.  The quiver layer
+    draws `q`, or the dual of `g` when no quiver is passed."""
     for layer in layers:
         if layer not in LAYERS:
             raise ValueError(f"unknown layer {layer!r}")
@@ -121,7 +123,7 @@ def emit_svg(g: TorusGraph, layers: Sequence[str] = ("tiling",),
         out.append('</g>')
 
     if "quiver" in layers:
-        q = dualize(g)
+        q = q if q is not None else dualize(g)
         centers = _face_centers(g, pos)
         out.append('<g class="quiver" stroke="crimson" stroke-width="1.5" '
                    'fill="none">')

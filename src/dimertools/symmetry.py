@@ -14,6 +14,7 @@ inequality holds iff the optimum is strictly positive.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -51,12 +52,10 @@ def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
                        ) -> WeightFunction:
     """The sum of all perfect matchings, an integral R-symmetry whenever the
     model is non-degenerate."""
-    weights = [Fraction(0)] * q.n_arrows
-    for m in matchings:
-        for a in m.support:
-            weights[a] += 1
-    wf = WeightFunction(tuple(weights), Fraction(len(matchings)))
-    if not matchings or any(w == 0 for w in weights):
+    counts = Counter(a for m in matchings for a in m.support)
+    wf = WeightFunction(tuple(Fraction(counts[a]) for a in range(q.n_arrows)),
+                        Fraction(len(matchings)))
+    if not matchings or 0 in wf.weights:
         raise DimerError("no R-symmetry from matchings: model is degenerate")
     assert wf.check(q)
     return wf

@@ -3,14 +3,16 @@ one-sided complex."""
 
 import math
 import random
+from collections import deque
 
 import pytest
 
 from conftest import CONSISTENT, NONDEGENERATE
+from dimertools import algebra
 from dimertools.algebra import PathClass, ToricData
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.rationallp import solve_lp
-from dimertools.surface import DimerError, load_file
+from dimertools.surface import DimerError, fterm_relations, load_file
 from conftest import fixture_path
 
 
@@ -87,6 +89,61 @@ def test_fterm_closure_small():
     a, b = 0, 1
     cl = td.fterm_closure((a, b))
     assert (b, a) in cl
+
+
+def closure_oracle(td, path):
+    """Oracle: the F-term closure by trying every relation side, read both
+    ways, at every position, checking the class of every path found."""
+    subs = [s for _, plus, minus in fterm_relations(td.q)
+            for s in ((plus, minus), (minus, plus))]
+    start = tuple(path)
+    cls = td.path_class(start) if start else None
+    seen = {start}
+    queue = deque([start])
+    while queue:
+        p = queue.popleft()
+        for lhs, rhs in subs:
+            n = len(lhs)
+            for k in range(len(p) - n + 1):
+                if p[k:k + n] == lhs:
+                    p2 = p[:k] + rhs + p[k + n:]
+                    if p2 not in seen:
+                        assert cls is None or td.path_class(p2) == cls
+                        seen.add(p2)
+                        queue.append(p2)
+    return frozenset(seen)
+
+
+@pytest.mark.parametrize("model", list(NONDEGENERATE) + ["square-1"])
+def test_fterm_closure_matches_oracle(model):
+    """The per-arrow rewrite table finds the same closure as scanning every
+    relation side, for every path of weight at most lam."""
+    if model.startswith("square-"):
+        td = ToricData(pattern_to_dimer(square_pattern(int(model[-1]))))
+    else:
+        td = toric(model)
+    known = {}
+    for i in range(td.q.n_vertices):
+        for p in td.paths_from(i, td.lam):
+            if p not in known:
+                closure = closure_oracle(td, p)
+                known.update(dict.fromkeys(closure, closure))
+            assert td.fterm_closure(p) == known[p], (model, p)
+
+
+def test_tampered_relation_rejected(monkeypatch):
+    """A relation whose two sides differ in class is refused when the
+    rewrite table is built."""
+    def tampered(q):
+        rels = fterm_relations(q)
+        (a, plus, _), (_, other, _) = rels[0], rels[1]
+        return [(a, plus, other)] + rels[1:]
+
+    g = load_file(fixture_path("hexagonal"))
+    ToricData(g)
+    monkeypatch.setattr(algebra, "fterm_relations", tampered)
+    with pytest.raises(DimerError, match="F-term relation of arrow 0"):
+        ToricData(g)
 
 
 def test_algebraic_consistency_passes():

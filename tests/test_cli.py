@@ -135,6 +135,25 @@ def test_svg_output(capsys, tmp_path):
                  "--layers", "bogus", "--out", str(out_file)]) == 2
 
 
+def test_svg_builds_one_quiver(tmp_path, monkeypatch):
+    """The quiver layer draws the quiver the matching and zig-zag layers
+    were read from; the model is dualized once."""
+    from dimertools.surface import Quiver
+    built = []
+    original = Quiver.__init__
+
+    def counting(self, graph):
+        built.append(graph)
+        original(self, graph)
+    monkeypatch.setattr(Quiver, "__init__", counting)
+    out_file = tmp_path / "pic.svg"
+    assert main(["svg", str(fixture_path("hexagonal")),
+                 "--layers", "tiling,quiver,matching,zigzag",
+                 "--out", str(out_file)]) == 0
+    assert len(built) == 1
+    assert 'class="quiver"' in out_file.read_text()
+
+
 def test_pattern_check(capsys, tmp_path):
     from dimertools.polygen import dump_pattern, square_pattern
     pat = tmp_path / "grid.pattern"
@@ -219,26 +238,29 @@ def test_report_enumerates_matchings_once(capsys, monkeypatch):
     assert sorted(calls) == ["default_r_symmetry", "enumerate_matchings"]
 
 
-# reports each fixture as json-lines; the first line says whether asserts run
-REPORT_ALL = """
+# runs report, algebra and cy3 at degree 6 on each fixture as json-lines;
+# the first line says whether asserts run
+VERDICTS_ALL = """
 import sys
 from dimertools.cli import main
 print(__debug__)
 for name in sys.argv[2:]:
-    code = main(["report", f"{sys.argv[1]}/{name}.dimer",
-                 "--format", "json-lines"])
-    print("exit", name, code)
+    for cmd in (["report"], ["algebra"], ["cy3", "--max-degree", "6"]):
+        code = main([cmd[0], f"{sys.argv[1]}/{name}.dimer", *cmd[1:],
+                     "--format", "json-lines"])
+        print("exit", cmd[0], name, code)
 """
 
 
 def test_report_same_without_asserts():
-    """`python -O` strips asserts; no verdict or count may depend on them."""
+    """`python -O` strips asserts; no verdict or count of `report`,
+    `algebra` or `cy3` may depend on them."""
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parents[1]))
-    outs = [subprocess.run([sys.executable, *flags, "-c", REPORT_ALL,
+    outs = [subprocess.run([sys.executable, *flags, "-c", VERDICTS_ALL,
                             str(FIXTURES), *ALL_FIXTURES],
                            env=env, capture_output=True, text=True,
                            check=True).stdout.split("\n", 1)
             for flags in ([], ["-O"])]
     assert [out[0] for out in outs] == ["True", "False"]
     assert outs[0][1] == outs[1][1]
-    assert outs[0][1].count("exit ") == len(ALL_FIXTURES)
+    assert outs[0][1].count("exit ") == 3 * len(ALL_FIXTURES)

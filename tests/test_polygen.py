@@ -1,9 +1,13 @@
 """Curve patterns, the square-grid generator, and the merging move."""
 
+import os
+import subprocess
+import sys
 from collections import Counter
 
 import pytest
 
+from conftest import FIXTURES
 from dimertools.matchings import (enumerate_matchings, nondegeneracy_check,
                                   polygon, polygon_normal_form)
 from dimertools.polygen import (CurvePattern, dump_pattern, load_pattern,
@@ -88,6 +92,34 @@ def test_load_rejects_garbage():
     good = dump_pattern(square_pattern(1))
     with pytest.raises(ParseError):
         load_pattern(good + "weird 1 2 3\n")
+
+
+# loads a pattern with one id out of order; prints the outcome
+LOAD_MISNUMBERED = """
+from dimertools.polygen import dump_pattern, load_pattern, square_pattern
+from dimertools.surface import ParseError
+good = dump_pattern(square_pattern(1))
+for old, new in (("crossing 1", "crossing 7"),
+                 ("segment 1 ", "segment 5 ")):
+    try:
+        print(load_pattern(good.replace(old, new, 1)).n_crossings)
+    except ParseError as e:
+        print("ParseError", e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_load_rejects_misnumbered_ids(flags):
+    """Out-of-order crossing and segment ids raise ParseError, also under
+    `python -O`, which strips asserts."""
+    env = dict(os.environ, PYTHONPATH=str(FIXTURES.parents[1]))
+    out = subprocess.run([sys.executable, *flags, "-c", LOAD_MISNUMBERED],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert len(out) == 2
+    for line in out:
+        assert line.startswith("ParseError bad line")
+        assert line.endswith("ids must be in order")
 
 
 def test_merging_move():
