@@ -11,9 +11,8 @@ exactness check of the Calabi-Yau complex.
 from __future__ import annotations
 
 import math
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .matchings import PerfectMatching, enumerate_matchings
@@ -37,6 +36,18 @@ class PathClass:
             raise DimerError("classes do not compose")
         return PathClass(self.tail, other.head, vadd(self.hom, other.hom),
                          self.deg + other.deg)
+
+
+class Paths(list):
+    """Paths as tuples of arrow ids; `classes[k]` is the class of the k-th.
+
+    The classes sit in a parallel list rather than in a pair per path: a
+    pair costs 64 bytes per path, and all paths out of a vertex are held
+    at once."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.classes: list[PathClass] = []
 
 
 @dataclass
@@ -64,24 +75,34 @@ class Cy3Report:
     # (j, d, dim1, dim2, dim3, rank2, rank3)
 
 
-def _rank(rows: list[list[Fraction]]) -> int:
-    """Rank over the rationals by Gaussian elimination."""
-    rows = [list(r) for r in rows]
-    rank, col, ncols = 0, 0, len(rows[0]) if rows else 0
-    while rank < len(rows) and col < ncols:
+def _rank(rows: list[list[int]]) -> int:
+    """Rank over the rationals of a matrix given as rows of `int`s.
+
+    Fraction-free forward elimination: a row is cleared below each pivot
+    by an integer combination with the pivot row and divided by the gcd
+    of its entries, so entries stay small and no `Fraction` is built."""
+    rows = [r for r in rows if any(r)]
+    rank, ncols = 0, len(rows[0]) if rows else 0
+    for col in range(ncols):
         piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
         if piv is None:
-            col += 1
             continue
         rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = rows[rank][col]
-        rows[rank] = [x / inv for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
+        prow = rows[rank]
+        p = prow[col]
+        nonzero = [(j, y) for j, y in enumerate(prow) if y]
+        for r in range(rank + 1, len(rows)):
+            line = rows[r]
+            lc = line[col]
+            if lc:
+                new = [x * p for x in line]
+                for j, y in nonzero:
+                    new[j] -= lc * y
+                g = math.gcd(*new)
+                rows[r] = [x // g for x in new] if g > 1 else new
         rank += 1
-        col += 1
+        if rank == len(rows):
+            break
     return rank
 
 
@@ -254,22 +275,29 @@ class ToricData:
                             queue.append(p2)
         return frozenset(seen)
 
-    def paths_from(self, i: int, max_weight: int) -> list[tuple[int, ...]]:
-        """Every path out of vertex i of weight at most max_weight."""
-        out_arrows = self.q.out_arrows
-        results: list[tuple[int, ...]] = []
-        stack: list[int] = []
-
-        def rec(v: int, w: int) -> None:
-            results.append(tuple(stack))
-            for a in out_arrows[v]:
-                w2 = w + self.wts[a]
-                if w2 <= max_weight:
-                    stack.append(a)
-                    rec(self.q.arrows[a].head, w2)
-                    stack.pop()
-
-        rec(i, 0)
+    def paths_from(self, i: int, max_weight: int) -> "Paths":
+        """Every path out of vertex i of weight at most max_weight, with its
+        class, depth first; paths of one class share one `PathClass`."""
+        arrows, pi0 = self.q.arrows, self.pi0
+        # per vertex, its out-arrows in reverse, so the first pops first
+        steps = [[(a, self.wts[a], arrows[a].head, *arrows[a].offset,
+                   a in pi0) for a in reversed(out)]
+                 for out in self.q.out_arrows]
+        results = Paths()
+        classes: dict[tuple[int, int, int, int], PathClass] = {}
+        todo = [((), i, 0, 0, 0, 0)]
+        while todo:
+            path, v, w, hx, hy, deg = todo.pop()
+            key = (v, hx, hy, deg)
+            cls = classes.get(key)
+            if cls is None:
+                cls = classes[key] = PathClass(i, v, (hx, hy), deg)
+            results.append(path)
+            results.classes.append(cls)
+            for a, wa, head, ox, oy, in0 in steps[v]:
+                if w + wa <= max_weight:
+                    todo.append((path + (a,), head, w + wa, hx + ox, hy + oy,
+                                 deg + in0))
         return results
 
     # -- consistency ------------------------------------------------------
@@ -280,33 +308,41 @@ class ToricData:
         Surjectivity: every lattice point in every graded piece is the
         class of an actual path.  Injectivity: all paths with one class
         form a single F-term class.  The report is kept for `cy3_check`.
+
+        Only the first path of each class is kept, with the number of
+        paths in the class.  Rewrites keep the class, and with it the
+        weight, so the F-term closure of the first path lies among the
+        enumerated paths of its class; it holds them all exactly when it
+        is as large as their number.
         """
         failures: list[AlgebraFailure] = []
         stats = []
         nv = self.q.n_vertices
-        groups: dict[PathClass, list[tuple[int, ...]]] = {}
+        first: dict[PathClass, tuple[int, ...]] = {}
+        count: Counter[PathClass] = Counter()
         for i in range(nv):
-            for p in self.paths_from(i, max_degree):
-                cls = self.path_class(p, at=i)
-                groups.setdefault(cls, []).append(p)
-        for cls in groups:
+            paths = self.paths_from(i, max_degree)
+            count.update(paths.classes)
+            for p, cls in zip(paths, paths.classes):
+                first.setdefault(cls, p)
+            del paths       # free before listing the next vertex's paths
+        for cls in first:
             assert self.in_M_plus(cls), "actual path outside M+"
         for i in range(nv):
             for j in range(nv):
                 for d, pts in enumerate(self._pieces(i, j, max_degree)):
                     ncls = 0
                     for m in pts:
-                        reps = groups.get(m, [])
-                        if not reps:
+                        if m not in first:
                             failures.append(AlgebraFailure(
                                 "surjectivity", m, d,
                                 "lattice point with no representative path"))
                             continue
                         ncls += 1
-                        if not self.fterm_closure(reps[0]).issuperset(reps):
+                        if len(self.fterm_closure(first[m])) != count[m]:
                             failures.append(AlgebraFailure(
                                 "injectivity", m, d,
-                                f"{len(reps)} paths split into several "
+                                f"{count[m]} paths split into several "
                                 "F-term classes"))
                     stats.append((i, j, d, len(pts), ncls))
         report = AlgebraReport(not failures, max_degree, failures, stats)
@@ -393,10 +429,10 @@ class ToricData:
                     if any(acc.values()):
                         failures.append((j, d, "composite not zero"))
                         break
-                r2 = _rank([[Fraction(c.get(n, 0)) for n in
-                             range(len(basis1))] for c in f2])
-                r3 = _rank([[Fraction(c.get(n, 0)) for n in
-                             range(len(basis2))] for c in f3])
+                r2 = _rank([[c.get(n, 0) for n in range(len(basis1))]
+                            for c in f2])
+                r3 = _rank([[c.get(n, 0) for n in range(len(basis2))]
+                            for c in f3])
                 if r3 != len(basis3):
                     failures.append((j, d, "third differential not injective"))
                 if r2 + r3 != len(basis2):

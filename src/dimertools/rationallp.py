@@ -1,15 +1,22 @@
 """Exact linear programming over the rationals.
 
-A small two-phase simplex on Fraction arithmetic, sufficient for the
-feasibility problems in this package (tens of variables).  Bland's rule
-guarantees termination.
+A small two-phase simplex, sufficient for the feasibility problems in this
+package (tens to a few hundred variables).  Each tableau row is a list of
+`int`s over one positive denominator, kept in lowest terms, so a pivot
+costs integer multiplications and one gcd per row instead of a `Fraction`
+per entry; `Fraction`s are built only for the returned result.  Bland's
+rule picks the entering column and guarantees termination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional, Sequence
+
+# A row: (entries, denominator); entry j stands for entries[j] / denominator.
+Row = tuple[list[int], int]
 
 
 @dataclass
@@ -19,34 +26,73 @@ class LPResult:
     solution: Optional[list[Fraction]] = None
 
 
-def _pivot(tab: list[list[Fraction]], basis: list[int], row: int, col: int
-           ) -> None:
-    piv = tab[row][col]
-    tab[row] = [x / piv for x in tab[row]]
-    for r, line in enumerate(tab):
-        if r != row and line[col] != 0:
-            coef = line[col]
-            tab[r] = [x - coef * y for x, y in zip(line, tab[row])]
+def _row(values: Sequence) -> Row:
+    """The row of the given rationals, in lowest terms."""
+    fr = [x if isinstance(x, int) else Fraction(x) for x in values]
+    den = lcm(*(x.denominator for x in fr))
+    return _reduce([x.numerator * (den // x.denominator) for x in fr], den)
+
+
+def _reduce(line: list[int], den: int) -> Row:
+    g = gcd(den, *line)
+    if g == 1:
+        return line, den
+    return [x // g for x in line], den // g
+
+
+def _eliminate(line: list[int], den: int, nonzero: list[tuple[int, int]],
+               p: int, col: int) -> Row:
+    """line - line[col] * prow for a row prow whose entry at col is 1:
+    prow's denominator is p and `nonzero` lists its nonzero (j, entry)."""
+    lc = line[col]
+    new = [x * p for x in line] if p != 1 else line[:]
+    for j, y in nonzero:
+        new[j] -= lc * y
+    return _reduce(new, den * p)
+
+
+def _nonzero(line: list[int]) -> list[tuple[int, int]]:
+    return [(j, y) for j, y in enumerate(line) if y]
+
+
+def _pivot(tab: list[Row], basis: list[int], row: int, col: int) -> None:
+    prow = tab[row][0]
+    p = prow[col]
+    # divide the pivot row by its entry at col; the row's own denominator
+    # cancels
+    prow, p = _reduce(prow if p > 0 else [-x for x in prow], abs(p))
+    tab[row] = prow, p
+    nonzero = _nonzero(prow)
+    for r, (line, den) in enumerate(tab):
+        if r != row and line[col]:
+            tab[r] = _eliminate(line, den, nonzero, p, col)
     basis[row] = col
 
 
-def _simplex(tab: list[list[Fraction]], basis: list[int], ncols: int) -> str:
-    """Maximize; objective in the last row as  z - c.x = 0  form."""
+def _simplex(tab: list[Row], basis: list[int], ncols: int) -> str:
+    """Maximize; objective in the last row as  z - c.x = 0  form.
+
+    The ratio of row r is rhs / entry at col; both share the row's
+    denominator, so ratios compare by integer cross-multiplication."""
     while True:
-        obj = tab[-1]
+        obj = tab[-1][0]
         col = next((j for j in range(ncols) if obj[j] < 0), None)
         if col is None:
             return "optimal"
         best = None
         for r in range(len(tab) - 1):
-            if tab[r][col] > 0:
-                ratio = tab[r][-1] / tab[r][col]
-                if best is None or ratio < best[0] or \
-                        (ratio == best[0] and basis[r] < basis[best[1]]):
-                    best = (ratio, r)
+            line = tab[r][0]
+            if line[col] > 0:
+                num, den = line[-1], line[col]
+                if best is None:
+                    best = (num, den, r)
+                    continue
+                lhs, rhs = num * best[1], best[0] * den
+                if lhs < rhs or (lhs == rhs and basis[r] < basis[best[2]]):
+                    best = (num, den, r)
         if best is None:
             return "unbounded"
-        _pivot(tab, basis, best[1], col)
+        _pivot(tab, basis, best[2], col)
 
 
 def solve_lp(c: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence,
@@ -55,65 +101,60 @@ def solve_lp(c: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence,
     """Maximize c.x subject to a_eq x = b_eq, a_ub x <= b_ub, x >= 0."""
     c = [Fraction(x) for x in c]
     n = len(c)
-    rows: list[list[Fraction]] = []
-    rhs: list[Fraction] = []
     nslack = len(a_ub)
-    for i, row in enumerate(a_eq):
-        r = [Fraction(x) for x in row] + [Fraction(0)] * nslack
-        rows.append(r)
-        rhs.append(Fraction(b_eq[i]))
+    rows = [list(row) + [0] * nslack + [b_eq[i]]
+            for i, row in enumerate(a_eq)]
     for i, row in enumerate(a_ub):
-        r = [Fraction(x) for x in row] + [Fraction(0)] * nslack
-        r[n + i] = Fraction(1)
+        r = list(row) + [0] * nslack + [b_ub[i]]
+        r[n + i] = 1
         rows.append(r)
-        rhs.append(Fraction(b_ub[i]))
     total = n + nslack
-    # make all right-hand sides nonnegative
-    for i in range(len(rows)):
-        if rhs[i] < 0:
-            rows[i] = [-x for x in rows[i]]
-            rhs[i] = -rhs[i]
-
     m = len(rows)
-    # phase 1: artificial variables
-    tab = []
-    for i in range(m):
-        tab.append(rows[i] + [Fraction(int(j == i)) for j in range(m)]
-                   + [rhs[i]])
+    # phase 1: artificial variables; every right-hand side made
+    # nonnegative first
+    tab: list[Row] = []
+    for i, row in enumerate(rows):
+        line, den = _row(row)
+        if line[-1] < 0:
+            line = [-x for x in line]
+        tab.append((line[:-1] + [den * (j == i) for j in range(m)]
+                    + line[-1:], den))
     # maximize -(sum of artificials): bottom row starts as +1 on the
     # artificial columns, then is reduced against the (artificial) basis
-    phase1 = [Fraction(0)] * total + [Fraction(1)] * m + [Fraction(0)]
-    for i in range(m):
-        phase1 = [x - y for x, y in zip(phase1, tab[i])]
+    phase1: Row = ([0] * total + [1] * m + [0], 1)
+    for i, (line, _) in enumerate(tab):
+        phase1 = _eliminate(*phase1, _nonzero(line), line[total + i],
+                            total + i)
     tab.append(phase1)
     basis = list(range(total, total + m))
     status = _simplex(tab, basis, total + m)
     assert status == "optimal"
-    if tab[-1][-1] != 0:
+    if tab[-1][0][-1] != 0:
         return LPResult("infeasible")
     # drive artificials out of the basis where possible
     for r in range(m):
         if basis[r] >= total:
-            col = next((j for j in range(total) if tab[r][j] != 0), None)
+            line = tab[r][0]
+            col = next((j for j in range(total) if line[j] != 0), None)
             if col is not None:
                 _pivot(tab, basis, r, col)
     # drop rows still basic in an artificial (redundant constraints)
     keep = [r for r in range(m) if basis[r] < total]
-    tab = [[tab[r][j] for j in range(total)] + [tab[r][-1]] for r in keep]
+    tab = [_reduce(tab[r][0][:total] + tab[r][0][-1:], tab[r][1])
+           for r in keep]
     basis = [basis[r] for r in keep]
 
     # phase 2
-    obj = [-x for x in c] + [Fraction(0)] * nslack + [Fraction(0)]
-    for r, line in enumerate(tab):
-        if obj[basis[r]] != 0:
-            coef = obj[basis[r]]
-            obj = [x - coef * y for x, y in zip(obj, line)]
+    obj = _row([-x for x in c] + [0] * (nslack + 1))
+    for r, (line, den) in enumerate(tab):
+        if obj[0][basis[r]] != 0:
+            obj = _eliminate(*obj, _nonzero(line), den, basis[r])
     tab.append(obj)
     status = _simplex(tab, basis, total)
     if status == "unbounded":
         return LPResult("unbounded")
     x = [Fraction(0)] * total
     for r, b in enumerate(basis):
-        x[b] = tab[r][-1]
+        x[b] = Fraction(tab[r][0][-1], tab[r][1])
     value = sum(ci * xi for ci, xi in zip(c, x[:n]))
     return LPResult("optimal", value, x[:n])

@@ -119,6 +119,25 @@ def _solve_weights(q: Quiver, rhombic: bool) -> Optional[WeightFunction]:
     if res.status != "optimal" or res.objective <= 0:
         return None
     wf = WeightFunction(tuple(res.solution[:n]), Fraction(2))
-    assert wf.check(q)
+    _certify(q, wf, rhombic)
     return wf
 
+
+def _certify(q: Quiver, wf: WeightFunction, rhombic: bool) -> None:
+    """Check, independently of the LP and in time linear in the quiver,
+    that wf solves the system `_solve_weights` posed: every face sums to
+    2, every vertex anomaly equation holds, every weight is positive and,
+    for rhombic angles, below 1.  Raises DimerError otherwise."""
+    if not wf.check(q):
+        raise DimerError("R-symmetry fails a face equation")
+    for v, (star, nh) in enumerate(_vertex_stars(q)):
+        if sum(wf.weights[a] for a in star) != 2 * (nh - 1):
+            raise DimerError("R-symmetry fails the anomaly equation at "
+                             f"vertex {v}")
+    for a, w in enumerate(wf.weights):
+        if w <= 0:
+            raise DimerError(f"R-symmetry weight of arrow {a} is {w}, not "
+                             "positive")
+        if rhombic and w >= 1:
+            raise DimerError(f"rhombic R-symmetry weight of arrow {a} is {w}, "
+                             "not below 1")

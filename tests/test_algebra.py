@@ -114,17 +114,34 @@ def closure_oracle(td, path):
     return frozenset(seen)
 
 
+def paths_oracle(td, i, max_weight):
+    """Oracle: every path out of i of weight at most max_weight, depth
+    first, arrows in `out_arrows` order."""
+    out = [()]
+    for a in td.q.out_arrows[i]:
+        if td.wts[a] <= max_weight:
+            out += [(a,) + p for p in paths_oracle(
+                td, td.q.arrows[a].head, max_weight - td.wts[a])]
+    return out
+
+
 @pytest.mark.parametrize("model", list(NONDEGENERATE) + ["square-1"])
 def test_fterm_closure_matches_oracle(model):
     """The per-arrow rewrite table finds the same closure as scanning every
-    relation side, for every path of weight at most lam."""
+    relation side, for every path of weight at most lam.  Each path comes
+    with its class, one object per class."""
     if model.startswith("square-"):
         td = ToricData(pattern_to_dimer(square_pattern(int(model[-1]))))
     else:
         td = toric(model)
     known = {}
     for i in range(td.q.n_vertices):
-        for p in td.paths_from(i, td.lam):
+        paths = td.paths_from(i, td.lam)
+        assert paths == paths_oracle(td, i, td.lam)
+        assert len(paths.classes) == len(paths)
+        assert len(set(map(id, paths.classes))) == len(set(paths.classes))
+        for p, cls in zip(paths, paths.classes):
+            assert cls == td.path_class(p, at=i)
             if p not in known:
                 closure = closure_oracle(td, p)
                 known.update(dict.fromkeys(closure, closure))

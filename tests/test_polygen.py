@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -15,7 +16,7 @@ from dimertools.polygen import (CurvePattern, dump_pattern, load_pattern,
                                 square_pattern, trace_cells,
                                 validate_pattern)
 from dimertools.surface import DimerError, ParseError, dualize
-from dimertools.symmetry import find_anomaly_free
+from dimertools.symmetry import find_anomaly_free, find_rhombic
 from dimertools.zigzag import geometric_check, properly_ordered, \
     zigzag_paths
 
@@ -51,6 +52,31 @@ def test_generated_models_consistent():
         # zig-zag classes reproduce the curve classes
         assert Counter(p.cls for p in paths) == \
             {(0, 1): n, (0, -1): n, (1, 0): n, (-1, 0): n}
+
+
+def satisfies_r_equations(q, weights):
+    """Every face sums to 2, every vertex v has arrow weights summing to
+    2(|H_v| - 1) over its in- and out-arrows, and every weight is
+    positive."""
+    return (all(sum(weights[a] for a in f.boundary) == 2 for f in q.faces)
+            and all(sum(weights[a] for a in inc + out) == 2 * (len(inc) - 1)
+                    for inc, out in zip(q.in_arrows, q.out_arrows))
+            and all(w > 0 for w in weights))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_generated_anomaly_free_and_rhombic(n):
+    """The anomaly-free R on gen-square 1-4 and the rhombic one on 1-3
+    give every arrow the right angle pi/2, and solve their equations."""
+    q = dualize(pattern_to_dimer(square_pattern(n)))
+    finders = (find_anomaly_free, find_rhombic) if n <= 3 else \
+        (find_anomaly_free,)
+    for find in finders:
+        r = find(q)
+        assert r is not None
+        assert r.weights == (Fraction(1, 2),) * (4 * n * n)
+        assert r.degree == 2
+        assert satisfies_r_equations(q, r.weights)
 
 
 def test_generated_polygon_is_square():

@@ -1,10 +1,13 @@
 """Weight functions, R-symmetries, exact rational feasibility."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
-from conftest import CONSISTENT, NONDEGENERATE
+from conftest import CONSISTENT, FIXTURES, NONDEGENERATE
 from dimertools.matchings import enumerate_matchings
 from dimertools.surface import DimerError
 from dimertools.symmetry import (WeightFunction, default_r_symmetry,
@@ -87,3 +90,56 @@ def test_rhombic_not_asserted_conversely(load_quiver):
     outcome = find_rhombic(q)
     # record only: currently infeasible for this model
     assert outcome is None or all(0 < w < 1 for w in outcome.weights)
+
+
+# Hands find_anomaly_free and find_rhombic a wrong LP vertex that breaks one
+# condition at a time and prints what each answer is.
+WRONG_VERTEX = """
+from fractions import Fraction
+from dimertools import symmetry
+from dimertools.matchings import enumerate_matchings
+from dimertools.rationallp import LPResult
+from dimertools.surface import DimerError, dualize, load_file
+from conftest import fixture_path
+
+def quiver(name):
+    g = load_file(fixture_path(name))
+    return g, dualize(g)
+
+g, q = quiver("examplestp")
+ms = enumerate_matchings(g, q)
+# face sums 2 and positive, but not anomaly-free
+combo = [Fraction(2 * (sum(a in m.support for m in ms)
+                       + (a in ms[0].support)), len(ms) + 1)
+         for a in range(q.n_arrows)]
+af = symmetry.find_anomaly_free(q).weights      # has weights equal to 1
+cases = [("examplestp", symmetry.find_anomaly_free, [1] * q.n_arrows),
+         ("examplestp", symmetry.find_anomaly_free, combo),
+         ("hexagonal", symmetry.find_anomaly_free, [2, 0, 0]),
+         ("examplestp", symmetry.find_rhombic, af)]
+for name, find, weights in cases:
+    t = Fraction(1, 10)
+    symmetry.solve_lp = lambda *lp: LPResult(
+        "optimal", t, [Fraction(w) for w in weights] + [t])
+    try:
+        print("accepted", find(quiver(name)[1]))
+    except DimerError as e:
+        print("DimerError", e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_wrong_lp_vertex_rejected(flags):
+    """An LP answer that breaks the face, vertex, positivity or rhombic
+    condition raises DimerError, also under `python -O`."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(FIXTURES.parents[1]), os.path.dirname(__file__))))
+    out = subprocess.run([sys.executable, *flags, "-c", WRONG_VERTEX],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == [
+        "DimerError R-symmetry fails a face equation",
+        "DimerError R-symmetry fails the anomaly equation at vertex 0",
+        "DimerError R-symmetry weight of arrow 1 is 0, not positive",
+        "DimerError rhombic R-symmetry weight of arrow 8 is 1, not below 1",
+    ]
