@@ -137,7 +137,6 @@ class ToricData:
         self._base: dict[tuple[int, int],
                          tuple[tuple[int, ...], PathClass]] = {}
         self._build_base_paths()
-        self._beta_eval: dict[tuple[int, int], list[int]] = {}
         self._pieces_cache: dict[tuple[int, int], list[list[PathClass]]] = {}
         self._reports: dict[int, AlgebraReport] = {}
         # the F-term relation p_a^+ = p_a^- of each arrow a; each one read
@@ -190,14 +189,6 @@ class ToricData:
     def path_weight(self, arrows: Sequence[int]) -> int:
         return sum(self.wts[a] for a in arrows)
 
-    def _beta_evals(self, i: int, j: int) -> list[int]:
-        key = (i, j)
-        if key not in self._beta_eval:
-            p, _ = self._base[key]
-            self._beta_eval[key] = [sum(a in m.support for a in p)
-                                    for m in self.matchings]
-        return self._beta_eval[key]
-
     # -- the lattice ------------------------------------------------------
 
     def weight(self, m: PathClass) -> int:
@@ -205,17 +196,6 @@ class ToricData:
         z = vsub(m.hom, b.hom)
         return (self.path_weight(p) + self.lam * (m.deg - b.deg)
                 + self.rho[0] * z[0] + self.rho[1] * z[1])
-
-    def pm_eval(self, idx: int, m: PathClass) -> int:
-        """Value of the idx-th enumerated matching on the class m."""
-        _, b = self._base[(m.tail, m.head)]
-        z = vsub(m.hom, b.hom)
-        c = self.matchings[idx].cls
-        return (self._beta_evals(m.tail, m.head)[idx]
-                + (m.deg - b.deg) + c[0] * z[0] + c[1] * z[1])
-
-    def in_M_plus(self, m: PathClass) -> bool:
-        return all(self.pm_eval(k, m) >= 0 for k in range(len(self.matchings)))
 
     def _pieces(self, i: int, j: int,
                 max_weight: int) -> list[list[PathClass]]:
@@ -234,7 +214,8 @@ class ToricData:
             beta, b = self._base[key]
             wb = self.path_weight(beta)
             low: dict[Vec, int] = {}
-            for m, ev in zip(self.matchings, self._beta_evals(i, j)):
+            for m in self.matchings:
+                ev = sum(a in m.support for a in beta)
                 low[m.cls] = min(ev, low.get(m.cls, ev))
             out: list[list[PathClass]] = [[] for _ in range(max_weight + 1)]
             box = _bounding_box([(self.lam * c[0] - self.rho[0],
@@ -313,7 +294,8 @@ class ToricData:
         paths in the class.  Rewrites keep the class, and with it the
         weight, so the F-term closure of the first path lies among the
         enumerated paths of its class; it holds them all exactly when it
-        is as large as their number.
+        is as large as their number.  Every path class lies in M^+, since
+        a matching's value on a path counts the path's arrows in it.
         """
         failures: list[AlgebraFailure] = []
         stats = []
@@ -326,8 +308,6 @@ class ToricData:
             for p, cls in zip(paths, paths.classes):
                 first.setdefault(cls, p)
             del paths       # free before listing the next vertex's paths
-        for cls in first:
-            assert self.in_M_plus(cls), "actual path outside M+"
         for i in range(nv):
             for j in range(nv):
                 for d, pts in enumerate(self._pieces(i, j, max_degree)):
@@ -383,19 +363,21 @@ class ToricData:
                              f"{max_degree}: Calabi-Yau bases undefined")
         failures: list[tuple[int, int, str]] = []
         stats = []
+        nv = self.q.n_vertices
+        for j in range(nv):
+            into_j = [self._pieces(i, j, max_degree) for i in range(nv)]
 
-        def piece(i: int, j: int, d: int) -> list[PathClass]:
-            return self._pieces(i, j, max_degree)[d] if d >= 0 else []
+            def piece(i: int, d: int) -> list[PathClass]:
+                return into_j[i][d] if d >= 0 else []
 
-        for j in range(self.q.n_vertices):
             for d in range(max_degree + 1):
                 basis1 = [(b.id, m) for b in self.q.arrows
-                          for m in piece(b.head, j, d - self.wts[b.id])]
+                          for m in piece(b.head, d - self.wts[b.id])]
                 basis2 = [(a.id, m) for a in self.q.arrows
                           for m in piece(
-                              a.tail, j, d - (self.lam - self.wts[a.id]))]
-                basis3 = [(v, m) for v in range(self.q.n_vertices)
-                          for m in piece(v, j, d - self.lam)]
+                              a.tail, d - (self.lam - self.wts[a.id]))]
+                basis3 = [(v, m) for v in range(nv)
+                          for m in piece(v, d - self.lam)]
                 idx1 = {key: n for n, key in enumerate(basis1)}
                 idx2 = {key: n for n, key in enumerate(basis2)}
 

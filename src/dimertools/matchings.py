@@ -24,40 +24,31 @@ class PerfectMatching:
         return edge in self.support
 
 
-def _matching_backtrack(g: TorusGraph, allowed: set[int],
-                        first_only: bool = False) -> list[frozenset[int]]:
-    """All perfect matchings of g using only ``allowed`` edges."""
-    n = len(g.colors)
-    incident: list[list[int]] = [[] for _ in range(n)]
-    for v in range(n):
-        for e in g.rotation[v]:
-            if e in allowed:
-                incident[v].append(e)
-    results: list[frozenset[int]] = []
-    covered = [False] * n
-    chosen: list[int] = []
+def _extend_matchings(g: TorusGraph, v0: int, covered: list[bool],
+                      chosen: list[int], results: list[frozenset[int]]
+                      ) -> None:
+    """Append to results every perfect matching of g that contains the
+    edges chosen so far, which cover exactly the vertices marked covered,
+    all vertices below v0 among them.
 
-    def rec(v0: int) -> bool:
-        while v0 < n and covered[v0]:
-            v0 += 1
-        if v0 == n:
-            results.append(frozenset(chosen))
-            return True
-        for e in incident[v0]:
-            w = g.other_end(e, v0)
-            if covered[w]:
-                continue
-            covered[v0] = covered[w] = True
-            chosen.append(e)
-            done = rec(v0 + 1)
-            chosen.pop()
-            covered[v0] = covered[w] = False
-            if done and first_only:
-                return True
-        return False
-
-    rec(0)
-    return results
+    A module-level function rather than a closure that calls itself: such
+    a closure is a reference cycle that keeps its frame's lists alive
+    until the cyclic garbage collector runs."""
+    n = len(covered)
+    while v0 < n and covered[v0]:
+        v0 += 1
+    if v0 == n:
+        results.append(frozenset(chosen))
+        return
+    for e in g.rotation[v0]:
+        w = g.other_end(e, v0)
+        if covered[w]:
+            continue
+        covered[v0] = covered[w] = True
+        chosen.append(e)
+        _extend_matchings(g, v0 + 1, covered, chosen, results)
+        chosen.pop()
+        covered[v0] = covered[w] = False
 
 
 def pm_class(pi: frozenset[int], pi0: frozenset[int], q: Quiver) -> Vec:
@@ -74,7 +65,8 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     The reference matching is the lexicographically least support in
     canonical edge order; the supports are sorted so that it comes first.
     """
-    supports = _matching_backtrack(g, {e.id for e in g.edges})
+    supports: list[frozenset[int]] = []
+    _extend_matchings(g, 0, [False] * len(g.colors), [], supports)
     supports.sort(key=lambda s: sorted(s))
     if not supports:
         return []
@@ -102,22 +94,25 @@ def _max_matching(adj: dict[int, set[int]], lefts: list[int]
     quadratic algorithm is fine.
     """
     match: dict[int, int] = {}
-
-    def augment(u: int, seen: set[int]) -> bool:
-        for w in adj.get(u, ()):
-            if w in seen:
-                continue
-            seen.add(w)
-            if w not in match or augment(match[w], seen):
-                match[w] = u
-                match[u] = w
-                return True
-        return False
-
     for u in lefts:
         if u not in match:
-            augment(u, set())
+            _augment(adj, match, u, set())
     return match
+
+
+def _augment(adj: dict[int, set[int]], match: dict[int, int], u: int,
+             seen: set[int]) -> bool:
+    """Extend match along an augmenting path from u avoiding seen, if one
+    exists.  Module level for the same reason as `_extend_matchings`."""
+    for w in adj.get(u, ()):
+        if w in seen:
+            continue
+        seen.add(w)
+        if w not in match or _augment(adj, match, match[w], seen):
+            match[w] = u
+            match[u] = w
+            return True
+    return False
 
 
 def hall_check(g: TorusGraph) -> HallReport:
@@ -304,8 +299,9 @@ def coboundary(g: TorusGraph, vec: dict[int, int]) -> dict[int, int]:
 def bvn_decompose(g: TorusGraph, vec: dict[int, int],
                   q: Optional[Quiver] = None) -> list[PerfectMatching]:
     """Write a nonnegative integer cochain with constant coboundary k as a
-    sum of k perfect matchings: find a matching inside the support,
-    subtract, recurse."""
+    sum of k perfect matchings: find a matching inside the support with
+    the Hall kernel, subtract, repeat.  Constant coboundary makes the
+    support a regular bipartite multigraph, so the matching exists."""
     if any(x < 0 for x in vec.values()):
         raise DimerError("negative entry in decomposition input")
     db = coboundary(g, vec)
@@ -318,16 +314,23 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
     ref = enumerate_matchings(g, q)
     if not ref and k > 0:
         raise DimerError("model has no perfect matchings")
-    pi0 = min((m.support for m in ref), key=sorted) if ref else frozenset()
+    blacks = g.black_vertices
     out: list[PerfectMatching] = []
     work = dict(vec)
     for _ in range(k):
-        support = {e for e, x in work.items() if x > 0}
-        found = _matching_backtrack(g, support, first_only=True)
-        assert found, "support graph lost the marriage property (bad input)"
-        m = found[0]
+        adj: dict[int, set[int]] = {}
+        edge_of: dict[tuple[int, int], int] = {}
+        for ed in g.edges:
+            if work.get(ed.id, 0) > 0:
+                adj.setdefault(ed.black, set()).add(ed.white)
+                adj.setdefault(ed.white, set()).add(ed.black)
+                edge_of.setdefault((ed.black, ed.white), ed.id)
+        match = _max_matching(adj, blacks)
+        assert all(b in match for b in blacks), \
+            "support graph lost the marriage property (bad input)"
+        m = frozenset(edge_of[(b, match[b])] for b in blacks)
         for e in m:
             work[e] -= 1
-        out.append(PerfectMatching(m, pm_class(m, pi0, q)))
+        out.append(PerfectMatching(m, pm_class(m, ref[0].support, q)))
     assert all(x == 0 for x in work.values()), "leftover after k matchings"
     return out

@@ -37,6 +37,21 @@ def random_paths(td, rng, count, max_len):
     return paths
 
 
+def pm_eval(td, pm, m):
+    """Oracle: the value of the matching pm on the class m, one matching at
+    a time: its value on the base path, plus the change in reference count
+    and the pairing of its class with the change in homology offset."""
+    beta, b = td._base[(m.tail, m.head)]
+    z = (m.hom[0] - b.hom[0], m.hom[1] - b.hom[1])
+    return (sum(a in pm.support for a in beta) + m.deg - b.deg
+            + pm.cls[0] * z[0] + pm.cls[1] * z[1])
+
+
+def in_M_plus(td, m):
+    """Oracle: m lies in M^+, nonnegative on every perfect matching."""
+    return all(pm_eval(td, pm, m) >= 0 for pm in td.matchings)
+
+
 def test_pm_eval_counts_matched_arrows():
     """Evaluating a matching on a path class counts how often the path
     runs through the matching, for every matching and random path."""
@@ -45,9 +60,9 @@ def test_pm_eval_counts_matched_arrows():
         td = toric(name)
         for path in random_paths(td, rng, 50, 6):
             cls = td.path_class(path)
-            for k, m in enumerate(td.matchings):
-                crossed = sum(1 for a in path if a in m.support)
-                assert td.pm_eval(k, cls) == crossed
+            for pm in td.matchings:
+                crossed = sum(1 for a in path if a in pm.support)
+                assert pm_eval(td, pm, cls) == crossed
 
 
 def test_weight_is_grading():
@@ -72,8 +87,8 @@ def test_face_cycle_class():
             assert td.weight(cls) == td.lam
             assert cls.hom == (0, 0)
             classes.add((cls.hom, cls.deg))
-            for k in range(len(td.matchings)):
-                assert td.pm_eval(k, cls) == 1
+            for pm in td.matchings:
+                assert pm_eval(td, pm, cls) == 1
         assert len(classes) == 1
 
 
@@ -214,6 +229,23 @@ def test_cy3_reuses_consistency_report(monkeypatch):
     assert len(calls) == td.q.n_vertices
 
 
+def test_cy3_lists_each_pair_once(monkeypatch):
+    """One cy3_check lists the graded pieces of each vertex pair once."""
+    td = toric("memeg")
+    assert td.algebraic_consistency(4).ok
+    calls = []
+    original = ToricData._pieces
+
+    def counting(self, i, j, max_weight):
+        calls.append((i, j, max_weight))
+        return original(self, i, j, max_weight)
+
+    monkeypatch.setattr(ToricData, "_pieces", counting)
+    assert td.cy3_check(4).ok
+    nv = td.q.n_vertices
+    assert sorted(calls) == [(i, j, 4) for i in range(nv) for j in range(nv)]
+
+
 def closed_points_lp(td, max_weight):
     """Oracle: M_o^+ up to max_weight by bounding (h, dd) jointly with
     three-variable LPs, then listing dd per offset h."""
@@ -284,7 +316,7 @@ def piece_lp(td, i, j, d):
             if num % lam == 0:
                 m = PathClass(i, j, (b.hom[0] + zx, b.hom[1] + zy),
                               b.deg + num // lam)
-                if td.in_M_plus(m):
+                if in_M_plus(td, m):
                     out.append(m)
     return sorted(out, key=lambda m: (m.hom, m.deg))
 

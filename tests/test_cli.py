@@ -245,7 +245,8 @@ import sys
 from dimertools.cli import main
 print(__debug__)
 for name in sys.argv[2:]:
-    for cmd in (["report"], ["algebra"], ["cy3", "--max-degree", "6"]):
+    for cmd in (["report"], ["algebra"], ["cy3", "--max-degree", "6"],
+                ["zigzag"], ["extremal"], ["polygon"], ["matchings"]):
         code = main([cmd[0], f"{sys.argv[1]}/{name}.dimer", *cmd[1:],
                      "--format", "json-lines"])
         print("exit", cmd[0], name, code)
@@ -254,7 +255,8 @@ for name in sys.argv[2:]:
 
 def test_report_same_without_asserts():
     """`python -O` strips asserts; no verdict or count of `report`,
-    `algebra` or `cy3` may depend on them."""
+    `algebra`, `cy3`, `zigzag`, `extremal`, `polygon` or `matchings` may
+    depend on them."""
     env = dict(os.environ, PYTHONPATH=str(FIXTURES.parents[1]))
     outs = [subprocess.run([sys.executable, *flags, "-c", VERDICTS_ALL,
                             str(FIXTURES), *ALL_FIXTURES],
@@ -263,4 +265,4 @@ def test_report_same_without_asserts():
             for flags in ([], ["-O"])]
     assert [out[0] for out in outs] == ["True", "False"]
     assert outs[0][1] == outs[1][1]
-    assert outs[0][1].count("exit ") == 3 * len(ALL_FIXTURES)
+    assert outs[0][1].count("exit ") == 7 * len(ALL_FIXTURES)

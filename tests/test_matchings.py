@@ -1,5 +1,6 @@
 """Perfect matchings, the matching polygon, BvN decomposition."""
 
+import gc
 import random
 
 import pytest
@@ -10,6 +11,7 @@ from dimertools.matchings import (bvn_decompose, coboundary,
                                   enumerate_matchings, hall_check,
                                   nondegeneracy_check, polygon,
                                   polygon_normal_form)
+from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.surface import DimerError, dualize, load_file
 
 MATCHING_COUNTS = {"hexagonal": 3, "conifold": 4, "memeg": 6,
@@ -115,6 +117,7 @@ def test_bvn_round_trip():
                     vec[e] += 1
             parts = bvn_decompose(g, vec, q)
             assert len(parts) == k
+            assert set(parts) <= set(ms)        # supports and classes
             back = {e.id: 0 for e in g.edges}
             for m in parts:
                 for e in m.support:
@@ -129,3 +132,21 @@ def test_bvn_rejects_bad_input(load_quiver):
     g, q = load_quiver("hexagonal")
     with pytest.raises(DimerError):
         bvn_decompose(g, {0: -1, 1: -1, 2: -1}, q)
+
+
+def test_matching_kernels_leave_no_cycles():
+    """Enumeration, the Hall check and the non-degeneracy check free
+    everything they allocate when they return, without the cyclic garbage
+    collector."""
+    g = pattern_to_dimer(square_pattern(3))
+    q = dualize(g)
+    gc.collect()
+    gc.disable()
+    try:
+        for check in (lambda: enumerate_matchings(g, q),
+                      lambda: hall_check(g),
+                      lambda: nondegeneracy_check(g)):
+            check()
+            assert gc.collect() == 0
+    finally:
+        gc.enable()
