@@ -4,14 +4,16 @@ A path in the quiver is remembered by four integers: endpoints, homology
 offset and the count of reference-matching arrows.  These coordinates are
 constant on F-term classes and embed the path algebra into a lattice
 algebra; algebraic consistency asks that the embedding hits every lattice
-point exactly once.  The same lattice bases drive the bounded-degree
-exactness check of the Calabi-Yau complex.
+point exactly once.  It is checked per lattice point, in order of weight:
+the paths and F-term classes of a point are counted from those of lighter
+points, and no path is listed.  The same lattice bases drive the
+bounded-degree exactness check of the Calabi-Yau complex.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
@@ -20,6 +22,10 @@ from .rationallp import solve_lp
 from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
                       vadd, vsub)
 from .symmetry import default_r_symmetry
+
+# a lattice point as (tail, head, hx, hy, deg), cheaper to hash than a
+# PathClass
+_Key = tuple[int, int, int, int, int]
 
 
 @dataclass(frozen=True)
@@ -124,7 +130,9 @@ class ToricData:
         self.lam = int(w.degree)
         if any(x <= 0 for x in self.wts):
             raise DimerError("grading weights must be strictly positive")
-        assert self.matchings[0].cls == (0, 0)
+        if self.matchings[0].cls != (0, 0):
+            raise DimerError("first perfect matching is not the reference "
+                             "matching of class (0, 0)")
         self.pi0 = self.matchings[0].support
         # closed-class functionals: weight and matching evaluations factor
         # through (hom, deg) via the basis walks
@@ -164,7 +172,8 @@ class ToricData:
                     if h not in seen:
                         seen[h] = seen[v] + (a,)
                         queue.append(h)
-            assert len(seen) == self.q.n_vertices, "quiver not connected"
+            if len(seen) != self.q.n_vertices:
+                raise DimerError("quiver not connected")
             for j, p in seen.items():
                 self._base[(i, j)] = (p, self.path_class(p, at=i))
 
@@ -283,46 +292,111 @@ class ToricData:
 
     # -- consistency ------------------------------------------------------
 
+    def _fterm_classes(self, max_degree: int
+                       ) -> dict[_Key, tuple[int, int, dict]]:
+        """Per lattice point up to max_degree that some path reaches, keyed
+        (tail, head, hx, hy, deg): its number of paths, its number of
+        F-term classes, and the F-class of each of its pairs.
+
+        The points are visited in order of weight, which every arrow
+        raises.  A path of class m is an arrow a out of m's tail followed
+        by a path of class m - a, so the F-classes of m are the pairs
+        (a, F-class of m - a) up to rewrites at position 0.  A rewrite
+        a.u -> b.v glues (a, [u.w]) to (b, [v.w]) in a union-find for
+        every F-class [w] of m - class(a.u); [u.w] is read from finished
+        points by prepending the arrows of u one at a time.  A rewrite
+        further right changes only the tail, whose F-class is already the
+        pair's second entry.  Gluing is symmetric, so each relation is
+        read one way.  No path is listed.
+        """
+        nv = self.q.n_vertices
+        steps = [(a.tail, a.head, a.offset[0], a.offset[1], a.id in self.pi0)
+                 for a in self.q.arrows]
+        glue: list[list[tuple]] = [[] for _ in range(nv)]
+        for plus, minus in self.rels.values():
+            c = self.path_class(plus)
+            glue[c.tail].append((c.head, *c.hom, c.deg, plus, minus))
+        by_weight: list[list[PathClass]] = [[] for _ in range(max_degree + 1)]
+        for i in range(nv):
+            for j in range(nv):
+                for d, pts in enumerate(self._pieces(i, j, max_degree)):
+                    by_weight[d] += pts
+        reached: dict[_Key, tuple[int, int, dict]] = {}
+
+        def prepend(u: tuple[int, ...], p: _Key, c: int) -> int:
+            """The F-class of u.w, for w of F-class c at point p."""
+            for x in reversed(u):
+                t, _, ox, oy, in0 = steps[x]
+                p = (t, p[1], p[2] + ox, p[3] + oy, p[4] + in0)
+                c = reached[p][2][(x, c)]
+            return c
+
+        for pts in by_weight:
+            for m in pts:
+                i, j, (hx, hy), dg = m.tail, m.head, m.hom, m.deg
+                key = (i, j, hx, hy, dg)
+                if i == j and key[2:] == (0, 0, 0):     # the empty path
+                    reached[key] = (1, 1, {})
+                    continue
+                pairs: list[tuple[int, int]] = []
+                n = 0
+                for a in self.q.out_arrows[i]:
+                    _, h, ox, oy, in0 = steps[a]
+                    rest = reached.get((h, j, hx - ox, hy - oy, dg - in0))
+                    if rest:
+                        n += rest[0]
+                        pairs += [(a, c) for c in range(rest[1])]
+                if not pairs:
+                    continue
+                index = {pair: k for k, pair in enumerate(pairs)}
+                parent = list(range(len(pairs)))
+                for th, cx, cy, cd, lhs, rhs in glue[i]:
+                    p = (th, j, hx - cx, hy - cy, dg - cd)
+                    for c in range(reached[p][1] if p in reached else 0):
+                        x = _find(parent, index[(lhs[0],
+                                                 prepend(lhs[1:], p, c))])
+                        y = _find(parent, index[(rhs[0],
+                                                 prepend(rhs[1:], p, c))])
+                        parent[x] = y
+                roots: dict[int, int] = {}
+                of_pair = {pair: roots.setdefault(_find(parent, k),
+                                                  len(roots))
+                           for k, pair in enumerate(pairs)}
+                reached[key] = (n, len(roots), of_pair)
+        return reached
+
     def algebraic_consistency(self, max_degree: int) -> AlgebraReport:
-        """Compare paths up to the degree bound with the lattice points.
+        """Compare path classes up to the degree bound with the lattice
+        points, one lattice point at a time.
 
         Surjectivity: every lattice point in every graded piece is the
         class of an actual path.  Injectivity: all paths with one class
-        form a single F-term class.  The report is kept for `cy3_check`.
-
-        Only the first path of each class is kept, with the number of
-        paths in the class.  Rewrites keep the class, and with it the
-        weight, so the F-term closure of the first path lies among the
-        enumerated paths of its class; it holds them all exactly when it
-        is as large as their number.  Every path class lies in M^+, since
-        a matching's value on a path counts the path's arrows in it.
+        form a single F-term class.  Both are read from `_fterm_classes`,
+        which counts the paths and F-term classes of each point from those
+        of lighter points and lists no path.  Every path class lies in
+        M^+, since a matching's value on a path counts the path's arrows
+        in it.  The report is kept for `cy3_check`.
         """
         failures: list[AlgebraFailure] = []
         stats = []
         nv = self.q.n_vertices
-        first: dict[PathClass, tuple[int, ...]] = {}
-        count: Counter[PathClass] = Counter()
-        for i in range(nv):
-            paths = self.paths_from(i, max_degree)
-            count.update(paths.classes)
-            for p, cls in zip(paths, paths.classes):
-                first.setdefault(cls, p)
-            del paths       # free before listing the next vertex's paths
+        reached = self._fterm_classes(max_degree)
         for i in range(nv):
             for j in range(nv):
                 for d, pts in enumerate(self._pieces(i, j, max_degree)):
                     ncls = 0
                     for m in pts:
-                        if m not in first:
+                        r = reached.get((i, j, *m.hom, m.deg))
+                        if r is None:
                             failures.append(AlgebraFailure(
                                 "surjectivity", m, d,
                                 "lattice point with no representative path"))
                             continue
                         ncls += 1
-                        if len(self.fterm_closure(first[m])) != count[m]:
+                        if r[1] > 1:
                             failures.append(AlgebraFailure(
                                 "injectivity", m, d,
-                                f"{count[m]} paths split into several "
+                                f"{r[0]} paths split into several "
                                 "F-term classes"))
                     stats.append((i, j, d, len(pts), ncls))
         report = AlgebraReport(not failures, max_degree, failures, stats)
@@ -364,6 +438,13 @@ class ToricData:
         failures: list[tuple[int, int, str]] = []
         stats = []
         nv = self.q.n_vertices
+        # per arrow a, each relation side's sign, first arrow and the class
+        # of its remainder; per arrow b, the class of b alone
+        sides = {a: [(sign, p[0], self.path_class(
+                     p[1:], at=self.q.arrows[p[0]].head))
+                     for sign, p in zip((1, -1), rel)]
+                 for a, rel in self.rels.items()}
+        single = [self.path_class([b]) for b in range(self.q.n_arrows)]
         for j in range(nv):
             into_j = [self._pieces(i, j, max_degree) for i in range(nv)]
 
@@ -383,10 +464,7 @@ class ToricData:
 
                 def col2(a: int, m: PathClass) -> dict[int, int]:
                     out: dict[int, int] = {}
-                    for sign, p in zip((1, -1), self.rels[a]):
-                        b = p[0]
-                        rest = self.path_class(
-                            p[1:], at=self.q.arrows[b].head)
+                    for sign, b, rest in sides[a]:
                         key = (b, rest.compose(m))
                         n = idx1[key]
                         out[n] = out.get(n, 0) + sign
@@ -395,7 +473,7 @@ class ToricData:
                 def col3(v: int, m: PathClass) -> dict[int, int]:
                     out: dict[int, int] = {}
                     for b in self.q.in_arrows[v]:
-                        key = (b, self.path_class([b]).compose(m))
+                        key = (b, single[b].compose(m))
                         n = idx2[key]
                         out[n] = out.get(n, 0) - 1
                     return {k: v for k, v in out.items() if v}
@@ -450,6 +528,13 @@ class ToricData:
                 gens.append(m)
         gens.sort(key=lambda m: (self.weight(m), m.hom, m.deg))
         return gens
+
+
+def _find(parent: list[int], x: int) -> int:
+    """Union-find root of x, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = x = parent[parent[x]]
+    return x
 
 
 def _bounding_box(cons: list[tuple[int, int, int]]

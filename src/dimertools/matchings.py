@@ -76,6 +76,31 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     return [PerfectMatching(s, pm_class(s, pi0, q)) for s in supports]
 
 
+def reference_matching(g: TorusGraph) -> Optional[frozenset[int]]:
+    """The reference matching of `enumerate_matchings`, the least support
+    in canonical edge order, or None if g has no perfect matching.
+
+    Found without enumerating: scan the edges in id order and keep an edge
+    when the Hall kernel still finds a perfect matching that contains the
+    edges kept and otherwise uses only later edges."""
+    blacks = g.black_vertices
+    if len(blacks) != len(g.white_vertices):
+        return None
+    edges = sorted(g.edges, key=lambda e: e.id)
+    taken: set[int] = set()
+    chosen: list[int] = []
+    for k, e in enumerate(edges):
+        if len(chosen) == len(blacks):
+            break
+        if e.black in taken or e.white in taken:
+            continue
+        ends = taken | {e.black, e.white}
+        if _covers(edges[k + 1:], blacks, ends):
+            taken = ends
+            chosen.append(e.id)
+    return frozenset(chosen) if len(chosen) == len(blacks) else None
+
+
 # ---------------------------------------------------------------------------
 # Hall condition and non-degeneracy
 
@@ -113,6 +138,19 @@ def _augment(adj: dict[int, set[int]], match: dict[int, int], u: int,
             match[u] = w
             return True
     return False
+
+
+def _covers(edges: Sequence, blacks: list[int], ends: set[int]) -> bool:
+    """Do the edges with no end in `ends` match every black vertex not in
+    `ends`?"""
+    adj: dict[int, set[int]] = {}
+    for e in edges:
+        if e.black not in ends and e.white not in ends:
+            adj.setdefault(e.black, set()).add(e.white)
+            adj.setdefault(e.white, set()).add(e.black)
+    rest = [b for b in blacks if b not in ends]
+    match = _max_matching(adj, rest)
+    return all(b in match for b in rest)
 
 
 def hall_check(g: TorusGraph) -> HallReport:
@@ -169,18 +207,8 @@ def nondegeneracy_check(g: TorusGraph) -> NondegeneracyReport:
     flags: dict[int, bool] = {}
     balanced = len(blacks) == len(whites)
     for e in g.edges:
-        if not balanced:
-            flags[e.id] = False
-            continue
-        adj: dict[int, set[int]] = {}
-        for e2 in g.edges:
-            if e2.black in (e.black,) or e2.white in (e.white,):
-                continue
-            adj.setdefault(e2.black, set()).add(e2.white)
-            adj.setdefault(e2.white, set()).add(e2.black)
-        rest = [b for b in blacks if b != e.black]
-        match = _max_matching(adj, rest)
-        flags[e.id] = all(b in match for b in rest)
+        flags[e.id] = balanced and _covers(g.edges, blacks,
+                                           {e.black, e.white})
     return NondegeneracyReport(all(flags.values()), flags)
 
 
@@ -311,8 +339,8 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
     k = ks.pop()
     if q is None:
         q = Quiver(g)
-    ref = enumerate_matchings(g, q)
-    if not ref and k > 0:
+    pi0 = reference_matching(g)
+    if pi0 is None and k > 0:
         raise DimerError("model has no perfect matchings")
     blacks = g.black_vertices
     out: list[PerfectMatching] = []
@@ -331,6 +359,6 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
         m = frozenset(edge_of[(b, match[b])] for b in blacks)
         for e in m:
             work[e] -= 1
-        out.append(PerfectMatching(m, pm_class(m, ref[0].support, q)))
+        out.append(PerfectMatching(m, pm_class(m, pi0, q)))
     assert all(x == 0 for x in work.values()), "leftover after k matchings"
     return out

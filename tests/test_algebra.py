@@ -2,18 +2,22 @@
 one-sided complex."""
 
 import math
+import os
 import random
-from collections import deque
+import subprocess
+import sys
+from collections import Counter, deque
 
 import pytest
 
 from conftest import CONSISTENT, NONDEGENERATE
 from dimertools import algebra
-from dimertools.algebra import PathClass, ToricData
+from dimertools.algebra import (AlgebraFailure, AlgebraReport, PathClass,
+                                ToricData)
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.rationallp import solve_lp
 from dimertools.surface import DimerError, fterm_relations, load_file
-from conftest import fixture_path
+from conftest import FIXTURES, fixture_path
 
 
 def toric(name, **kw):
@@ -178,6 +182,66 @@ def test_tampered_relation_rejected(monkeypatch):
         ToricData(g)
 
 
+def consistency_oracle(td, max_degree):
+    """Oracle: the algebraic consistency report from every path up to the
+    degree bound, with one F-term closure per class, as the rung computed
+    it before it worked per lattice point."""
+    failures = []
+    stats = []
+    nv = td.q.n_vertices
+    first = {}
+    count = Counter()
+    for i in range(nv):
+        paths = td.paths_from(i, max_degree)
+        count.update(paths.classes)
+        for p, cls in zip(paths, paths.classes):
+            first.setdefault(cls, p)
+        del paths       # free before listing the next vertex's paths
+    for i in range(nv):
+        for j in range(nv):
+            for d, pts in enumerate(td._pieces(i, j, max_degree)):
+                ncls = 0
+                for m in pts:
+                    if m not in first:
+                        failures.append(AlgebraFailure(
+                            "surjectivity", m, d,
+                            "lattice point with no representative path"))
+                        continue
+                    ncls += 1
+                    if len(td.fterm_closure(first[m])) != count[m]:
+                        failures.append(AlgebraFailure(
+                            "injectivity", m, d,
+                            f"{count[m]} paths split into several "
+                            "F-term classes"))
+                stats.append((i, j, d, len(pts), ncls))
+    return AlgebraReport(not failures, max_degree, failures, stats)
+
+
+# (model, degree bounds as (multiple of lam, extra degree))
+ORACLE_CASES = [(name, ((1, 0), (2, 0), (3, 0))) for name in NONDEGENERATE]
+ORACLE_CASES += [("hexagonal", ((0, 10),)), ("nonmin_conifold", ((0, 11),)),
+                 ("xyloops", ((0, 14),)), ("square-1", ((1, 0), (2, 0))),
+                 ("square-2", ((1, 0),))]
+
+
+@pytest.mark.parametrize("model,bounds", ORACLE_CASES,
+                         ids=[m + "".join(f"-{k}lam" if k else f"-D{e}"
+                                          for k, e in b)
+                              for m, b in ORACLE_CASES])
+def test_consistency_matches_oracle(model, bounds):
+    """The per-lattice-point rung gives the report of listing every path
+    and closing each class: verdict, every failure with its detail text,
+    and the piece statistics."""
+    if model.startswith("square-"):
+        td = ToricData(pattern_to_dimer(square_pattern(int(model[-1]))))
+    else:
+        td = toric(model)
+    for k, extra in bounds:
+        d = k * td.lam + extra
+        assert td.algebraic_consistency(d) == consistency_oracle(td, d), \
+            (model, d)
+
+
 def test_algebraic_consistency_passes():
     for name, d in (("hexagonal", 6), ("conifold", 4), ("memeg", 4)):
         rep = toric(name).algebraic_consistency(d)
@@ -217,16 +281,61 @@ def test_cy3_reuses_consistency_report(monkeypatch):
     not run the consistency pass again."""
     td = toric("memeg")
     calls = []
-    original = ToricData.paths_from
+    original = ToricData._fterm_classes
 
     def counting(self, *args):
         calls.append(args)
         return original(self, *args)
 
-    monkeypatch.setattr(ToricData, "paths_from", counting)
+    monkeypatch.setattr(ToricData, "_fterm_classes", counting)
     assert td.algebraic_consistency(3).ok
     assert td.cy3_check(3).ok
-    assert len(calls) == td.q.n_vertices
+    assert calls == [(3,)]
+
+
+# Breaks one invariant of ToricData at a time and prints what building it
+# does.  The first matching is given a nonzero class, then vertex 0 of the
+# quiver loses its out-arrows.
+BROKEN_INVARIANT = """
+from dimertools import algebra
+from dimertools.matchings import PerfectMatching
+from dimertools.surface import DimerError, Quiver, load_file
+from conftest import fixture_path
+
+g = load_file(fixture_path("conifold"))
+original = algebra.enumerate_matchings
+
+def shifted(g, q):
+    return [PerfectMatching(m.support, (m.cls[0] + 1, m.cls[1]))
+            for m in original(g, q)]
+
+cut = Quiver(g)
+cut.out_arrows[0] = []
+for patch, q in ((shifted, None), (original, cut)):
+    algebra.enumerate_matchings = patch
+    try:
+        algebra.ToricData(g, q)
+        print("built")
+    except DimerError as e:
+        print("DimerError", e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_broken_invariants_raise(flags):
+    """A first matching that is not the reference matching and a quiver
+    that is not strongly connected raise DimerError, also under
+    `python -O`, which strips asserts."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(FIXTURES.parents[1]), os.path.dirname(__file__))))
+    out = subprocess.run([sys.executable, *flags, "-c", BROKEN_INVARIANT],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == [
+        "DimerError first perfect matching is not the reference matching "
+        "of class (0, 0)",
+        "DimerError quiver not connected",
+    ]
 
 
 def test_cy3_lists_each_pair_once(monkeypatch):

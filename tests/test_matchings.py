@@ -6,11 +6,11 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import NONDEGENERATE, fixture_path
+from conftest import ALL_FIXTURES, NONDEGENERATE, fixture_path
 from dimertools.matchings import (bvn_decompose, coboundary,
                                   enumerate_matchings, hall_check,
                                   nondegeneracy_check, polygon,
-                                  polygon_normal_form)
+                                  polygon_normal_form, reference_matching)
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.surface import DimerError, dualize, load_file
 
@@ -123,6 +123,27 @@ def test_bvn_round_trip():
                 for e in m.support:
                     back[e] += 1
             assert back == vec
+
+
+def test_reference_matching_without_enumeration():
+    """The greedy search finds the first enumerated matching on every
+    fixture that loads and on gen-square 1-4, and None where there is no
+    perfect matching."""
+    graphs = []
+    for name in ALL_FIXTURES:
+        try:
+            graphs.append((name, load_file(fixture_path(name))))
+        except DimerError:
+            continue                # cube does not load
+    graphs += [(f"square-{n}", pattern_to_dimer(square_pattern(n)))
+               for n in (1, 2, 3, 4)]
+    with_matchings = 0
+    for name, g in graphs:
+        ms = enumerate_matchings(g)
+        want = ms[0].support if ms else None
+        assert reference_matching(g) == want, name
+        with_matchings += bool(ms)
+    assert with_matchings == 11
 
 
 def test_bvn_rejects_bad_input(load_quiver):
