@@ -15,10 +15,12 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 from .matchings import PerfectMatching, enumerate_matchings
-from .rationallp import solve_lp
+# not called here; perfbench/spans.py traces `algebra.solve_lp` by name
+from .rationallp import solve_lp  # noqa: F401
 from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
                       vadd, vsub)
 from .symmetry import default_r_symmetry
@@ -216,7 +218,8 @@ class ToricData:
         ask e >= -(low[c] + c.z), low[c] being their least value on beta.
         The weight wb + lam*e + rho.z is the sum of all these pairings and
         never negative; eliminating e from weight <= max_weight leaves one
-        row per class on z for the bounding box.
+        row per class on z, whose integer points `_columns` lists as
+        column ranges.
         """
         key = (i, j)
         if len(self._pieces_cache.get(key, ())) <= max_weight:
@@ -227,21 +230,18 @@ class ToricData:
                 ev = sum(a in m.support for a in beta)
                 low[m.cls] = min(ev, low.get(m.cls, ev))
             out: list[list[PathClass]] = [[] for _ in range(max_weight + 1)]
-            box = _bounding_box([(self.lam * c[0] - self.rho[0],
-                                  self.lam * c[1] - self.rho[1],
-                                  self.lam * lc + max_weight - wb)
-                                 for c, lc in low.items()])
-            if box is not None:
-                (x0, x1), (y0, y1) = box
-                for zx in range(x0, x1 + 1):
-                    for zy in range(y0, y1 + 1):
-                        w0 = wb + self.rho[0] * zx + self.rho[1] * zy
-                        e0 = max(-(lc + c[0] * zx + c[1] * zy)
-                                 for c, lc in low.items())
-                        hom = vadd(b.hom, (zx, zy))
-                        for e in range(e0, (max_weight - w0) // self.lam + 1):
-                            out[w0 + self.lam * e].append(
-                                PathClass(i, j, hom, b.deg + e))
+            for zx, y0, y1 in _columns([(self.lam * c[0] - self.rho[0],
+                                         self.lam * c[1] - self.rho[1],
+                                         self.lam * lc + max_weight - wb)
+                                        for c, lc in low.items()]):
+                for zy in range(y0, y1 + 1):
+                    w0 = wb + self.rho[0] * zx + self.rho[1] * zy
+                    e0 = max(-(lc + c[0] * zx + c[1] * zy)
+                             for c, lc in low.items())
+                    hom = vadd(b.hom, (zx, zy))
+                    for e in range(e0, (max_weight - w0) // self.lam + 1):
+                        out[w0 + self.lam * e].append(
+                            PathClass(i, j, hom, b.deg + e))
             self._pieces_cache[key] = out
         return self._pieces_cache[key][:max_weight + 1]
 
@@ -537,26 +537,26 @@ def _find(parent: list[int], x: int) -> int:
     return x
 
 
-def _bounding_box(cons: list[tuple[int, int, int]]
-                  ) -> Optional[tuple[tuple[int, int], tuple[int, int]]]:
-    """Integer bounding box of {z : ax*zx + ay*zy + b >= 0 for all rows},
-    or None if empty.  Raises if the region is unbounded."""
-    a_ub = [[-ax, ax, -ay, ay] for ax, ay, _ in cons]
-    b_ub = [b for _, _, b in cons]
-    vals = []
-    for c in ([1, -1, 0, 0], [-1, 1, 0, 0], [0, 0, 1, -1], [0, 0, -1, 1]):
-        res = solve_lp(c, [], [], a_ub, b_ub)
-        if res.status == "infeasible":
-            return None
-        if res.status != "optimal":
-            raise DimerError("graded piece unbounded; grading not positive "
-                             "definite on this model")
-        vals.append(res.objective)
-    xmax, xminneg, ymax, yminneg = vals
-    x0 = math.ceil(-xminneg)
-    x1 = math.floor(xmax)
-    y0 = math.ceil(-yminneg)
-    y1 = math.floor(ymax)
-    if x0 > x1 or y0 > y1:
-        return None
-    return (x0, x1), (y0, y1)
+def _columns(cons: list[tuple[int, int, int]]
+             ) -> list[tuple[int, int, int]]:
+    """Integer points of {z : ax*zx + ay*zy + b >= 0 for all rows} as
+    columns (zx, least zy, greatest zy) in order of zx, or none if the
+    region is empty; raises if it is nonempty and unbounded.  The x-range
+    comes from eliminating zy (Fourier-Motzkin: the ay == 0 rows, and each
+    lower ay > 0 row plus each upper ay < 0 row with zy cancelled)."""
+    lower = [r for r in cons if r[1] > 0]
+    upper = [r for r in cons if r[1] < 0]
+    xrows = [(ax, b) for ax, ay, b in cons if ay == 0]
+    xrows += [(-uy * lx + ly * ux, -uy * lb + ly * ub)
+              for lx, ly, lb in lower for ux, uy, ub in upper]
+    lo = max((Fraction(-b, ax) for ax, b in xrows if ax > 0), default=None)
+    hi = min((Fraction(b, -ax) for ax, b in xrows if ax < 0), default=None)
+    if any(ax == 0 and b < 0 for ax, b in xrows) or \
+            (lo is not None and hi is not None and lo > hi):
+        return []
+    if lo is None or hi is None or not lower or not upper:
+        raise DimerError("graded piece unbounded; grading not positive "
+                         "definite on this model")
+    return [(zx, max(-((ax * zx + b) // ay) for ax, ay, b in lower),
+             min((ax * zx + b) // -ay for ax, ay, b in upper))
+            for zx in range(math.ceil(lo), math.floor(hi) + 1)]

@@ -11,9 +11,11 @@ the white endpoint's copy relative to the black endpoint's copy.
 
 from __future__ import annotations
 
+import math
 import re
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import combinations
 from typing import Iterable, Optional, Sequence
 
 
@@ -384,18 +386,43 @@ class Quiver:
         """Closed arrow walks with offset sums (1,0) and (0,1).
 
         Breadth-first search on the covering graph Q0 x Z^2 restricted to a
-        small window; the quiver is strongly connected so short realizing
-        walks exist at desk scale.
+        window that doubles until the walk is found.  Such walks exist:
+        potentials on a spanning tree give each arrow's fundamental cycle a
+        class, and these generate the classes of closed walks (every arrow
+        lies on a face cycle, of class zero).  Their 2x2 minors have gcd 1
+        exactly when they generate Z^2, which is checked first.
         """
+        pot: dict[int, Vec] = {0: (0, 0)}
+        queue = deque([0])
+        while queue:
+            v = queue.popleft()
+            for a in self.out_arrows[v] + self.in_arrows[v]:
+                arr = self.arrows[a]
+                w, step = ((arr.head, arr.offset) if arr.tail == v
+                           else (arr.tail, vneg(arr.offset)))
+                if w not in pot:
+                    pot[w] = vadd(pot[v], step)
+                    queue.append(w)
+        classes = {vsub(vadd(pot[a.tail], a.offset), pot[a.head])
+                   for a in self.arrows}
+        index = 0
+        for (x1, y1), (x2, y2) in combinations(classes, 2):
+            index = math.gcd(index, x1 * y2 - x2 * y1)
+        if index != 1:
+            size = f"index {index}" if index else "rank < 2"
+            raise TopologyError(f"cycle classes generate a sublattice of "
+                                f"{size} in Z^2: some class has no closed "
+                                "walk")
         self.gamma_x = self._closed_walk_with_class((1, 0))
         self.gamma_y = self._closed_walk_with_class((0, 1))
 
     def _closed_walk_with_class(self, target: Vec) -> list[int]:
-        for radius in (2, 4, 8, 16):
+        radius = 2
+        while True:
             walk = self.covering_walk(0, 0, target, radius)
             if walk is not None:
                 return list(walk)
-        raise TopologyError(f"no closed walk with class {target} found")
+            radius *= 2
 
     def covering_walk(self, i: int, j: int, hom: Vec, window: int,
                       skip: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
@@ -431,29 +458,32 @@ class Quiver:
         return None
 
     def _check(self) -> None:
-        # every arrow in exactly one black and one white face
-        assert set(self.black_face_of) == {a.id for a in self.arrows}
-        assert set(self.white_face_of) == {a.id for a in self.arrows}
-        # face boundaries compose and have zero offset sum
+        ids = {a.id for a in self.arrows}
+        if set(self.black_face_of) != ids:
+            raise TopologyError("some arrow is in no black face")
+        if set(self.white_face_of) != ids:
+            raise TopologyError("some arrow is in no white face")
         for f in self.faces:
-            cyc = f.boundary
-            total = (0, 0)
-            for i, aid in enumerate(cyc):
-                a = self.arrows[aid]
-                nxt = self.arrows[cyc[(i + 1) % len(cyc)]]
-                assert a.head == nxt.tail, (
-                    f"face {f.id} boundary does not compose")
-                total = vadd(total, a.offset)
-            assert total == (0, 0), f"face {f.id} offset sum {total}"
-        assert self.n_vertices - len(self.arrows) + len(self.faces) == 0
+            total = self._cycle_class(f.boundary, f"face {f.id} boundary")
+            if total != (0, 0):
+                raise TopologyError(f"face {f.id} offset sum {total}")
+        if self.n_vertices - len(self.arrows) + len(self.faces) != 0:
+            raise TopologyError("quiver Euler characteristic is not 0")
         for walk, cls in ((self.gamma_x, (1, 0)), (self.gamma_y, (0, 1))):
-            total = (0, 0)
-            for i, aid in enumerate(walk):
-                a = self.arrows[aid]
-                nxt = self.arrows[walk[(i + 1) % len(walk)]]
-                assert a.head == nxt.tail
-                total = vadd(total, a.offset)
-            assert total == cls
+            total = self._cycle_class(walk, f"walk for class {cls}")
+            if total != cls:
+                raise TopologyError(f"walk for class {cls} has class {total}")
+
+    def _cycle_class(self, cyc: Sequence[int], what: str) -> Vec:
+        """Offset sum of a cyclic arrow sequence; raises unless each arrow's
+        head is the next arrow's tail."""
+        total = (0, 0)
+        for i, aid in enumerate(cyc):
+            a = self.arrows[aid]
+            if a.head != self.arrows[cyc[(i + 1) % len(cyc)]].tail:
+                raise TopologyError(f"{what} does not compose")
+            total = vadd(total, a.offset)
+        return total
 
     # -- helpers used throughout ---------------------------------------------
 

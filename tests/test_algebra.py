@@ -10,7 +10,7 @@ from collections import Counter, deque
 
 import pytest
 
-from conftest import CONSISTENT, NONDEGENERATE
+from conftest import CONSISTENT, NONDEGENERATE, bounding_box_lp
 from dimertools import algebra
 from dimertools.algebra import (AlgebraFailure, AlgebraReport, PathClass,
                                 ToricData)
@@ -451,6 +451,96 @@ def test_pieces_match_lp_oracle(model):
                 assert td._pieces(i, j, d)[d] == pieces[d]
                 assert pieces[d] == piece_lp(td, i, j, d), (model, i, j, d)
     assert [(m.hom, m.deg) for m in td.closed_points(0)] == [((0, 0), 0)]
+
+
+def column_points(cons):
+    """The integer points `algebra._columns` lists."""
+    return {(zx, zy) for zx, y0, y1 in algebra._columns(cons)
+            for zy in range(y0, y1 + 1)}
+
+
+def box_points(cons):
+    """Oracle: the integer points of the LP bounding box that meet every
+    row."""
+    box = bounding_box_lp(cons)
+    if box is None:
+        return set()
+    (x0, x1), (y0, y1) = box
+    return {(zx, zy) for zx in range(x0, x1 + 1) for zy in range(y0, y1 + 1)
+            if all(ax * zx + ay * zy + b >= 0 for ax, ay, b in cons)}
+
+
+def outcome(points, cons):
+    try:
+        return points(cons)
+    except DimerError as e:
+        assert str(e).startswith("graded piece unbounded"), e
+        return "unbounded"
+
+
+def test_columns_match_lp_box():
+    """`_columns` lists the integer points of the LP box that meet every
+    row, or raises where the LP finds the region unbounded: on a few
+    boundary cases (a region with no integer point is empty unless it is
+    unbounded) and on 3,000 seeded random systems of 1-6 rows."""
+    cases = [
+        [(0, 2, -1), (0, -2, 1)],              # the line zy = 1/2
+        [(2, 0, -1), (-2, 0, 1)],              # the line zx = 1/2
+        [(1, 0, -1), (-1, 0, 0)],              # 1 <= zx <= 0, zy free
+        [(0, 0, -1), (1, 1, 0)],               # -1 >= 0
+        [(0, 0, 0)],                           # the whole plane
+        [(1, 0, 0), (-1, 0, 2), (0, 1, 1), (0, -1, 1), (-1, -1, 2)],
+    ]
+    want = ["unbounded", "unbounded", set(), set(), "unbounded",
+            {(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1),
+             (2, 0)}]
+    assert [outcome(column_points, c) for c in cases] == want
+    assert [outcome(box_points, c) for c in cases] == want
+    rng = random.Random(8)
+    seen = Counter()
+    for _ in range(3000):
+        cons = [(rng.randint(-4, 4),
+                 0 if rng.random() < 0.25 else rng.randint(-4, 4),
+                 rng.randint(-8, 8)) for _ in range(rng.randint(1, 6))]
+        got = outcome(column_points, cons)
+        assert got == outcome(box_points, cons), cons
+        seen["unbounded" if got == "unbounded" else
+             "points" if got else "empty"] += 1
+    assert min(seen[k] for k in ("empty", "unbounded", "points")) >= 100, \
+        seen
+
+
+def box_columns(cons):
+    """The LP box as columns that each span the whole box: the scan the
+    graded pieces made before `_columns`."""
+    box = bounding_box_lp(cons)
+    if box is None:
+        return []
+    (x0, x1), (y0, y1) = box
+    return [(zx, y0, y1) for zx in range(x0, x1 + 1)]
+
+
+@pytest.mark.parametrize("model", list(NONDEGENERATE) + [
+    "square-1", "square-2", "square-3"])
+def test_pieces_match_box_scan(model, monkeypatch):
+    """The graded pieces of every vertex pair, listed by column ranges,
+    equal those listed by scanning the LP bounding box: at lam and 2 lam
+    on the fixtures, and at D = 4 and lam on gen-square 1-3."""
+    if model.startswith("square-"):
+        g = pattern_to_dimer(square_pattern(int(model[-1])))
+    else:
+        g = load_file(fixture_path(model))
+    td, box_td = ToricData(g), ToricData(g)
+    lam = td.lam
+    bounds = (4, lam) if model.startswith("square-") else (lam, 2 * lam)
+    nv = td.q.n_vertices
+    for w in bounds:
+        got = [td._pieces(i, j, w) for i in range(nv) for j in range(nv)]
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "_columns", box_columns)
+            want = [box_td._pieces(i, j, w)
+                    for i in range(nv) for j in range(nv)]
+        assert got == want, (model, w)
 
 
 def test_center_generators_hexagonal():

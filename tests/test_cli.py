@@ -175,8 +175,10 @@ def test_negative_degree_rejected():
                  "--max-degree", "-1"]) == 2
 
 
-# hexagonal with every edge offset set to 0 0: it loads, but its cycle
-# classes do not generate Z^2, so the dual quiver cannot be built
+# hexagonal with every edge offset set to 0 0, and with x-offsets scaled
+# by 2 and y-offsets by 3: both load, but their cycle classes generate a
+# sublattice of Z^2 of rank 1 and of index 6, so the dual quiver cannot be
+# built
 FLAT_HEXAGONAL = """DIMER 1
 vertex 0 B
 vertex 1 W
@@ -186,19 +188,25 @@ edge 2 0 1 0 0
 rot 0 0 1 2
 rot 1 0 1 2
 """
+SCALED_HEXAGONAL = (FLAT_HEXAGONAL
+                    .replace("edge 1 0 1 0 0", "edge 1 0 1 2 0")
+                    .replace("edge 2 0 1 0 0", "edge 2 0 1 0 3"))
 
 
 def test_report_undualizable_model_fails_load(capsys, tmp_path):
-    model = tmp_path / "flat.dimer"
-    model.write_text(FLAT_HEXAGONAL)
-    code, out = run(capsys, "report", model, "--format", "json-lines")
-    assert code == 2
-    (rec,) = [json.loads(l) for l in out.splitlines()]
-    assert (rec["kind"], rec["name"], rec["ok"]) == ("rung", "load", False)
-    assert "closed walk" in rec["summary"]
-    code, out = run(capsys, "report", model)
-    assert code == 2
-    assert out.startswith("RUNG load FAIL") and len(out.splitlines()) == 1
+    for text, size in ((FLAT_HEXAGONAL, "rank < 2"),
+                       (SCALED_HEXAGONAL, "index 6")):
+        model = tmp_path / "undualizable.dimer"
+        model.write_text(text)
+        code, out = run(capsys, "report", model, "--format", "json-lines")
+        assert code == 2
+        (rec,) = [json.loads(l) for l in out.splitlines()]
+        assert (rec["kind"], rec["name"], rec["ok"]) == ("rung", "load",
+                                                         False)
+        assert size in rec["summary"] and "closed walk" in rec["summary"]
+        code, out = run(capsys, "report", model)
+        assert code == 2
+        assert out.startswith("RUNG load FAIL") and len(out.splitlines()) == 1
 
 
 @pytest.mark.parametrize("argv", [

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import conftest
 from conftest import ALL_FIXTURES, NONDEGENERATE, fixture_path
 from dimertools import algebra, rationallp, symmetry
 from dimertools.algebra import AlgebraReport, ToricData
@@ -183,14 +184,25 @@ def test_symmetry_lps_match_oracle(monkeypatch):
 
 
 def test_bounding_box_lps_match_oracle(monkeypatch):
-    """The bounding-box LPs of every graded piece up to weight 2 lam on
-    the six fixtures that build a ToricData match the oracle."""
-    lps = recorded_lps(monkeypatch, algebra)
+    """The graded pieces up to weight 2 lam on the six fixtures that build
+    a ToricData issue no LP.  The bounding-box LPs that the oracle
+    `bounding_box_lp` issues on the rows of the same pieces match the
+    Fraction simplex."""
+    algebra_lps = recorded_lps(monkeypatch, algebra)
+    lps = recorded_lps(monkeypatch, conftest)
+    columns = algebra._columns
+
+    def with_box(cons):
+        conftest.bounding_box_lp(cons)
+        return columns(cons)
+
+    monkeypatch.setattr(algebra, "_columns", with_box)
     for name in NONDEGENERATE:
         td = ToricData(load_file(fixture_path(name)))
         for i in range(td.q.n_vertices):
             for j in range(td.q.n_vertices):
                 td._pieces(i, j, 2 * td.lam)
+    assert algebra_lps == []
     assert len(lps) >= 4 * 6
     for lp in lps:
         assert_same(lp)

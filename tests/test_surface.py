@@ -1,14 +1,18 @@
 """Torus graph loading, duality, and local moves."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
-from conftest import NONDEGENERATE, fixture_path
+from conftest import ALL_FIXTURES, FIXTURES, NONDEGENERATE, fixture_path
 from dimertools.matchings import enumerate_matchings, polygon, \
     polygon_normal_form
-from dimertools.surface import (BLACK, WHITE, ParseError, TopologyError,
-                                contract_bivalent, dualize, dump,
-                                fterm_relations, load, load_file,
-                                split_vertex, superpotential, vadd)
+from dimertools.surface import (BLACK, WHITE, Edge, ParseError,
+                                TopologyError, TorusGraph, contract_bivalent,
+                                dualize, dump, fterm_relations, load,
+                                load_file, split_vertex, superpotential, vadd)
 
 
 def test_round_trip(load_fixture):
@@ -69,6 +73,56 @@ def test_homology_basis(load_quiver):
         _, q = load_quiver(name)
         assert q.walk_class(q.gamma_x) == (1, 0)
         assert q.walk_class(q.gamma_y) == (0, 1)
+
+
+def scaled(g, sx, sy):
+    """g with every edge offset scaled by sx in x and sy in y."""
+    edges = [Edge(e.id, e.black, e.white,
+                  (sx * e.offset[0], sy * e.offset[1])) for e in g.edges]
+    return TorusGraph(g.colors, edges, g.rotation)
+
+
+def test_cycle_classes_must_generate_z2(load_fixture):
+    """Every fixture that loads dualizes; scaling the offsets by 2 and 3
+    leaves a sublattice of index 6, which is refused before any walk is
+    searched for, and so are other proper sublattices."""
+    for name in ALL_FIXTURES:
+        if name != "cube":
+            dualize(load_fixture(name))
+    g = load_fixture("hexagonal")
+    for (sx, sy), size in (((2, 3), "index 6"), ((3, 1), "index 3"),
+                           ((0, 1), "rank < 2")):
+        with pytest.raises(TopologyError, match=size):
+            dualize(scaled(g, sx, sy))
+    dualize(scaled(g, -1, 1))               # a reflection keeps index 1
+
+
+# Builds a quiver whose walk for class (1, 0) has class (0, 1) and prints
+# what the construction check does.
+WRONG_WALK = """
+from dimertools.surface import DimerError, Quiver, load_file
+from conftest import fixture_path
+
+find = Quiver._closed_walk_with_class
+Quiver._closed_walk_with_class = lambda self, target: find(self, target[::-1])
+try:
+    Quiver(load_file(fixture_path("conifold")))
+    print("built")
+except DimerError as e:
+    print(type(e).__name__, e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_quiver_check_raises_without_asserts(flags):
+    """The construction check of the quiver raises TopologyError, also
+    under `python -O`, which strips asserts."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(FIXTURES.parents[1]), os.path.dirname(__file__))))
+    out = subprocess.run([sys.executable, *flags, "-c", WRONG_WALK],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == ["TopologyError walk for class (1, 0) has class (0, 1)"]
 
 
 def test_superpotential_terms(load_quiver):
