@@ -149,7 +149,7 @@ def cmd_matchings(args, rep: Reporter) -> int:
 def cmd_polygon(args, rep: Reporter) -> int:
     g = _load(args.input)
     q = dualize(g)
-    poly = matchings.polygon(matchings.enumerate_matchings(g, q), q)
+    poly = matchings.polygon(matchings.enumerate_matchings(g, q))
     for p in sorted(poly.points):
         rep.emit({"kind": "point", "class": list(p),
                   "multiplicity": poly.points[p],
@@ -184,11 +184,10 @@ def cmd_extremal(args, rep: Reporter) -> int:
     if not zigzag.geometric_check(paths).verdict:
         print("model is not geometrically consistent", file=sys.stderr)
         return 1
-    ms = matchings.enumerate_matchings(g, q)
     fan = fans.global_fan(paths)
     systems = {ray: fans.boundary_system(q, paths, ray) for ray in fan.rays}
     for sigma in fan.cones:
-        ext = fans.extremal_matching(q, paths, sigma, ms)
+        ext = fans.extremal_matching(q, paths, sigma)
         rep.emit({"kind": "cone",
                   "rays": [list(sigma[0]), list(sigma[1])],
                   "vertex": list(ext.matching.cls),
@@ -217,12 +216,7 @@ def cmd_algebra(args, rep: Reporter) -> int:
 
 def cmd_cy3(args, rep: Reporter) -> int:
     g = _load(args.input)
-    td = algebra.ToricData(g)
-    try:
-        r = td.cy3_check(args.max_degree)
-    except DimerError as e:
-        print(str(e), file=sys.stderr)
-        return 1
+    r = algebra.ToricData(g).cy3_check(args.max_degree)
     for v, d, reason in r.failures:
         rep.emit({"kind": "failure", "vertex": v, "degree": d,
                   "reason": reason})

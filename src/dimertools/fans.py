@@ -11,9 +11,9 @@ adjacent polygon edge.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .matchings import PerfectMatching, pm_class
+from .matchings import PerfectMatching, pm_class, reference_matching
 from .surface import BLACK, DimerError, Quiver, Vec, vadd
 from .zigzag import ZigZagPath, angular_sort, wedge, zag_path_of, zig_path_of
 
@@ -25,9 +25,11 @@ class Fan2D:
     rays: tuple[Vec, ...]    # counterclockwise, pairwise distinct
 
     def __post_init__(self) -> None:
-        assert len(self.rays) == len(set(self.rays)) >= 2
+        if not len(self.rays) == len(set(self.rays)) >= 2:
+            raise DimerError("a fan needs at least two distinct rays")
         for u, v in self.cones:
-            assert wedge(u, v) != 0, "degenerate cone"
+            if wedge(u, v) == 0:
+                raise DimerError("degenerate cone")
 
     @property
     def cones(self) -> list[Cone]:
@@ -70,7 +72,8 @@ def _crossings(q: Quiver, paths: Sequence[ZigZagPath], fid: int
     out: dict[int, tuple[int, int]] = {}
     for a in f.boundary:
         p = lookup[a]
-        assert p not in out, "path crosses a face twice (inconsistent model)"
+        if p in out:
+            raise DimerError("path crosses a face twice (inconsistent model)")
         out[p] = (a, q.next_in_face(fid, a))
     return out
 
@@ -82,13 +85,15 @@ def local_fan(q: Quiver, paths: Sequence[ZigZagPath], fid: int) -> LocalFan:
     reps: dict[Vec, int] = {}
     for p in cross:
         cls = paths[p].cls
-        assert cls not in reps, "two parallel paths cross one face"
+        if cls in reps:
+            raise DimerError("two parallel paths cross one face")
         reps[cls] = p
     fan = Fan2D(tuple(angular_sort(list(reps))))
     tags: dict[Cone, int] = {}
     for u, v in fan.cones:
         shared = set(cross[reps[u]]) & set(cross[reps[v]])
-        assert len(shared) == 1, "adjacent representatives must chain"
+        if len(shared) != 1:
+            raise DimerError("adjacent representatives must chain")
         tags[(u, v)] = shared.pop()
     return LocalFan(fid, fan, reps, tags)
 
@@ -97,10 +102,10 @@ def global_fan(paths: Sequence[ZigZagPath]) -> Fan2D:
     return Fan2D(tuple(angular_sort(sorted(set(p.cls for p in paths)))))
 
 
-def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone,
-                      matchings: Sequence[PerfectMatching]
+def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone
                       ) -> ExtremalMatching:
-    """The perfect matching P of a cone of the global fan.
+    """The perfect matching P of a cone of the global fan, its class
+    taken against the reference matching of `enumerate_matchings`.
 
     Per face, the local cone containing the (strictly interior) probe
     ray-sum of sigma donates its tagged arrow; black and white faces make
@@ -113,10 +118,10 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone,
         face_choice[f.id] = lf.tags[lf.fan.cone_containing(probe)]
     support = frozenset(face_choice.values())
     for f in q.faces:
-        assert sum(a in support for a in f.boundary) == 1, \
-            "cone tags do not form a perfect matching"
-    pm = next((m for m in matchings if m.support == support), None)
-    assert pm is not None, "extremal matching missing from enumeration"
+        if sum(a in support for a in f.boundary) != 1:
+            raise DimerError("cone tags do not form a perfect matching")
+    pm = PerfectMatching(support, pm_class(
+        support, reference_matching(q.graph), q))
     return ExtremalMatching(sigma, pm, face_choice)
 
 
@@ -135,12 +140,14 @@ def boundary_system(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
         for cyc in boundary_flows(q, p):
             for a in cyc:
                 out[a] += 1
-    assert r > 0, "ray has no representative"
+    if r == 0:
+        raise DimerError(f"ray {gamma} has no representative")
     cls = (0, 0)
     for a, k in out.items():
         off = q.arrows[a].offset
         cls = (cls[0] + k * off[0], cls[1] + k * off[1])
-    assert cls == (-2 * r * gamma[0], -2 * r * gamma[1])
+    if cls != (-2 * r * gamma[0], -2 * r * gamma[1]):
+        raise DimerError(f"boundary system of ray {gamma} has class {cls}")
     return out
 
 
@@ -148,8 +155,8 @@ def pairing(m: PerfectMatching, vec: dict[int, int]) -> int:
     return sum(k for a, k in vec.items() if a in m.support)
 
 
-def resonate(q: Quiver, m: PerfectMatching, eta: ZigZagPath, direction: str,
-             matchings: Sequence[PerfectMatching]) -> PerfectMatching:
+def resonate(q: Quiver, m: PerfectMatching, eta: ZigZagPath, direction: str
+             ) -> PerfectMatching:
     """Swap the path's zigs for its zags inside a matching (or the other
     way around), yielding another perfect matching.
 
@@ -165,16 +172,11 @@ def resonate(q: Quiver, m: PerfectMatching, eta: ZigZagPath, direction: str,
     if not set(drop) <= m.support:
         raise DimerError("cannot resonate")
     support = (m.support - set(drop)) | set(add)
-    known = next((x for x in matchings if x.support == support), None)
-    if known is not None:
-        return known
-    pi0 = min((x.support for x in matchings), key=sorted)
-    return PerfectMatching(frozenset(support),
-                           pm_class(frozenset(support), pi0, q))
+    return PerfectMatching(support,
+                           vadd(m.cls, pm_class(support, m.support, q)))
 
 
-def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec,
-                       matchings: Sequence[PerfectMatching]
+def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
                        ) -> list[PerfectMatching]:
     """All perfect matchings vanishing on S(gamma): the subset resonations
     of the extremal matching of the cone clockwise-bounded by gamma."""
@@ -182,18 +184,15 @@ def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec,
     fan = global_fan(paths)
     i = fan.rays.index(gamma)
     sigma = (gamma, fan.rays[(i + 1) % len(fan.rays)])
-    base = extremal_matching(q, paths, sigma, matchings).matching
+    base = extremal_matching(q, paths, sigma).matching
     reps = [p for p in paths if p.cls == gamma]
     out = []
     for k in range(len(reps) + 1):
         for subset in itertools.combinations(reps, k):
             m = base
             for eta in subset:
-                m = resonate(q, m, eta, "zag->zig", matchings)
+                m = resonate(q, m, eta, "zag->zig")
             out.append(m)
-    assert len(set(m.support for m in out)) == len(out)
-    s = boundary_system(q, paths, gamma)
-    vanishing = {m.support for m in matchings if pairing(m, s) == 0}
-    assert vanishing == {m.support for m in out}, \
-        "resonations disagree with direct enumeration"
+    if len(set(m.support for m in out)) != len(out):
+        raise DimerError(f"resonations along ray {gamma} repeat a matching")
     return out

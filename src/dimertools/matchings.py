@@ -267,7 +267,7 @@ class PMPolygon:
         return self.points.get(p, 0)
 
 
-def polygon(matchings: Sequence[PerfectMatching], q: Quiver) -> PMPolygon:
+def polygon(matchings: Sequence[PerfectMatching]) -> PMPolygon:
     if not matchings:
         raise DimerError("no perfect matchings")
     points: dict[Vec, int] = {}

@@ -73,16 +73,12 @@ def find_anomaly_free(q: Quiver) -> Optional[WeightFunction]:
     Solves: coboundary = 2 on every face, vertex anomaly equations, all
     weights positive; among solutions the minimum weight is maximized.
     """
-    if not euler_check(q):
-        return None
     return _solve_weights(q, rhombic=False)
 
 
 def find_rhombic(q: Quiver) -> Optional[WeightFunction]:
     """An anomaly-free solution with every weight in the open interval
     (0,1); weights times pi are then rhombus angles."""
-    if not euler_check(q):
-        return None
     return _solve_weights(q, rhombic=True)
 
 

@@ -49,7 +49,7 @@ def test_criterion_01_hexagonal():
         q = dualize(g)
         ms = enumerate_matchings(g, q)
         assert len(ms) == 3
-        nf = polygon_normal_form(polygon(ms, q).points)
+        nf = polygon_normal_form(polygon(ms).points)
         assert nf == (((0, 0), 1), ((0, 1), 1), ((1, 0), 1))
         assert geometric_check(zigzag_paths(q)).verdict
         td = ToricData(g, q)
@@ -69,7 +69,7 @@ def test_criterion_02_conifold():
         assert geometric_check(zigzag_paths(q)).verdict
         ms = enumerate_matchings(g, q)
         assert len(ms) == 4
-        nf = polygon_normal_form(polygon(ms, q).points)
+        nf = polygon_normal_form(polygon(ms).points)
         assert nf == (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), 1))
         td = ToricData(g, q)
         assert td.cy3_check(4).ok
@@ -91,7 +91,7 @@ def test_criterion_03_nonminimal_conifold():
             td = ToricData(g, q)
             tds[name] = td
             nf = polygon_normal_form(
-                polygon(enumerate_matchings(g, q), q).points)
+                polygon(enumerate_matchings(g, q)).points)
             dims[name, "nf"] = nf
             per_degree = Counter()
             for i in range(q.n_vertices):
@@ -156,13 +156,12 @@ def test_criterion_06_memeg():
         lf = local_fan(q, paths, f.id)
         assert len(lf.fan.rays) == len(f.boundary)
         assert len(f.boundary) in (3, 4)
-    ms = enumerate_matchings(g, q)
-    ext = extremal_matching(q, paths, ((0, -1), (1, 0)), ms)
+    ext = extremal_matching(q, paths, ((0, -1), (1, 0)))
     eta_pos = next(p for p in paths if p.cls == (1, 0))
     eta_neg = next(p for p in paths if p.cls == (0, -1))
     assert ext.matching.support == \
         frozenset(eta_pos.zigs) | frozenset(eta_neg.zags)
-    exts = external_matchings(q, paths, (0, 1), ms)
+    exts = external_matchings(q, paths, (0, 1))
     hist = sorted(Counter(m.cls for m in exts).items())
     assert [k for _, k in hist] == [1, 2, 1]
     report(6, "memeg: 5 paths, 4-ray fan, known extremal matching, "
@@ -175,12 +174,12 @@ def test_criterion_07_fan_suite():
         q = dualize(g)
         paths = zigzag_paths(q)
         ms = enumerate_matchings(g, q)
-        poly = polygon(ms, q)
+        poly = polygon(ms)
         fan = global_fan(paths)
         systems = {ray: boundary_system(q, paths, ray) for ray in fan.rays}
         extremals = {}
         for sigma in fan.cones:
-            m = extremal_matching(q, paths, sigma, ms).matching
+            m = extremal_matching(q, paths, sigma).matching
             extremals[sigma] = m
             assert pairing(m, systems[sigma[0]]) == 0
             assert pairing(m, systems[sigma[1]]) == 0
@@ -196,7 +195,7 @@ def test_criterion_07_fan_suite():
             ccw = (fan.rays[(i - 1) % n], gamma)
             m = extremals[cw]
             for eta in (p for p in paths if p.cls == gamma):
-                m = resonate(q, m, eta, "zag->zig", ms)
+                m = resonate(q, m, eta, "zag->zig")
             assert m.support == extremals[ccw].support
     report(7, "extremal matchings = polygon vertices; boundary pairings "
            "and ray resonance hold")
@@ -239,7 +238,7 @@ def test_criterion_09_generator_pipeline():
             assert geometric_check(paths).verdict
             assert properly_ordered(q, paths)
             nf = polygon_normal_form(
-                polygon(enumerate_matchings(g, q), q).points)
+                polygon(enumerate_matchings(g, q)).points)
             pts = [p for p, _ in nf]
             assert set(pts) == {(x, y) for x in range(n + 1)
                                 for y in range(n + 1)}

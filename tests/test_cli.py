@@ -101,6 +101,41 @@ def test_extremal_output(capsys):
     assert all(r["pairing_cw"] == 0 and r["pairing_ccw"] == 0 for r in recs)
 
 
+# `extremal --format json-lines` on the consistent fixtures: per cone its
+# rays, the class and the support of its matching; both pairings are 0
+EXTREMAL = {
+    "hexagonal": [([[1, 0], [-1, 1]], [0, 1], [1]),
+                  ([[-1, 1], [0, -1]], [-1, 0], [2]),
+                  ([[0, -1], [1, 0]], [0, 0], [0])],
+    "conifold": [([[1, 0], [0, 1]], [1, 0], [3]),
+                 ([[0, 1], [-1, 0]], [0, 0], [0]),
+                 ([[-1, 0], [0, -1]], [0, -1], [1]),
+                 ([[0, -1], [1, 0]], [1, -1], [2])],
+    "memeg": [([[1, 0], [0, 1]], [1, 1], [2, 5]),
+              ([[0, 1], [-1, -1]], [-1, 1], [1, 4]),
+              ([[-1, -1], [0, -1]], [0, 0], [0, 3]),
+              ([[0, -1], [1, 0]], [1, 0], [0, 6])],
+}
+
+
+def test_extremal_needs_no_enumeration(capsys, monkeypatch):
+    """`extremal` reads its matchings off the zig-zag fan: it never lists
+    the perfect matchings, and prints the classes they have there."""
+    from dimertools import matchings
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("extremal enumerated the perfect matchings")
+    monkeypatch.setattr(matchings, "enumerate_matchings", refuse)
+    for name, cones in EXTREMAL.items():
+        code, out = run(capsys, "extremal", fixture_path(name),
+                        "--format", "json-lines")
+        assert code == 0
+        assert [json.loads(line) for line in out.splitlines()] == [
+            {"v": 1, "kind": "cone", "rays": rays, "vertex": vertex,
+             "support": support, "pairing_cw": 0, "pairing_ccw": 0}
+            for rays, vertex, support in cones]
+
+
 def test_extremal_refuses_inconsistent(capsys):
     assert run(capsys, "extremal", fixture_path("examplestp"))[0] == 1
 

@@ -1,16 +1,43 @@
 """Zig-zag fans, extremal and external matchings."""
 
 from collections import Counter
+from functools import lru_cache
 
 import pytest
 
-from conftest import CONSISTENT
+from conftest import CONSISTENT, fixture_path
 from dimertools.fans import (Fan2D, boundary_system, external_matchings,
                              extremal_matching, global_fan, local_fan,
                              pairing, resonate)
 from dimertools.matchings import enumerate_matchings, polygon
-from dimertools.surface import DimerError
+from dimertools.polygen import pattern_to_dimer, square_pattern
+from dimertools.surface import DimerError, dualize, load_file
 from dimertools.zigzag import zigzag_paths
+
+# the consistent fixtures and the generated square-grid models n = 2..4
+# (24, 448 and 26,752 perfect matchings)
+WITH_SQUARES = CONSISTENT + ("square-2", "square-3", "square-4")
+
+
+@lru_cache(maxsize=None)
+def enumerated(name):
+    """(graph, quiver, zig-zag paths, all perfect matchings) of a fixture
+    or of `square-n`."""
+    if name.startswith("square-"):
+        g = pattern_to_dimer(square_pattern(int(name[len("square-"):])))
+    else:
+        g = load_file(fixture_path(name))
+    q = dualize(g)
+    return g, q, zigzag_paths(q), enumerate_matchings(g, q)
+
+
+def test_fans_has_no_asserts():
+    """Fan results must not depend on `python -O`, which strips asserts."""
+    import ast
+    import dimertools.fans
+    with open(dimertools.fans.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
 
 
 def test_fan_cones():
@@ -18,7 +45,7 @@ def test_fan_cones():
     assert len(fan.cones) == 3
     assert fan.cone_containing((1, 1)) == ((1, 0), (0, 1))
     assert fan.cone_containing((-1, 0)) == ((0, 1), (-1, -1))
-    with pytest.raises(AssertionError):
+    with pytest.raises(DimerError):
         Fan2D(((1, 0), (-1, 0)))        # degenerate half-plane cone
 
 
@@ -37,18 +64,18 @@ def test_local_fans(load_quiver):
             assert set(tags) <= set(f.boundary)
 
 
-def test_extremal_vertices_bijective(load_quiver):
+def test_extremal_vertices_bijective():
     """Cones of the global fan pick out the polygon vertices, one matching
-    each."""
-    for name in CONSISTENT:
-        g, q = load_quiver(name)
-        paths = zigzag_paths(q)
-        ms = enumerate_matchings(g, q)
-        poly = polygon(ms, q)
+    each, with the class the enumeration gives that matching."""
+    for name in WITH_SQUARES:
+        g, q, paths, ms = enumerated(name)
+        poly = polygon(ms)
+        cls_of = {m.support: m.cls for m in ms}
         fan = global_fan(paths)
         picked = {}
         for sigma in fan.cones:
-            ext = extremal_matching(q, paths, sigma, ms)
+            ext = extremal_matching(q, paths, sigma)
+            assert cls_of[ext.matching.support] == ext.matching.cls
             picked[sigma] = ext.matching
         classes = [m.cls for m in picked.values()]
         assert sorted(classes) == sorted(set(classes))
@@ -68,7 +95,7 @@ def test_boundary_system_pairing(load_quiver):
         fan = global_fan(paths)
         systems = {ray: boundary_system(q, paths, ray) for ray in fan.rays}
         for sigma in fan.cones:
-            m = extremal_matching(q, paths, sigma, ms).matching
+            m = extremal_matching(q, paths, sigma).matching
             for ray in fan.rays:
                 p = pairing(m, systems[ray])
                 if ray in sigma:
@@ -85,20 +112,19 @@ def test_adjacent_cone_resonance(load_quiver):
     """Resonating through every representative of a shared ray carries one
     cone's extremal matching to the other's."""
     for name in CONSISTENT:
-        g, q = load_quiver(name)
+        _, q = load_quiver(name)
         paths = zigzag_paths(q)
-        ms = enumerate_matchings(g, q)
         fan = global_fan(paths)
         n = len(fan.rays)
         for i, gamma in enumerate(fan.rays):
             cw = (gamma, fan.rays[(i + 1) % n])      # gamma clockwise ray
             ccw = (fan.rays[(i - 1) % n], gamma)     # gamma ccw ray
-            start = extremal_matching(q, paths, cw, ms).matching
-            target = extremal_matching(q, paths, ccw, ms).matching
+            start = extremal_matching(q, paths, cw).matching
+            target = extremal_matching(q, paths, ccw).matching
             m = start
             for eta in (p for p in paths if p.cls == gamma):
-                m = resonate(q, m, eta, "zag->zig", ms)
-            assert m.support == target.support
+                m = resonate(q, m, eta, "zag->zig")
+            assert (m.support, m.cls) == (target.support, target.cls)
 
 
 def test_resonate_precondition(load_quiver):
@@ -108,22 +134,24 @@ def test_resonate_precondition(load_quiver):
     eta = paths[0]
     missing = next(m for m in ms if not set(eta.zigs) <= m.support)
     with pytest.raises(DimerError):
-        resonate(q, missing, eta, "zig->zag", ms)
+        resonate(q, missing, eta, "zig->zag")
     with pytest.raises(ValueError):
-        resonate(q, ms[0], eta, "sideways", ms)
+        resonate(q, ms[0], eta, "sideways")
 
 
-def test_external_multiplicities(load_quiver):
+def test_external_multiplicities():
     """Matchings on a polygon facet count binomially in the number of ray
-    representatives."""
+    representatives, and are exactly the enumerated matchings vanishing on
+    the ray's boundary system, with the enumeration's classes."""
     from math import comb
-    for name in CONSISTENT:
-        g, q = load_quiver(name)
-        paths = zigzag_paths(q)
-        ms = enumerate_matchings(g, q)
+    for name in WITH_SQUARES:
+        g, q, paths, ms = enumerated(name)
         for gamma in global_fan(paths).rays:
             r = sum(1 for p in paths if p.cls == gamma)
-            ext = external_matchings(q, paths, gamma, ms)
+            ext = external_matchings(q, paths, gamma)
             assert len(ext) == 2 ** r
+            s = boundary_system(q, paths, gamma)
+            vanishing = {m.support: m.cls for m in ms if pairing(m, s) == 0}
+            assert vanishing == {m.support: m.cls for m in ext}
             hist = sorted(Counter(m.cls for m in ext).items())
             assert [k for _, k in hist] == [comb(r, i) for i in range(r + 1)]

@@ -65,12 +65,12 @@ def test_nondegenerate_fixtures(load_fixture):
 
 def test_polygon_shapes(load_quiver):
     g, q = load_quiver("hexagonal")
-    poly = polygon(enumerate_matchings(g, q), q)
+    poly = polygon(enumerate_matchings(g, q))
     assert len(poly.points) == 3 and set(poly.points.values()) == {1}
     assert len(poly.vertices) == 3
 
     g, q = load_quiver("memeg")
-    poly = polygon(enumerate_matchings(g, q), q)
+    poly = polygon(enumerate_matchings(g, q))
     assert len(poly.vertices) == 4
     assert all(poly.is_external(p) for p in poly.points)
     # one facet midpoint carries two matchings, everything else one
@@ -79,7 +79,7 @@ def test_polygon_shapes(load_quiver):
     assert all(poly.points[p] == 1 for p in poly.vertices)
 
     g, q = load_quiver("examplestp")
-    poly = polygon(enumerate_matchings(g, q), q)
+    poly = polygon(enumerate_matchings(g, q))
     # square with a quintuple interior point
     interior = [p for p in poly.points if not poly.is_external(p)]
     assert len(interior) == 1 and poly.points[interior[0]] == 5

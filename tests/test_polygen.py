@@ -83,7 +83,7 @@ def test_generated_polygon_is_square():
     for n in (1, 2):
         g = pattern_to_dimer(square_pattern(n))
         q = dualize(g)
-        nf = polygon_normal_form(polygon(enumerate_matchings(g, q), q).points)
+        nf = polygon_normal_form(polygon(enumerate_matchings(g, q)).points)
         corners = {p for p, _ in nf if p in
                    {(0, 0), (n, 0), (0, n), (n, n)}}
         assert len(corners) == 4
@@ -99,7 +99,7 @@ def test_unit_square_model_matches_known_small_model():
     q = dualize(g)
     ms = enumerate_matchings(g, q)
     assert len(ms) == 4
-    nf = polygon_normal_form(polygon(ms, q).points)
+    nf = polygon_normal_form(polygon(ms).points)
     assert nf == (((0, 0), 1), ((0, 1), 1), ((1, 0), 1), ((1, 1), 1))
 
 
@@ -168,7 +168,7 @@ def test_merged_unit_square_gives_triangle():
     assert q.n_vertices == 1
     paths = zigzag_paths(q)
     assert geometric_check(paths).verdict
-    nf = polygon_normal_form(polygon(enumerate_matchings(g, q), q).points)
+    nf = polygon_normal_form(polygon(enumerate_matchings(g, q)).points)
     assert nf == (((0, 0), 1), ((0, 1), 1), ((1, 0), 1))
 
 

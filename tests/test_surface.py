@@ -147,10 +147,10 @@ def test_fterm_offset_invariance(load_quiver):
 def test_split_vertex_polygon_preserved(load_fixture):
     g = load_fixture("conifold")
     q = dualize(g)
-    nf = polygon_normal_form(polygon(enumerate_matchings(g, q), q).points)
+    nf = polygon_normal_form(polygon(enumerate_matchings(g, q)).points)
     g2 = split_vertex(g, 0, 0)
     q2 = dualize(g2)
-    nf2 = polygon_normal_form(polygon(enumerate_matchings(g2, q2), q2).points)
+    nf2 = polygon_normal_form(polygon(enumerate_matchings(g2, q2)).points)
     assert nf == nf2
 
 
