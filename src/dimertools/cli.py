@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from typing import Optional, Sequence
 
 from . import algebra, fans, matchings, polygen, render, symmetry, zigzag
@@ -283,7 +284,10 @@ def cmd_pattern_check(args, rep: Reporter) -> int:
 
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once: `parse_args` leaves it unchanged,
+    so every call of `main` can share it."""
     ap = argparse.ArgumentParser(
         prog="dimertools",
         description="Dimer models on the torus: consistency checks and "

@@ -10,12 +10,14 @@ adjacent polygon edge.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
 from .matchings import PerfectMatching, pm_class, reference_matching
 from .surface import BLACK, DimerError, Quiver, Vec, vadd
-from .zigzag import ZigZagPath, angular_sort, wedge, zag_path_of, zig_path_of
+from .zigzag import (ZigZagPath, angular_sort, boundary_flows, crossing_paths,
+                     wedge)
 
 Cone = tuple[Vec, Vec]     # (clockwise ray, counterclockwise ray)
 
@@ -57,7 +59,6 @@ class LocalFan:
 class ExtremalMatching:
     cone: Cone
     matching: PerfectMatching
-    face_choice: dict[int, int]     # quiver face -> chosen arrow
 
 
 def _crossings(q: Quiver, paths: Sequence[ZigZagPath], fid: int
@@ -68,13 +69,15 @@ def _crossings(q: Quiver, paths: Sequence[ZigZagPath], fid: int
     zig; either way they are consecutive boundary arrows.
     """
     f = q.faces[fid]
-    lookup = zig_path_of(paths) if f.color == BLACK else zag_path_of(paths)
+    zig_of, zag_of = crossing_paths(paths)
+    lookup, nxt = ((zig_of, q.next_black) if f.color == BLACK
+                   else (zag_of, q.next_white))
     out: dict[int, tuple[int, int]] = {}
     for a in f.boundary:
         p = lookup[a]
         if p in out:
             raise DimerError("path crosses a face twice (inconsistent model)")
-        out[p] = (a, q.next_in_face(fid, a))
+        out[p] = (a, nxt[a])
     return out
 
 
@@ -112,17 +115,15 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone
     the same choices, which assemble into a perfect matching.
     """
     probe = vadd(*sigma)
-    face_choice: dict[int, int] = {}
-    for f in q.faces:
-        lf = local_fan(q, paths, f.id)
-        face_choice[f.id] = lf.tags[lf.fan.cone_containing(probe)]
-    support = frozenset(face_choice.values())
+    local = [local_fan(q, paths, f.id) for f in q.faces]
+    support = frozenset(lf.tags[lf.fan.cone_containing(probe)]
+                        for lf in local)
     for f in q.faces:
         if sum(a in support for a in f.boundary) != 1:
             raise DimerError("cone tags do not form a perfect matching")
     pm = PerfectMatching(support, pm_class(
         support, reference_matching(q.graph), q))
-    return ExtremalMatching(sigma, pm, face_choice)
+    return ExtremalMatching(sigma, pm)
 
 
 def boundary_system(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
@@ -130,7 +131,6 @@ def boundary_system(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
     """S(gamma): the sum of the black and white boundary cycles of every
     representative path of the ray, as a nonnegative arrow vector of
     homology class -2r*gamma for r representatives."""
-    from .zigzag import boundary_flows
     out: dict[int, int] = {a: 0 for a in range(q.n_arrows)}
     r = 0
     for p in paths:
@@ -180,7 +180,6 @@ def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
                        ) -> list[PerfectMatching]:
     """All perfect matchings vanishing on S(gamma): the subset resonations
     of the extremal matching of the cone clockwise-bounded by gamma."""
-    import itertools
     fan = global_fan(paths)
     i = fan.rays.index(gamma)
     sigma = (gamma, fan.rays[(i + 1) % len(fan.rays)])

@@ -248,7 +248,6 @@ def _on_segment(p: Vec, a: Vec, b: Vec) -> bool:
 class PMPolygon:
     points: dict[Vec, int]                       # class -> multiplicity
     vertices: list[Vec]                          # ccw extremal points
-    by_point: dict[Vec, list[PerfectMatching]]
 
     def is_vertex(self, p: Vec) -> bool:
         return p in set(self.vertices)
@@ -271,11 +270,9 @@ def polygon(matchings: Sequence[PerfectMatching]) -> PMPolygon:
     if not matchings:
         raise DimerError("no perfect matchings")
     points: dict[Vec, int] = {}
-    by_point: dict[Vec, list[PerfectMatching]] = {}
     for m in matchings:
         points[m.cls] = points.get(m.cls, 0) + 1
-        by_point.setdefault(m.cls, []).append(m)
-    return PMPolygon(points, convex_hull(list(points)), by_point)
+    return PMPolygon(points, convex_hull(list(points)))
 
 
 # ---------------------------------------------------------------------------
@@ -299,19 +296,18 @@ def polygon_normal_form(points: dict[Vec, int]
     span = max(max(abs(p[0] - q[0]), abs(p[1] - q[1]))
                for p in pts for q in pts) if len(pts) > 1 else 1
     bound = span + 2
-    best: Optional[tuple[tuple[Vec, int], ...]] = None
-    rng = range(-bound, bound + 1)
-    for a, b, c, d in itertools.product(rng, repeat=4):
-        if a * d - b * c not in (1, -1):
-            continue
-        img = [(_apply((a, b, c, d), p), m) for p, m in points.items()]
+
+    def image(mat: tuple[int, int, int, int]) -> tuple[tuple[Vec, int], ...]:
+        img = [(_apply(mat, p), m) for p, m in points.items()]
         mx = min(p[0] for p, _ in img)
         my = min(p[1] for p, _ in img)
-        norm = tuple(sorted(((p[0] - mx, p[1] - my), m) for p, m in img))
-        if best is None or norm < best:
-            best = norm
-    assert best is not None
-    return best
+        return tuple(sorted(((p[0] - mx, p[1] - my), m) for p, m in img))
+
+    # the identity is among the candidates, so the minimum is over a
+    # nonempty set
+    rng = range(-bound, bound + 1)
+    return min(image(mat) for mat in itertools.product(rng, repeat=4)
+               if mat[0] * mat[3] - mat[1] * mat[2] in (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +326,10 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
     sum of k perfect matchings: find a matching inside the support with
     the Hall kernel, subtract, repeat.  Constant coboundary makes the
     support a regular bipartite multigraph, so the matching exists."""
+    unknown = set(vec) - {ed.id for ed in g.edges}
+    if unknown:
+        raise DimerError(f"decomposition input names unknown edges "
+                         f"{sorted(unknown)}")
     if any(x < 0 for x in vec.values()):
         raise DimerError("negative entry in decomposition input")
     db = coboundary(g, vec)
@@ -354,11 +354,12 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
                 adj.setdefault(ed.white, set()).add(ed.black)
                 edge_of.setdefault((ed.black, ed.white), ed.id)
         match = _max_matching(adj, blacks)
-        assert all(b in match for b in blacks), \
-            "support graph lost the marriage property (bad input)"
+        if not all(b in match for b in blacks):
+            raise DimerError("support graph lost the marriage property")
         m = frozenset(edge_of[(b, match[b])] for b in blacks)
         for e in m:
             work[e] -= 1
         out.append(PerfectMatching(m, pm_class(m, pi0, q)))
-    assert all(x == 0 for x in work.values()), "leftover after k matchings"
+    if any(work.values()):
+        raise DimerError(f"leftover after {k} matchings")
     return out

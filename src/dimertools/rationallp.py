@@ -15,6 +15,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from typing import Optional, Sequence
 
+from .surface import DimerError
+
 # A row: (entries, denominator); entry j stands for entries[j] / denominator.
 Row = tuple[list[int], int]
 
@@ -127,8 +129,8 @@ def solve_lp(c: Sequence, a_eq: Sequence[Sequence], b_eq: Sequence,
                             total + i)
     tab.append(phase1)
     basis = list(range(total, total + m))
-    status = _simplex(tab, basis, total + m)
-    assert status == "optimal"
+    if _simplex(tab, basis, total + m) != "optimal":
+        raise DimerError("phase 1 of the simplex found no optimum")
     if tab[-1][0][-1] != 0:
         return LPResult("infeasible")
     # drive artificials out of the basis where possible

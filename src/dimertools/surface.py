@@ -366,21 +366,18 @@ class Quiver:
         # Quiver faces: one per dimer vertex.  Around a black vertex the dual
         # arrows in rotation order form the (anticlockwise) black face; around
         # a white vertex the reversed rotation order forms the white face.
+        # next_black[a] and next_white[a] are the arrows after a in its black
+        # and in its white face.
         faces = []
+        self.next_black: dict[int, int] = {}
+        self.next_white: dict[int, int] = {}
         for v, color in enumerate(g.colors):
             rot = g.rotation[v]
-            cycle = list(rot) if color == BLACK else list(reversed(rot))
-            faces.append(QuiverFace(v, color, tuple(cycle)))
+            cycle = tuple(rot) if color == BLACK else tuple(reversed(rot))
+            faces.append(QuiverFace(v, color, cycle))
+            nxt = self.next_black if color == BLACK else self.next_white
+            nxt.update(zip(cycle, cycle[1:] + cycle[:1]))
         self.faces = faces
-
-        self.black_face_of: dict[int, int] = {}
-        self.white_face_of: dict[int, int] = {}
-        for f in faces:
-            for a in f.boundary:
-                if f.color == BLACK:
-                    self.black_face_of[a] = f.id
-                else:
-                    self.white_face_of[a] = f.id
 
     def _find_homology_basis(self) -> None:
         """Closed arrow walks with offset sums (1,0) and (0,1).
@@ -459,9 +456,9 @@ class Quiver:
 
     def _check(self) -> None:
         ids = {a.id for a in self.arrows}
-        if set(self.black_face_of) != ids:
+        if set(self.next_black) != ids:
             raise TopologyError("some arrow is in no black face")
-        if set(self.white_face_of) != ids:
+        if set(self.next_white) != ids:
             raise TopologyError("some arrow is in no white face")
         for f in self.faces:
             total = self._cycle_class(f.boundary, f"face {f.id} boundary")
@@ -487,17 +484,6 @@ class Quiver:
 
     # -- helpers used throughout ---------------------------------------------
 
-    def face_cycle_from(self, fid: int, aid: int) -> list[int]:
-        """Boundary of face fid rotated to start at arrow aid."""
-        cyc = list(self.faces[fid].boundary)
-        i = cyc.index(aid)
-        return cyc[i:] + cyc[:i]
-
-    def next_in_face(self, fid: int, aid: int) -> int:
-        cyc = self.faces[fid].boundary
-        i = cyc.index(aid)
-        return cyc[(i + 1) % len(cyc)]
-
     def walk_class(self, walk: Iterable[int]) -> Vec:
         total = (0, 0)
         for aid in walk:
@@ -511,6 +497,18 @@ class Quiver:
 
 def dualize(g: TorusGraph) -> Quiver:
     return Quiver(g)
+
+
+def face_walk(nxt: dict[int, int], after: int, until: int) -> tuple[int, ...]:
+    """The arrows strictly between `after` and `until` in their face, read
+    from a successor map (`Quiver.next_black` or `next_white`); with
+    `after == until`, the rest of the face."""
+    out = []
+    a = nxt[after]
+    while a != until:
+        out.append(a)
+        a = nxt[a]
+    return tuple(out)
 
 
 # ---------------------------------------------------------------------------
@@ -546,12 +544,8 @@ def fterm_relations(q: Quiver) -> list[tuple[int, tuple[int, ...], tuple[int, ..
     p_a^± runs from head(a) around the boundary of the face back to tail(a),
     omitting a itself.
     """
-    rels = []
-    for a in q.arrows:
-        plus = tuple(q.face_cycle_from(q.black_face_of[a.id], a.id)[1:])
-        minus = tuple(q.face_cycle_from(q.white_face_of[a.id], a.id)[1:])
-        rels.append((a.id, plus, minus))
-    return rels
+    return [(a, face_walk(q.next_black, a, a), face_walk(q.next_white, a, a))
+            for a in range(q.n_arrows)]
 
 
 # ---------------------------------------------------------------------------

@@ -57,7 +57,8 @@ def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
                         Fraction(len(matchings)))
     if not matchings or 0 in wf.weights:
         raise DimerError("no R-symmetry from matchings: model is degenerate")
-    assert wf.check(q)
+    if not wf.check(q):
+        raise DimerError("the sum of the matchings is not constant on faces")
     return wf
 
 

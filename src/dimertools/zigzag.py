@@ -15,7 +15,7 @@ from math import gcd
 from functools import cmp_to_key
 from typing import Sequence, Union
 
-from .surface import BLACK, DimerError, Quiver, Vec, vadd, vsub
+from .surface import BLACK, DimerError, Quiver, Vec, face_walk, vadd, vsub
 
 
 @dataclass(frozen=True)
@@ -50,7 +50,9 @@ def zigzag_paths(q: Quiver) -> list[ZigZagPath]:
     """The complete set of zig-zag paths.
 
     Every arrow occurs as a zig in exactly one path and as a zag in exactly
-    one path (possibly the same).
+    one path (possibly the same): a zig is followed by its successor in its
+    black face, a zag by its successor in its white face, and both
+    successor maps are bijections.
     """
     paths: list[ZigZagPath] = []
     seen_zig: set[int] = set()
@@ -58,15 +60,12 @@ def zigzag_paths(q: Quiver) -> list[ZigZagPath]:
         if a0 in seen_zig:
             continue
         arrows: list[int] = []
-        a, parity = a0, 0
+        a = a0
         while True:
-            arrows.append(a)
-            if parity == 0:
-                a = q.next_in_face(q.black_face_of[a], a)
-            else:
-                a = q.next_in_face(q.white_face_of[a], a)
-            parity ^= 1
-            if parity == 0 and a == a0:
+            zag = q.next_black[a]
+            arrows += [a, zag]
+            a = q.next_white[zag]
+            if a == a0:
                 break
         arrows = _canonical_rotation(arrows)
         seen_zig.update(arrows[0::2])
@@ -77,27 +76,18 @@ def zigzag_paths(q: Quiver) -> list[ZigZagPath]:
             pos = vadd(pos, q.arrows[x].offset)
         paths.append(ZigZagPath(len(paths), tuple(arrows), tuple(offsets),
                                 pos))
-    assert sum(p.period for p in paths) == 2 * q.n_arrows
-    zags = [a for p in paths for a in p.zags]
-    assert sorted(zags) == list(range(q.n_arrows))
     return paths
 
 
-def zig_path_of(paths: Sequence[ZigZagPath]) -> dict[int, int]:
-    """arrow id -> id of the path having it as a zig."""
-    out = {}
+def crossing_paths(paths: Sequence[ZigZagPath]
+                   ) -> tuple[dict[int, int], dict[int, int]]:
+    """arrow id -> id of the path having it as a zig, and as a zag."""
+    zig_of: dict[int, int] = {}
+    zag_of: dict[int, int] = {}
     for p in paths:
-        for a in p.zigs:
-            out[a] = p.id
-    return out
-
-
-def zag_path_of(paths: Sequence[ZigZagPath]) -> dict[int, int]:
-    out = {}
-    for p in paths:
-        for a in p.zags:
-            out[a] = p.id
-    return out
+        zig_of.update(dict.fromkeys(p.zigs, p.id))
+        zag_of.update(dict.fromkeys(p.zags, p.id))
+    return zig_of, zag_of
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +176,6 @@ def geometric_check(paths: Sequence[ZigZagPath]) -> GeomReport:
 
 def _coset_failures(p: ZigZagPath, r: ZigZagPath) -> list[Failure]:
     u, v = p.cls, r.cls
-    d = abs(wedge(u, v))
     counts: dict[Vec, int] = {}
     pos_r: dict[int, list[int]] = {}
     for j, a in enumerate(r.arrows):
@@ -196,16 +185,9 @@ def _coset_failures(p: ZigZagPath, r: ZigZagPath) -> list[Failure]:
             diff = vsub(p.offsets[i], r.offsets[j])
             rep = coset_reduce(diff, u, v)
             counts[rep] = counts.get(rep, 0) + 1
-    out: list[Failure] = []
-    all_reps = coset_representatives(u, v)
-    assert len(all_reps) == d
-    for rep in all_reps:
-        c = counts.pop(rep, 0)
-        if c != 1:
-            out.append(CosetCount(p.id, r.id, rep, c))
-    for rep, c in sorted(counts.items()):  # reps outside the canonical list
-        out.append(CosetCount(p.id, r.id, rep, c))  # pragma: no cover
-    return out
+    return [CosetCount(p.id, r.id, rep, counts.get(rep, 0))
+            for rep in coset_representatives(u, v)
+            if counts.get(rep, 0) != 1]
 
 
 def angle_compare(u: Vec, v: Vec) -> int:
@@ -267,8 +249,7 @@ def properly_ordered(q: Quiver, paths: Sequence[ZigZagPath]) -> bool:
     twice_area = normal_polygon_twice_area([p.cls for p in paths])
     if q.n_vertices != twice_area:
         return False
-    zig_of = zig_path_of(paths)
-    zag_of = zag_path_of(paths)
+    zig_of, zag_of = crossing_paths(paths)
     for f in q.faces:
         # black faces see the crossing paths counterclockwise, white ones
         # clockwise
@@ -287,35 +268,16 @@ def boundary_flows(q: Quiver, eta: ZigZagPath
 
     Each zig-zag pair shares a black face, each zag-zig pair a white face;
     replacing the pair by the complementary part of the face cycle, with
-    pairs taken in reverse order, gives a closed cycle of class -[eta].
+    pairs taken in reverse order, gives a closed cycle of class -[eta]
+    (every face cycle has class zero).
     """
     n = eta.period
-
-    def complement(face: int, first: int, second: int) -> list[int]:
-        cyc = q.faces[face].boundary
-        k = len(cyc)
-        i = cyc.index(second)
-        out = []
-        j = (i + 1) % k
-        while cyc[j] != first:
-            out.append(cyc[j])
-            j = (j + 1) % k
-        return out
-
     black: list[int] = []
-    for m in range(n // 2 - 1, -1, -1):
-        zig, zag = eta.arrows[2 * m], eta.arrows[2 * m + 1]
-        black.extend(complement(q.black_face_of[zig], zig, zag))
     white: list[int] = []
     for m in range(n // 2 - 1, -1, -1):
-        zag = eta.arrows[2 * m + 1]
-        zig = eta.arrows[(2 * m + 2) % n]
-        white.extend(complement(q.white_face_of[zag], zag, zig))
-    for cyc in (black, white):
-        cls = (0, 0)
-        for a in cyc:
-            cls = vadd(cls, q.arrows[a].offset)
-        assert cls == (-eta.cls[0], -eta.cls[1])
+        zig, zag = eta.arrows[2 * m], eta.arrows[2 * m + 1]
+        black.extend(face_walk(q.next_black, zag, zig))
+        white.extend(face_walk(q.next_white, eta.arrows[(2 * m + 2) % n], zag))
     return tuple(black), tuple(white)
 
 
@@ -335,14 +297,13 @@ def coset_reduce(w: Vec, u: Vec, v: Vec) -> Vec:
 
 
 def coset_representatives(u: Vec, v: Vec) -> list[Vec]:
-    """All canonical representatives of Z^2/(Zu+Zv), via reduction of a
-    covering grid of lattice points."""
-    d = abs(wedge(u, v))
-    reps: set[Vec] = set()
-    bound = abs(u[0]) + abs(u[1]) + abs(v[0]) + abs(v[1]) + 1
-    for x in range(-bound, bound + 1):
-        for y in range(-bound, bound + 1):
-            reps.add(coset_reduce((x, y), u, v))
-            if len(reps) == d:
-                return sorted(reps)
-    return sorted(reps)
+    """All canonical representatives of Z^2/(Zu+Zv), sorted.
+
+    Zu+Zv projects onto gZ on the x axis, g = gcd(u_x, v_x), and meets the
+    y axis in (d/g)Z, d = |u ^ v|; so the points 0 <= x < g, 0 <= y < d/g
+    lie in distinct cosets, d of them, one in each.
+    """
+    g = gcd(u[0], v[0])
+    h = abs(wedge(u, v)) // g
+    return sorted(coset_reduce((x, y), u, v)
+                  for x in range(g) for y in range(h))

@@ -20,8 +20,7 @@ from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.surface import dualize, load_file
 from dimertools.symmetry import find_anomaly_free
 from dimertools.zigzag import (ParallelShare, geometric_check,
-                               properly_ordered, zag_path_of, zig_path_of,
-                               zigzag_paths)
+                               properly_ordered, zigzag_paths)
 
 
 class stopwatch:

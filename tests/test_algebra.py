@@ -86,8 +86,7 @@ def test_face_cycle_class():
         classes = set()
         for f in td.q.faces:
             start = td.q.arrows[f.boundary[0]].tail
-            cyc = td.q.face_cycle_from(f.id, f.boundary[0])
-            cls = td.path_class(cyc, at=start)
+            cls = td.path_class(f.boundary, at=start)
             assert td.weight(cls) == td.lam
             assert cls.hom == (0, 0)
             classes.add((cls.hom, cls.deg))

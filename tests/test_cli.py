@@ -8,7 +8,7 @@ import sys
 import pytest
 
 from conftest import ALL_FIXTURES, FIXTURES, fixture_path
-from dimertools.cli import main
+from dimertools.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -203,6 +203,17 @@ def test_pattern_check(capsys, tmp_path):
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         main(["report", "x.dimer", "--frobnicate"])
+
+
+def test_parser_shared_between_calls(capsys):
+    """`main` builds its parser once; no option value of one call leaks
+    into the next."""
+    hexagonal = fixture_path("hexagonal")
+    code, out = run(capsys, "report", hexagonal, "--max-degree", "2")
+    assert code == 0 and "degree<=2" in out
+    code, out = run(capsys, "report", hexagonal)
+    assert code == 0 and "degree<=4" in out and "degree<=2" not in out
+    assert build_parser() is build_parser()
 
 
 def test_negative_degree_rejected():

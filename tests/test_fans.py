@@ -31,15 +31,6 @@ def enumerated(name):
     return g, q, zigzag_paths(q), enumerate_matchings(g, q)
 
 
-def test_fans_has_no_asserts():
-    """Fan results must not depend on `python -O`, which strips asserts."""
-    import ast
-    import dimertools.fans
-    with open(dimertools.fans.__file__, encoding="utf-8") as fh:
-        tree = ast.parse(fh.read())
-    assert not [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Assert)]
-
-
 def test_fan_cones():
     fan = Fan2D(((1, 0), (0, 1), (-1, -1)))
     assert len(fan.cones) == 3

@@ -1,12 +1,15 @@
 """Perfect matchings, the matching polygon, BvN decomposition."""
 
 import gc
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, NONDEGENERATE, fixture_path
+from conftest import ALL_FIXTURES, FIXTURES, NONDEGENERATE, fixture_path
 from dimertools.matchings import (bvn_decompose, coboundary,
                                   enumerate_matchings, hall_check,
                                   nondegeneracy_check, polygon,
@@ -153,6 +156,36 @@ def test_bvn_rejects_bad_input(load_quiver):
     g, q = load_quiver("hexagonal")
     with pytest.raises(DimerError):
         bvn_decompose(g, {0: -1, 1: -1, 2: -1}, q)
+
+
+# Decomposes one perfect matching of hexagonal plus an entry for an edge id
+# the model does not have, and prints what the decomposition does.
+UNKNOWN_EDGE = """
+from dimertools.matchings import bvn_decompose, reference_matching
+from dimertools.surface import DimerError, load_file
+from conftest import fixture_path
+
+g = load_file(fixture_path("hexagonal"))
+vec = dict.fromkeys(reference_matching(g), 1)
+vec[999] = 1
+try:
+    print(len(bvn_decompose(g, vec)), "matchings")
+except DimerError as e:
+    print(type(e).__name__, e)
+"""
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_bvn_rejects_unknown_edge(flags):
+    """An entry for an edge the model does not have raises DimerError,
+    also under `python -O`, which strips asserts."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        (str(FIXTURES.parents[1]), os.path.dirname(__file__))))
+    out = subprocess.run([sys.executable, *flags, "-c", UNKNOWN_EDGE],
+                         env=env, capture_output=True, text=True,
+                         check=True).stdout.splitlines()
+    assert out == ["DimerError decomposition input names unknown edges "
+                   "[999]"]
 
 
 def test_matching_kernels_leave_no_cycles():

@@ -52,13 +52,17 @@ def test_duality_counts(load_quiver):
         assert q.n_vertices == len(g.faces)
         assert q.n_arrows == len(g.edges)
         assert len(q.faces) == len(g.colors)
-        # every arrow in exactly one face of each color
-        for color, member in ((BLACK, q.black_face_of),
-                              (WHITE, q.white_face_of)):
-            assert sorted(member) == list(range(q.n_arrows))
-            for a, fid in member.items():
-                assert q.faces[fid].color == color
-                assert a in q.faces[fid].boundary
+        # every arrow in exactly one face of each color: the successor map
+        # of a color is a permutation of the arrows whose cycles are the
+        # boundaries of the faces of that color
+        for color, nxt in ((BLACK, q.next_black), (WHITE, q.next_white)):
+            assert sorted(nxt) == sorted(nxt.values()) == \
+                list(range(q.n_arrows))
+            faces = [f.boundary for f in q.faces if f.color == color]
+            assert sum(map(len, faces)) == q.n_arrows
+            for cyc in faces:
+                for i, a in enumerate(cyc):
+                    assert nxt[a] == cyc[(i + 1) % len(cyc)]
 
 
 def test_face_offsets_vanish(load_quiver):

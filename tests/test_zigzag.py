@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CONSISTENT, NONDEGENERATE
-from dimertools.surface import DimerError
+from dimertools.surface import BLACK, DimerError
 from dimertools.zigzag import (CosetCount, ParallelShare, SelfIntersection,
                                ZeroClass, angular_sort, boundary_flows,
                                coset_reduce, coset_representatives,
@@ -30,12 +30,16 @@ def test_path_structure(load_quiver):
             cover = sorted(a for p in paths for a in getattr(p, role))
             assert cover == list(range(q.n_arrows))
         for p in paths:
-            # zig/zag alternation: consecutive arrows share a face
+            # zig/zag alternation: a zig is followed by its successor in
+            # its black face, a zag by its successor in its white face
             for i, a in enumerate(p.arrows):
-                nxt = p.arrows[(i + 1) % p.period]
-                fid = q.black_face_of[a] if i % 2 == 0 \
-                    else q.white_face_of[a]
-                assert q.next_in_face(fid, a) == nxt
+                nxt = q.next_black if i % 2 == 0 else q.next_white
+                assert nxt[a] == p.arrows[(i + 1) % p.period]
+        # the successor maps are the face boundaries, read cyclically
+        for f in q.faces:
+            nxt = q.next_black if f.color == BLACK else q.next_white
+            for i, a in enumerate(f.boundary):
+                assert nxt[a] == f.boundary[(i + 1) % len(f.boundary)]
 
 
 def test_known_classes(load_quiver):
@@ -95,13 +99,16 @@ def test_normal_polygon_rejects_zero_class():
 
 
 def test_boundary_flows(load_quiver):
-    for name in CONSISTENT:
+    """Both flows have class -[eta] on every model; on the consistent ones
+    they also avoid the path."""
+    for name in NONDEGENERATE:
         _, q = load_quiver(name)
         for p in zigzag_paths(q):
             black, white = boundary_flows(q, p)
             for cyc in (black, white):
                 assert q.walk_class(cyc) == (-p.cls[0], -p.cls[1])
-                assert not set(cyc) & set(p.arrows)
+                if name in CONSISTENT:
+                    assert not set(cyc) & set(p.arrows)
 
 
 def test_angular_sort_is_cyclic_order():
@@ -133,3 +140,33 @@ def test_coset_reduce_properties(w, u, v):
     reps = coset_representatives(u, v)
     assert len(reps) == abs(d)
     assert r in reps
+
+
+def grid_coset_representatives(u, v):
+    """Oracle for `coset_representatives`: reduce the points of a grid
+    around the origin until |u ^ v| distinct representatives are found."""
+    d = abs(wedge(u, v))
+    reps = set()
+    bound = abs(u[0]) + abs(u[1]) + abs(v[0]) + abs(v[1]) + 1
+    for x in range(-bound, bound + 1):
+        for y in range(-bound, bound + 1):
+            reps.add(coset_reduce((x, y), u, v))
+            if len(reps) == d:
+                return sorted(reps)
+    return sorted(reps)
+
+
+def test_coset_representatives_match_grid_oracle():
+    """The box 0 <= x < gcd(u_x, v_x), 0 <= y < |u ^ v| / gcd gives the
+    same representatives as the grid scan, for every independent pair with
+    entries in [-6, 6]."""
+    vecs = [(x, y) for x in range(-6, 7) for y in range(-6, 7)]
+    pairs = 0
+    for u in vecs:
+        for v in vecs:
+            if wedge(u, v) != 0:
+                pairs += 1
+                reps = coset_representatives(u, v)
+                assert reps == grid_coset_representatives(u, v), (u, v)
+                assert len(reps) == abs(wedge(u, v))
+    assert pairs == 27_248
