@@ -237,12 +237,12 @@ def cmd_gen_square(args, rep: Reporter) -> int:
 
 
 def _pick(items: list, k: int, what: str):
-    """items[k], or a ValueError naming how many items there are."""
-    try:
-        return items[k]
-    except IndexError:
+    """items[k] for 0 <= k < len(items), or a ValueError naming how many
+    items there are."""
+    if not 0 <= k < len(items):
         raise ValueError(f"{what} index {k} out of range: the model has "
-                         f"{len(items)}") from None
+                         f"{len(items)}")
+    return items[k]
 
 
 def cmd_svg(args, rep: Reporter) -> int:

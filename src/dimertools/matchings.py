@@ -3,19 +3,23 @@
 A perfect matching is stored as a frozen set of edge ids; through the dual
 quiver it doubles as a 0/1 cochain on arrows whose coboundary is 1 on every
 quiver face.  Relative cohomology classes are measured against a fixed
-reference matching using the homology basis walks of the quiver.
+reference matching, the least support in edge-id order, using the
+homology basis walks of the quiver.  `enumerate_matchings` carries each
+matching's class and order key through one recursion.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Optional, Sequence
 
 from .surface import BLACK, WHITE, DimerError, Quiver, TorusGraph, Vec
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PerfectMatching:
     support: frozenset[int]      # edge ids == dual arrow ids
     cls: Vec = (0, 0)            # relative cohomology class
@@ -24,12 +28,16 @@ class PerfectMatching:
         return edge in self.support
 
 
-def _extend_matchings(g: TorusGraph, v0: int, covered: list[bool],
-                      chosen: list[int], results: list[frozenset[int]]
-                      ) -> None:
-    """Append to results every perfect matching of g that contains the
-    edges chosen so far, which cover exactly the vertices marked covered,
-    all vertices below v0 among them.
+def _extend_matchings(nbrs: list[list[tuple[int, int, int, int, int]]],
+                      v0: int, covered: list[bool], chosen: list[int],
+                      key: int, x: int, y: int,
+                      results: list[tuple[int, PerfectMatching]]) -> None:
+    """Append to results (order key, matching) for every perfect matching
+    that contains the edges chosen so far, which cover exactly the
+    vertices marked covered, all vertices below v0 among them.  nbrs[v]
+    lists v's edges in rotation order as (edge id, other end, order bit,
+    dx, dy); key is the OR of the chosen edges' bits and (x, y) the
+    starting class plus their (dx, dy).
 
     A module-level function rather than a closure that calls itself: such
     a closure is a reference cycle that keeps its frame's lists alive
@@ -38,17 +46,19 @@ def _extend_matchings(g: TorusGraph, v0: int, covered: list[bool],
     while v0 < n and covered[v0]:
         v0 += 1
     if v0 == n:
-        results.append(frozenset(chosen))
+        results.append((key, PerfectMatching(frozenset(chosen), (x, y))))
         return
-    for e in g.rotation[v0]:
-        w = g.other_end(e, v0)
+    covered[v0] = True
+    for e, w, bit, dx, dy in nbrs[v0]:
         if covered[w]:
             continue
-        covered[v0] = covered[w] = True
+        covered[w] = True
         chosen.append(e)
-        _extend_matchings(g, v0 + 1, covered, chosen, results)
+        _extend_matchings(nbrs, v0 + 1, covered, chosen, key | bit,
+                          x + dx, y + dy, results)
         chosen.pop()
-        covered[v0] = covered[w] = False
+        covered[w] = False
+    covered[v0] = False
 
 
 def pm_class(pi: frozenset[int], pi0: frozenset[int], q: Quiver) -> Vec:
@@ -60,20 +70,34 @@ def pm_class(pi: frozenset[int], pi0: frozenset[int], q: Quiver) -> Vec:
 
 def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
                         ) -> list[PerfectMatching]:
-    """Complete duplicate-free matching list, classes against the first.
+    """Complete duplicate-free matching list, classes against
+    `reference_matching(g)`, which comes first.
 
-    The reference matching is the lexicographically least support in
-    canonical edge order; the supports are sorted so that it comes first.
+    One recursion finds each matching together with its class, the
+    multiplicities of its edges in gamma_x and gamma_y minus those of the
+    reference, and its order key, the sum of 2^(|E|-1-e) over its edges e.
+    The list is sorted by that key, descending; all supports have the
+    same size, so this is the lexicographic order of their sorted edge ids.
+    A first entry other than the reference raises DimerError.
     """
-    supports: list[frozenset[int]] = []
-    _extend_matchings(g, 0, [False] * len(g.colors), [], supports)
-    supports.sort(key=lambda s: sorted(s))
-    if not supports:
+    pi0 = reference_matching(g)
+    if pi0 is None:
         return []
     if q is None:
         q = Quiver(g)
-    pi0 = supports[0]
-    return [PerfectMatching(s, pm_class(s, pi0, q)) for s in supports]
+    mult_x, mult_y = Counter(q.gamma_x), Counter(q.gamma_y)
+    top = len(g.edges) - 1
+    nbrs = [[(e, g.other_end(e, v), 1 << (top - e), mult_x[e], mult_y[e])
+             for e in g.rotation[v]] for v in range(len(g.colors))]
+    results: list[tuple[int, PerfectMatching]] = []
+    _extend_matchings(nbrs, 0, [False] * len(g.colors), [], 0,
+                      -sum(mult_x[e] for e in pi0),
+                      -sum(mult_y[e] for e in pi0), results)
+    results.sort(key=itemgetter(0), reverse=True)
+    if not results or results[0][1].support != pi0:
+        raise DimerError("the least enumerated matching is not the "
+                         "reference matching")
+    return [m for _, m in results]
 
 
 def reference_matching(g: TorusGraph) -> Optional[frozenset[int]]:

@@ -17,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
@@ -52,7 +53,7 @@ def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
                        ) -> WeightFunction:
     """The sum of all perfect matchings, an integral R-symmetry whenever the
     model is non-degenerate."""
-    counts = Counter(a for m in matchings for a in m.support)
+    counts = Counter(chain.from_iterable(m.support for m in matchings))
     wf = WeightFunction(tuple(Fraction(counts[a]) for a in range(q.n_arrows)),
                         Fraction(len(matchings)))
     if not matchings or 0 in wf.weights:

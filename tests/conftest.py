@@ -4,8 +4,9 @@ import pathlib
 import pytest
 
 import dimertools
+from dimertools.matchings import PerfectMatching, pm_class
 from dimertools.rationallp import solve_lp
-from dimertools.surface import DimerError, dualize, load_file
+from dimertools.surface import DimerError, Quiver, dualize, load_file
 
 FIXTURES = pathlib.Path(dimertools.__file__).parent / "fixtures"
 
@@ -58,3 +59,38 @@ def bounding_box_lp(cons):
     if x0 > x1 or y0 > y1:
         return None
     return (x0, x1), (y0, y1)
+
+
+def _extend_matchings_oracle(g, v0, covered, chosen, results):
+    """Append every perfect matching of g that contains the edges chosen
+    so far, which cover exactly the vertices marked covered."""
+    n = len(covered)
+    while v0 < n and covered[v0]:
+        v0 += 1
+    if v0 == n:
+        results.append(frozenset(chosen))
+        return
+    for e in g.rotation[v0]:
+        w = g.other_end(e, v0)
+        if covered[w]:
+            continue
+        covered[v0] = covered[w] = True
+        chosen.append(e)
+        _extend_matchings_oracle(g, v0 + 1, covered, chosen, results)
+        chosen.pop()
+        covered[v0] = covered[w] = False
+
+
+def enumerate_matchings_oracle(g, q=None):
+    """Oracle for `matchings.enumerate_matchings`: every support by a
+    recursion over the rotations, sorted by its sorted edge ids, with
+    classes taken against the first."""
+    supports = []
+    _extend_matchings_oracle(g, 0, [False] * len(g.colors), [], supports)
+    supports.sort(key=lambda s: sorted(s))
+    if not supports:
+        return []
+    if q is None:
+        q = Quiver(g)
+    pi0 = supports[0]
+    return [PerfectMatching(s, pm_class(s, pi0, q)) for s in supports]

@@ -260,10 +260,12 @@ def test_report_undualizable_model_fails_load(capsys, tmp_path):
     ["three_rhombi", "--layers", "tiling,quiver,matching,zigzag"],
     ["hexagonal", "--layers", "matching", "--matching", "3"],
     ["hexagonal", "--layers", "zigzag", "--path", "99"],
+    ["hexagonal", "--layers", "matching", "--matching", "-1"],
+    ["hexagonal", "--layers", "zigzag", "--path", "-2"],
 ])
 def test_svg_index_out_of_range(capsys, argv):
-    """No matching to draw, or an index past the end, is an input error
-    with a one-line message."""
+    """No matching to draw, or an index past the end or below zero, is an
+    input error with a one-line message."""
     code = main(["svg", str(fixture_path(argv[0]))] + argv[1:])
     err = capsys.readouterr().err
     assert code == 2

@@ -9,12 +9,14 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import ALL_FIXTURES, FIXTURES, NONDEGENERATE, fixture_path
-from dimertools.matchings import (bvn_decompose, coboundary,
-                                  enumerate_matchings, hall_check,
-                                  nondegeneracy_check, polygon,
+from conftest import (ALL_FIXTURES, FIXTURES, NONDEGENERATE,
+                      enumerate_matchings_oracle, fixture_path)
+from dimertools import matchings
+from dimertools.matchings import (PerfectMatching, bvn_decompose,
+                                  coboundary, enumerate_matchings,
+                                  hall_check, nondegeneracy_check, polygon,
                                   polygon_normal_form, reference_matching)
-from dimertools.polygen import pattern_to_dimer, square_pattern
+from dimertools.polygen import merging_move, pattern_to_dimer, square_pattern
 from dimertools.surface import DimerError, dualize, load_file
 
 MATCHING_COUNTS = {"hexagonal": 3, "conifold": 4, "memeg": 6,
@@ -128,25 +130,74 @@ def test_bvn_round_trip():
             assert back == vec
 
 
-def test_reference_matching_without_enumeration():
-    """The greedy search finds the first enumerated matching on every
-    fixture that loads and on gen-square 1-4, and None where there is no
-    perfect matching."""
+def _loadable_models():
+    """(name, graph) for every fixture that loads and gen-square 1-4."""
     graphs = []
     for name in ALL_FIXTURES:
         try:
             graphs.append((name, load_file(fixture_path(name))))
         except DimerError:
             continue                # cube does not load
-    graphs += [(f"square-{n}", pattern_to_dimer(square_pattern(n)))
-               for n in (1, 2, 3, 4)]
+    return graphs + [(f"square-{n}", pattern_to_dimer(square_pattern(n)))
+                     for n in (1, 2, 3, 4)]
+
+
+def test_reference_matching_without_enumeration():
+    """The greedy search finds the first matching of the oracle list on
+    every fixture that loads and on gen-square 1-4, and None where there
+    is no perfect matching."""
     with_matchings = 0
-    for name, g in graphs:
-        ms = enumerate_matchings(g)
+    for name, g in _loadable_models():
+        ms = enumerate_matchings_oracle(g)
         want = ms[0].support if ms else None
         assert reference_matching(g) == want, name
         with_matchings += bool(ms)
     assert with_matchings == 11
+
+
+def _merged_models(count, seed):
+    """count models from up to three seeded merging moves on the square
+    patterns of size 1 and 2."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        p = square_pattern(rng.choice((1, 2)))
+        try:
+            for _ in range(rng.randint(1, 3)):
+                p = merging_move(p, rng.randrange(p.n_crossings))
+            out.append(pattern_to_dimer(p))
+        except DimerError:
+            continue
+    return out
+
+
+def test_enumeration_matches_oracle():
+    """Same matchings, classes and order as the oracle on every fixture
+    that loads, gen-square 1-4 and a sample of merged square patterns;
+    both lists are empty on three_rhombi and balwnopm."""
+    models = _loadable_models()
+    models += [(f"merged-{k}", g)
+               for k, g in enumerate(_merged_models(16, seed=5))]
+    for name, g in models:
+        q = dualize(g)
+        ms = enumerate_matchings(g, q)
+        assert ms == enumerate_matchings_oracle(g, q), name
+        assert (ms == []) == (name in ("three_rhombi", "balwnopm")), name
+
+
+def test_enumeration_checks_reference(monkeypatch):
+    """The sorted list must start with the reference matching; a wrong
+    reference is a DimerError, not a list with shifted classes."""
+    g = load_file(fixture_path("memeg"))
+    second = enumerate_matchings_oracle(g)[1].support
+    monkeypatch.setattr(matchings, "reference_matching", lambda _: second)
+    with pytest.raises(DimerError, match="reference"):
+        enumerate_matchings(g)
+
+
+def test_perfect_matching_has_no_dict():
+    m = PerfectMatching(frozenset({0, 2}), (1, -1))
+    assert not hasattr(m, "__dict__")
 
 
 def test_bvn_rejects_bad_input(load_quiver):

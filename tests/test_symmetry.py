@@ -7,9 +7,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import CONSISTENT, FIXTURES, NONDEGENERATE
+from conftest import (CONSISTENT, FIXTURES, NONDEGENERATE,
+                      enumerate_matchings_oracle)
 from dimertools.matchings import enumerate_matchings
-from dimertools.surface import DimerError
+from dimertools.polygen import pattern_to_dimer, square_pattern
+from dimertools.surface import DimerError, dualize
 from dimertools.symmetry import (WeightFunction, default_r_symmetry,
                                  euler_check, find_anomaly_free,
                                  find_rhombic)
@@ -32,6 +34,20 @@ def test_default_r_symmetry(load_quiver):
         assert all(type(w) is Fraction for w in r.weights + (r.degree,))
         assert r.weights == tuple(sum(a in m.support for m in ms)
                                   for a in range(q.n_arrows))
+
+
+def test_default_r_symmetry_counts_oracle_matchings(load_quiver):
+    """The weight of each arrow is the number of oracle matchings that
+    contain it, on every nondegenerate fixture and on gen-square 3."""
+    models = [load_quiver(name) for name in NONDEGENERATE]
+    g = pattern_to_dimer(square_pattern(3))
+    models.append((g, dualize(g)))
+    for g, q in models:
+        oracle = enumerate_matchings_oracle(g, q)
+        r = default_r_symmetry(enumerate_matchings(g, q), q)
+        assert r.weights == tuple(sum(a in m.support for m in oracle)
+                                  for a in range(q.n_arrows))
+        assert r.degree == len(oracle)
 
 
 def test_default_r_symmetry_degenerate(load_quiver):
