@@ -226,7 +226,12 @@ def cmd_cy3(args, rep: Reporter) -> int:
 
 
 def cmd_gen_square(args, rep: Reporter) -> int:
-    g = polygen.pattern_to_dimer(polygen.square_pattern(args.n))
+    try:
+        pattern = polygen.square_pattern(args.n)
+    except ValueError as e:
+        print(str(e), file=sys.stderr)
+        return 2
+    g = polygen.pattern_to_dimer(pattern)
     text = dump(g)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -353,11 +358,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print("--max-degree must be nonnegative", file=sys.stderr)
         return 2
     stream = None
-    if args.out and args.func not in (cmd_gen_square, cmd_svg):
-        stream = open(args.out, "w", encoding="utf-8")
-    rep = Reporter(args.format, stream)
     try:
-        return args.func(args, rep)
+        if args.out and args.func not in (cmd_gen_square, cmd_svg):
+            stream = open(args.out, "w", encoding="utf-8")
+        return args.func(args, Reporter(args.format, stream))
     except (OSError, ParseError, TopologyError) as e:
         print(str(e), file=sys.stderr)
         return 2

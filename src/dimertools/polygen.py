@@ -56,6 +56,10 @@ class CurvePattern:
         owner = {s.id: s for s in self.segments}
         in_curve: dict[int, int] = {}
         for cid, segs in enumerate(self.curves):
+            unknown = set(segs) - owner.keys()
+            if unknown:
+                raise ParseError(f"curve {cid} names unknown segment "
+                                 f"{min(unknown)}")
             for k, sid in enumerate(segs):
                 if sid in in_curve:
                     raise ParseError(f"segment {sid} in two curves")
@@ -396,7 +400,10 @@ def load_pattern(text: str) -> CurvePattern:
                     raise ParseError(f"bad line {ln!r}: ids must be in order")
                 segments.append(Segment(sid, cur, c1, p1, c2, p2, (dx, dy)))
             elif parts[0] == "curve":
-                curves[int(parts[1])] = tuple(map(int, parts[2:]))
+                cid = int(parts[1])
+                if cid in curves:
+                    raise ParseError(f"bad line {ln!r}: curve id given twice")
+                curves[cid] = tuple(map(int, parts[2:]))
             else:
                 raise ParseError(f"unknown record {parts[0]!r}")
         except (ValueError, IndexError) as e:

@@ -12,8 +12,8 @@ import pytest
 
 from conftest import CONSISTENT, NONDEGENERATE, bounding_box_lp
 from dimertools import algebra
-from dimertools.algebra import (AlgebraFailure, AlgebraReport, PathClass,
-                                ToricData)
+from dimertools.algebra import (AlgebraFailure, AlgebraReport, Cy3Report,
+                                PathClass, ToricData)
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.rationallp import solve_lp
 from dimertools.surface import DimerError, fterm_relations, load_file
@@ -352,6 +352,126 @@ def test_cy3_lists_each_pair_once(monkeypatch):
     assert td.cy3_check(4).ok
     nv = td.q.n_vertices
     assert sorted(calls) == [(i, j, 4) for i in range(nv) for j in range(nv)]
+
+
+def cy3_oracle(td, max_degree):
+    """Oracle: the CY3 report from three global bases per target vertex
+    and weight, with one matrix per differential over all their lattice
+    points, as the rung computed it before it split the complex into one
+    summand per lattice point."""
+    pre = td._reports.get(max_degree)
+    if pre is None:
+        pre = td.algebraic_consistency(max_degree)
+    if not pre.ok:
+        raise DimerError("algebraic consistency fails up to degree "
+                         f"{max_degree}: Calabi-Yau bases undefined")
+
+    def compose(p, m):
+        if p.head != m.tail:
+            raise DimerError("classes do not compose")
+        return PathClass(p.tail, m.head, (p.hom[0] + m.hom[0],
+                                          p.hom[1] + m.hom[1]),
+                         p.deg + m.deg)
+
+    failures = []
+    stats = []
+    nv = td.q.n_vertices
+    sides = {a: [(sign, p[0], td.path_class(
+                 p[1:], at=td.q.arrows[p[0]].head))
+                 for sign, p in zip((1, -1), rel)]
+             for a, rel in td.rels.items()}
+    single = [td.path_class([b]) for b in range(td.q.n_arrows)]
+    for j in range(nv):
+        into_j = [td._pieces(i, j, max_degree) for i in range(nv)]
+
+        def piece(i, d):
+            return into_j[i][d] if d >= 0 else []
+
+        for d in range(max_degree + 1):
+            basis1 = [(b.id, m) for b in td.q.arrows
+                      for m in piece(b.head, d - td.wts[b.id])]
+            basis2 = [(a.id, m) for a in td.q.arrows
+                      for m in piece(a.tail, d - (td.lam - td.wts[a.id]))]
+            basis3 = [(v, m) for v in range(nv)
+                      for m in piece(v, d - td.lam)]
+            idx1 = {key: n for n, key in enumerate(basis1)}
+            idx2 = {key: n for n, key in enumerate(basis2)}
+
+            def col2(a, m):
+                out = {}
+                for sign, b, rest in sides[a]:
+                    n = idx1[(b, compose(rest, m))]
+                    out[n] = out.get(n, 0) + sign
+                return {k: v for k, v in out.items() if v}
+
+            def col3(v, m):
+                out = {}
+                for b in td.q.in_arrows[v]:
+                    n = idx2[(b, compose(single[b], m))]
+                    out[n] = out.get(n, 0) - 1
+                return {k: v for k, v in out.items() if v}
+
+            f2 = [col2(a, m) for a, m in basis2]
+            f3 = [col3(v, m) for v, m in basis3]
+            for c3 in f3:
+                acc = {}
+                for n2, coef in c3.items():
+                    for n1, coef2 in f2[n2].items():
+                        acc[n1] = acc.get(n1, 0) + coef * coef2
+                if any(acc.values()):
+                    failures.append((j, d, "composite not zero"))
+                    break
+            r2 = algebra._rank([[c.get(n, 0) for n in range(len(basis1))]
+                                for c in f2])
+            r3 = algebra._rank([[c.get(n, 0) for n in range(len(basis2))]
+                                for c in f3])
+            if r3 != len(basis3):
+                failures.append((j, d, "third differential not injective"))
+            if r2 + r3 != len(basis2):
+                failures.append((j, d, "complex not exact at second term"))
+            stats.append((j, d, len(basis1), len(basis2), len(basis3),
+                          r2, r3))
+    return Cy3Report(not failures, max_degree, failures, stats)
+
+
+def test_cy3_matches_oracle():
+    """The per-lattice-point complex gives the report of the global
+    matrices: verdict, every failure in order, and the dims and ranks per
+    (j, d).  A stub consistency report makes cy3_check run on xyloops,
+    which fails algebraic consistency, so failing complexes are compared
+    too; at the real report both refuse it alike.  A reversed relation
+    makes the composite of the differentials nonzero."""
+    failing = 0
+    for name in NONDEGENERATE:
+        for d in (3, 7, 14):
+            new, old = toric(name), toric(name)
+            for td in (new, old):
+                td._reports[d] = AlgebraReport(True, d, [], [])
+            rep = new.cy3_check(d)
+            assert rep == cy3_oracle(old, d), (name, d)
+            failing += not rep.ok
+            new, old = toric(name), toric(name)
+            if new.algebraic_consistency(d).ok:
+                assert new.cy3_check(d) == cy3_oracle(old, d), (name, d)
+            else:
+                with pytest.raises(DimerError, match="bases undefined"):
+                    new.cy3_check(d)
+                with pytest.raises(DimerError, match="bases undefined"):
+                    cy3_oracle(old, d)
+    assert failing == 2         # xyloops at D = 7 and 14
+    # one relation read the wrong way round: F2 o F3 is no longer zero
+    new, old = toric("conifold"), toric("conifold")
+    for td in (new, old):
+        td.rels[0] = td.rels[0][::-1]
+    rep = new.cy3_check(8)
+    assert rep == cy3_oracle(old, 8)
+    assert "composite not zero" in {reason for _, _, reason in rep.failures}
+    for n, ks in ((1, (1, 4)), (2, (1, 4)), (3, (2,))):
+        g = pattern_to_dimer(square_pattern(n))
+        for k in ks:
+            td = ToricData(g)
+            d = k * td.lam
+            assert td.cy3_check(d) == cy3_oracle(td, d), (n, k)
 
 
 def closed_points_lp(td, max_weight):

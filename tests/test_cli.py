@@ -200,6 +200,27 @@ def test_pattern_check(capsys, tmp_path):
     assert main(["pattern-check", str(pat)]) == 2
 
 
+@pytest.mark.parametrize("old,new,message", [
+    ("curve 1 2 3\n", "curve 1 2 99\n", "unknown segment 99"),
+    ("curve 3 6 7\n", "curve 3 6 7\ncurve 3 6 7\n", "given twice"),
+])
+def test_pattern_check_bad_curve_line(capsys, tmp_path, old, new, message):
+    """A curve line naming an unknown segment, or a curve id given twice,
+    is a parse error: exit 2 with a one-line message."""
+    from dimertools.polygen import dump_pattern, load_pattern, square_pattern
+    from dimertools.surface import ParseError
+    text = dump_pattern(square_pattern(1))
+    assert old in text
+    text = text.replace(old, new)
+    with pytest.raises(ParseError, match=message):
+        load_pattern(text)
+    pat = tmp_path / "bad.pattern"
+    pat.write_text(text)
+    assert main(["pattern-check", str(pat)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and message in err
+
+
 def test_unknown_flag_rejected():
     with pytest.raises(SystemExit):
         main(["report", "x.dimer", "--frobnicate"])
@@ -219,6 +240,26 @@ def test_parser_shared_between_calls(capsys):
 def test_negative_degree_rejected():
     assert main(["report", str(fixture_path("hexagonal")),
                  "--max-degree", "-1"]) == 2
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_gen_square_rejects_small_n(capsys, n):
+    assert main(["gen-square", n]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == "n must be at least 1\n"
+
+
+@pytest.mark.parametrize("command", ["report", "matchings"])
+def test_out_cannot_be_opened(capsys, tmp_path, command):
+    """An --out path in a missing directory is an input error with a
+    one-line message, not a traceback."""
+    out_file = tmp_path / "missing" / "x.txt"
+    assert main([command, str(fixture_path("hexagonal")),
+                 "--out", str(out_file)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and len(err.splitlines()) == 1
+    assert "No such file or directory" in err
+    assert not out_file.parent.exists()
 
 
 # hexagonal with every edge offset set to 0 0, and with x-offsets scaled
