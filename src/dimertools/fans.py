@@ -61,15 +61,15 @@ class ExtremalMatching:
     matching: PerfectMatching
 
 
-def _crossings(q: Quiver, paths: Sequence[ZigZagPath], fid: int
-               ) -> dict[int, tuple[int, int]]:
-    """path id -> its (entry, exit) arrow pair on the boundary of face fid.
+def _crossings(q: Quiver, zig_of: dict[int, int], zag_of: dict[int, int],
+               fid: int) -> dict[int, tuple[int, int]]:
+    """path id -> its (entry, exit) arrow pair on the boundary of face fid,
+    given the maps of `crossing_paths`.
 
     In a black face the pair is zig then zag, in a white face zag then
     zig; either way they are consecutive boundary arrows.
     """
     f = q.faces[fid]
-    zig_of, zag_of = crossing_paths(paths)
     lookup, nxt = ((zig_of, q.next_black) if f.color == BLACK
                    else (zag_of, q.next_white))
     out: dict[int, tuple[int, int]] = {}
@@ -84,7 +84,14 @@ def _crossings(q: Quiver, paths: Sequence[ZigZagPath], fid: int
 def local_fan(q: Quiver, paths: Sequence[ZigZagPath], fid: int) -> LocalFan:
     """The fan of classes of paths crossing a face, cones tagged by the
     boundary arrow its two representatives share."""
-    cross = _crossings(q, paths, fid)
+    return _local_fan(q, paths, *crossing_paths(paths), fid)
+
+
+def _local_fan(q: Quiver, paths: Sequence[ZigZagPath],
+               zig_of: dict[int, int], zag_of: dict[int, int], fid: int
+               ) -> LocalFan:
+    """`local_fan` given the maps of `crossing_paths(paths)`."""
+    cross = _crossings(q, zig_of, zag_of, fid)
     reps: dict[Vec, int] = {}
     for p in cross:
         cls = paths[p].cls
@@ -115,7 +122,8 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone
     the same choices, which assemble into a perfect matching.
     """
     probe = vadd(*sigma)
-    local = [local_fan(q, paths, f.id) for f in q.faces]
+    zig_of, zag_of = crossing_paths(paths)
+    local = [_local_fan(q, paths, zig_of, zag_of, f.id) for f in q.faces]
     support = frozenset(lf.tags[lf.fan.cone_containing(probe)]
                         for lf in local)
     for f in q.faces:

@@ -4,8 +4,10 @@ A perfect matching is stored as a frozen set of edge ids; through the dual
 quiver it doubles as a 0/1 cochain on arrows whose coboundary is 1 on every
 quiver face.  Relative cohomology classes are measured against a fixed
 reference matching, the least support in edge-id order, using the
-homology basis walks of the quiver.  `enumerate_matchings` carries each
-matching's class and order key through one recursion.
+homology basis walks of the quiver.  `enumerate_matchings` meets in the
+middle over covered-vertex bitmasks: prefix layers of the first half of
+the edges, a memo of suffixes per mask, and a join of the two that yields
+each matching with its class and order key.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import Optional, Sequence
 
 from .surface import BLACK, WHITE, DimerError, Quiver, TorusGraph, Vec
@@ -28,37 +29,77 @@ class PerfectMatching:
         return edge in self.support
 
 
-def _extend_matchings(nbrs: list[list[tuple[int, int, int, int, int]]],
-                      v0: int, covered: list[bool], chosen: list[int],
-                      key: int, x: int, y: int,
-                      results: list[tuple[int, PerfectMatching]]) -> None:
-    """Append to results (order key, matching) for every perfect matching
-    that contains the edges chosen so far, which cover exactly the
-    vertices marked covered, all vertices below v0 among them.  nbrs[v]
-    lists v's edges in rotation order as (edge id, other end, order bit,
-    dx, dy); key is the OR of the chosen edges' bits and (x, y) the
-    starting class plus their (dx, dy).
+# A partial matching is (order key, x, y, edge ids): the OR of its edges'
+# order bits, its class offset and its edges in the order they were chosen.
+Partial = tuple[int, int, int, tuple[int, ...]]
+# Per vertex, its edges in rotation order as (edge id, bits of both ends,
+# order bit, dx, dy).
+Nbrs = list[list[tuple[int, int, int, int, int]]]
+
+
+def _prefix_layer(nbrs: Nbrs, start: Partial, depth: int
+                  ) -> dict[int, list[Partial]]:
+    """Covered-vertex mask -> the partial matchings of `depth` edges that
+    cover it, each extending start.  Every step matches the lowest
+    uncovered vertex, so all vertices below it are covered."""
+    layer = {0: [start]}
+    for _ in range(depth):
+        nxt: dict[int, list[Partial]] = {}
+        for mask, partials in layer.items():
+            v = (~mask & (mask + 1)).bit_length() - 1
+            for e, ends, bit, dx, dy in nbrs[v]:
+                if mask & ends:
+                    continue
+                out = nxt.setdefault(mask | ends, [])
+                for k, x, y, es in partials:
+                    out.append((k | bit, x + dx, y + dy, es + (e,)))
+        layer = nxt
+    return layer
+
+
+def _suffixes(nbrs: Nbrs, mask: int, memo: dict[int, list[Partial]]
+              ) -> list[Partial]:
+    """The partial matchings that complete the covered-vertex mask to a
+    perfect matching, starting from (0, 0, 0, ()), by the same lowest
+    uncovered vertex rule; memo must hold the full mask.
 
     A module-level function rather than a closure that calls itself: such
     a closure is a reference cycle that keeps its frame's lists alive
     until the cyclic garbage collector runs."""
-    n = len(covered)
-    while v0 < n and covered[v0]:
-        v0 += 1
-    if v0 == n:
-        results.append((key, PerfectMatching(frozenset(chosen), (x, y))))
-        return
-    covered[v0] = True
-    for e, w, bit, dx, dy in nbrs[v0]:
-        if covered[w]:
+    got = memo.get(mask)
+    if got is not None:
+        return got
+    v = (~mask & (mask + 1)).bit_length() - 1
+    out: list[Partial] = []
+    for e, ends, bit, dx, dy in nbrs[v]:
+        if mask & ends:
             continue
-        covered[w] = True
-        chosen.append(e)
-        _extend_matchings(nbrs, v0 + 1, covered, chosen, key | bit,
-                          x + dx, y + dy, results)
-        chosen.pop()
-        covered[w] = False
-    covered[v0] = False
+        for k, x, y, es in _suffixes(nbrs, mask | ends, memo):
+            out.append((k | bit, x + dx, y + dy, (e,) + es))
+    memo[mask] = out
+    return out
+
+
+def _join(nbrs: Nbrs, start: Partial, middle: int
+          ) -> dict[int, PerfectMatching]:
+    """Order key -> matching for every perfect matching: each prefix of
+    `middle` edges from start, joined with each suffix of the mask it
+    covers.  The vertex matched next is the mask's lowest uncovered one,
+    so a mask's completions depend on the mask alone and each matching is
+    found once, at the mask its first `middle` edges cover.  All masks
+    share one suffix memo, and matchings of one class share one class
+    tuple."""
+    memo = {(1 << len(nbrs)) - 1: [(0, 0, 0, ())]}
+    classes: dict[Vec, Vec] = {}
+    found: dict[int, PerfectMatching] = {}
+    for mask, prefixes in _prefix_layer(nbrs, start, middle).items():
+        suffixes = _suffixes(nbrs, mask, memo)
+        for k1, x1, y1, e1 in prefixes:
+            for k2, x2, y2, e2 in suffixes:
+                cls = (x1 + x2, y1 + y2)
+                found[k1 | k2] = PerfectMatching(frozenset(e1 + e2),
+                                                 classes.setdefault(cls, cls))
+    return found
 
 
 def pm_class(pi: frozenset[int], pi0: frozenset[int], q: Quiver) -> Vec:
@@ -73,9 +114,15 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     """Complete duplicate-free matching list, classes against
     `reference_matching(g)`, which comes first.
 
-    One recursion finds each matching together with its class, the
-    multiplicities of its edges in gamma_x and gamma_y minus those of the
-    reference, and its order key, the sum of 2^(|E|-1-e) over its edges e.
+    A matching is built by matching the lowest uncovered vertex, in
+    rotation order, until every vertex is covered; the vertices covered
+    so far, a bitmask, decide every later choice.  So the first half of
+    the |B| choices is listed layer by layer per mask, the completions of
+    each mask reached are listed once in a memo they share, and each
+    matching is one prefix joined with one suffix of the same mask.  Every
+    partial matching carries its class, the multiplicities of its edges
+    in gamma_x and gamma_y (minus those of the reference, in the prefix
+    start), and its order key, the OR of 2^(|E|-1-e) over its edges e.
     The list is sorted by that key, descending; all supports have the
     same size, so this is the lexicographic order of their sorted edge ids.
     A first entry other than the reference raises DimerError.
@@ -87,17 +134,17 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
         q = Quiver(g)
     mult_x, mult_y = Counter(q.gamma_x), Counter(q.gamma_y)
     top = len(g.edges) - 1
-    nbrs = [[(e, g.other_end(e, v), 1 << (top - e), mult_x[e], mult_y[e])
-             for e in g.rotation[v]] for v in range(len(g.colors))]
-    results: list[tuple[int, PerfectMatching]] = []
-    _extend_matchings(nbrs, 0, [False] * len(g.colors), [], 0,
-                      -sum(mult_x[e] for e in pi0),
-                      -sum(mult_y[e] for e in pi0), results)
-    results.sort(key=itemgetter(0), reverse=True)
-    if not results or results[0][1].support != pi0:
+    edges = [(ed.id, 1 << ed.black | 1 << ed.white, 1 << (top - ed.id),
+              mult_x[ed.id], mult_y[ed.id]) for ed in g.edges]
+    nbrs = [[edges[e] for e in rot] for rot in g.rotation]
+    start = (0, -sum(mult_x[e] for e in pi0), -sum(mult_y[e] for e in pi0),
+             ())
+    found = _join(nbrs, start, len(pi0) // 2)
+    keys = sorted(found, reverse=True)
+    if not keys or found[keys[0]].support != pi0:
         raise DimerError("the least enumerated matching is not the "
                          "reference matching")
-    return [m for _, m in results]
+    return [found[k] for k in keys]
 
 
 def reference_matching(g: TorusGraph) -> Optional[frozenset[int]]:
@@ -152,7 +199,7 @@ def _max_matching(adj: dict[int, set[int]], lefts: list[int]
 def _augment(adj: dict[int, set[int]], match: dict[int, int], u: int,
              seen: set[int]) -> bool:
     """Extend match along an augmenting path from u avoiding seen, if one
-    exists.  Module level for the same reason as `_extend_matchings`."""
+    exists.  Module level for the same reason as `_suffixes`."""
     for w in adj.get(u, ()):
         if w in seen:
             continue

@@ -185,6 +185,28 @@ def test_enumeration_matches_oracle():
         assert (ms == []) == (name in ("three_rhombi", "balwnopm")), name
 
 
+def test_enumeration_at_every_split(monkeypatch):
+    """The same list as the oracle whatever the depth at which prefixes
+    meet suffixes, from 0 (the suffix memo alone) to |B| (the prefix
+    layers alone): at every depth on every fixture that loads, gen-square
+    1-3 and the merged models of `test_enumeration_matches_oracle`, and
+    at 0, |B|/2 and |B| on gen-square 4."""
+    join = matchings._join
+    depth = 0           # read by the stand-in at each call
+    monkeypatch.setattr(matchings, "_join",
+                        lambda nbrs, start, _: join(nbrs, start, depth))
+    models = _loadable_models()
+    models += [(f"merged-{k}", g)
+               for k, g in enumerate(_merged_models(16, seed=5))]
+    for name, g in models:
+        q = dualize(g)
+        want = enumerate_matchings_oracle(g, q)
+        b = len(g.colors) // 2
+        depths = (0, b // 2, b) if name == "square-4" else range(b + 1)
+        for depth in depths:
+            assert enumerate_matchings(g, q) == want, (name, depth)
+
+
 def test_enumeration_checks_reference(monkeypatch):
     """The sorted list must start with the reference matching; a wrong
     reference is a DimerError, not a list with shifted classes."""
