@@ -41,18 +41,6 @@ class PathClass:
     deg: int
 
 
-class Paths(list):
-    """Paths as tuples of arrow ids; `classes[k]` is the class of the k-th.
-
-    The classes sit in a parallel list rather than in a pair per path: a
-    pair costs 64 bytes per path, and all paths out of a vertex are held
-    at once."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.classes: list[PathClass] = []
-
-
 @dataclass
 class AlgebraFailure:
     kind: str                     # "surjectivity" | "injectivity"
@@ -260,15 +248,17 @@ class ToricData:
                             queue.append(p2)
         return frozenset(seen)
 
-    def paths_from(self, i: int, max_weight: int) -> "Paths":
-        """Every path out of vertex i of weight at most max_weight, with its
-        class, depth first; paths of one class share one `PathClass`."""
+    def paths_from(self, i: int, max_weight: int
+                   ) -> list[tuple[tuple[int, ...], PathClass]]:
+        """Every path out of vertex i of weight at most max_weight, as
+        (arrow ids, class) pairs, depth first; paths of one class share one
+        `PathClass`."""
         arrows, pi0 = self.q.arrows, self.pi0
         # per vertex, its out-arrows in reverse, so the first pops first
         steps = [[(a, self.wts[a], arrows[a].head, *arrows[a].offset,
                    a in pi0) for a in reversed(out)]
                  for out in self.q.out_arrows]
-        results = Paths()
+        results: list[tuple[tuple[int, ...], PathClass]] = []
         classes: dict[tuple[int, int, int, int], PathClass] = {}
         todo = [((), i, 0, 0, 0, 0)]
         while todo:
@@ -277,8 +267,7 @@ class ToricData:
             cls = classes.get(key)
             if cls is None:
                 cls = classes[key] = PathClass(i, v, (hx, hy), deg)
-            results.append(path)
-            results.classes.append(cls)
+            results.append((path, cls))
             for a, wa, head, ox, oy, in0 in steps[v]:
                 if w + wa <= max_weight:
                     todo.append((path + (a,), head, w + wa, hx + ox, hy + oy,

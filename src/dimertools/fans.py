@@ -1,11 +1,13 @@
 """Local and global zig-zag fans, extremal and external perfect matchings.
 
 For a geometrically consistent model, the homology classes of zig-zag
-paths span a complete fan in the plane.  Each two dimensional cone picks a
-coherent choice of one arrow per face and hence a perfect matching; its
-class is a vertex of the matching polygon.  Resonating such a matching
-along representatives of a ray walks through all the matchings on the
-adjacent polygon edge.
+paths span a complete fan in the plane.  Every arrow is the zag of one
+path and the zig of another, and in the local fans of both its faces it
+tags the cone running counterclockwise from the first class to the
+second.  The arrows whose cones hold a two dimensional cone of the global
+fan form a perfect matching, one arrow per face; its class is a vertex of
+the matching polygon.  Resonating such a matching along representatives
+of a ray walks through all the matchings on the adjacent polygon edge.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .matchings import PerfectMatching, pm_class, reference_matching
-from .surface import BLACK, DimerError, Quiver, Vec, vadd
+from .surface import DimerError, Quiver, Vec, vadd
 from .zigzag import (ZigZagPath, angular_sort, boundary_flows, crossing_paths,
                      wedge)
 
@@ -38,14 +40,6 @@ class Fan2D:
         n = len(self.rays)
         return [(self.rays[i], self.rays[(i + 1) % n]) for i in range(n)]
 
-    def cone_containing(self, p: Vec) -> Cone:
-        """The cone whose closed span contains p; unique for p off the rays
-        (strictly interior probes in all uses here)."""
-        for u, v in self.cones:
-            if wedge(u, p) >= 0 and wedge(p, v) >= 0 and wedge(u, v) > 0:
-                return (u, v)
-        raise DimerError(f"no cone contains {p}: fan not complete")
-
 
 @dataclass
 class LocalFan:
@@ -61,50 +55,28 @@ class ExtremalMatching:
     matching: PerfectMatching
 
 
-def _crossings(q: Quiver, zig_of: dict[int, int], zag_of: dict[int, int],
-               fid: int) -> dict[int, tuple[int, int]]:
-    """path id -> its (entry, exit) arrow pair on the boundary of face fid,
-    given the maps of `crossing_paths`.
-
-    In a black face the pair is zig then zag, in a white face zag then
-    zig; either way they are consecutive boundary arrows.
-    """
-    f = q.faces[fid]
-    lookup, nxt = ((zig_of, q.next_black) if f.color == BLACK
-                   else (zag_of, q.next_white))
-    out: dict[int, tuple[int, int]] = {}
-    for a in f.boundary:
-        p = lookup[a]
-        if p in out:
-            raise DimerError("path crosses a face twice (inconsistent model)")
-        out[p] = (a, nxt[a])
-    return out
-
-
 def local_fan(q: Quiver, paths: Sequence[ZigZagPath], fid: int) -> LocalFan:
-    """The fan of classes of paths crossing a face, cones tagged by the
-    boundary arrow its two representatives share."""
-    return _local_fan(q, paths, *crossing_paths(paths), fid)
-
-
-def _local_fan(q: Quiver, paths: Sequence[ZigZagPath],
-               zig_of: dict[int, int], zag_of: dict[int, int], fid: int
-               ) -> LocalFan:
-    """`local_fan` given the maps of `crossing_paths(paths)`."""
-    cross = _crossings(q, zig_of, zag_of, fid)
+    """The fan of classes of paths crossing a face, each cone tagged by the
+    boundary arrow whose zig and zag paths are its two representatives."""
+    zig_of, zag_of = crossing_paths(paths)
+    boundary = q.faces[fid].boundary
     reps: dict[Vec, int] = {}
-    for p in cross:
-        cls = paths[p].cls
-        if cls in reps:
-            raise DimerError("two parallel paths cross one face")
-        reps[cls] = p
+    for a in boundary:
+        p = zig_of[a]
+        if paths[p].cls in reps:
+            raise DimerError("a face is crossed twice by paths of one class "
+                             "(inconsistent model)")
+        reps[paths[p].cls] = p
     fan = Fan2D(tuple(angular_sort(list(reps))))
+    arrow_of = {frozenset((zig_of[a], zag_of[a])): a for a in boundary}
+    if len(arrow_of) != len(boundary):
+        raise DimerError("two boundary arrows join the same paths")
     tags: dict[Cone, int] = {}
     for u, v in fan.cones:
-        shared = set(cross[reps[u]]) & set(cross[reps[v]])
-        if len(shared) != 1:
+        a = arrow_of.get(frozenset((reps[u], reps[v])))
+        if a is None:
             raise DimerError("adjacent representatives must chain")
-        tags[(u, v)] = shared.pop()
+        tags[(u, v)] = a
     return LocalFan(fid, fan, reps, tags)
 
 
@@ -117,15 +89,24 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone
     """The perfect matching P of a cone of the global fan, its class
     taken against the reference matching of `enumerate_matchings`.
 
-    Per face, the local cone containing the (strictly interior) probe
-    ray-sum of sigma donates its tagged arrow; black and white faces make
-    the same choices, which assemble into a perfect matching.
+    Every arrow is the zag of one path and the zig of another; in both its
+    faces it tags the local cone running counterclockwise from the class
+    of its zag path to that of its zig path.  P is the set of arrows whose
+    cone holds the ray-sum of sigma, which lies strictly inside sigma.
     """
+    if sigma not in global_fan(paths).cones:
+        raise DimerError(f"{sigma} is not a cone of the zig-zag fan")
     probe = vadd(*sigma)
     zig_of, zag_of = crossing_paths(paths)
-    local = [_local_fan(q, paths, zig_of, zag_of, f.id) for f in q.faces]
-    support = frozenset(lf.tags[lf.fan.cone_containing(probe)]
-                        for lf in local)
+    chosen = []
+    for a in range(q.n_arrows):
+        u, v = paths[zag_of[a]].cls, paths[zig_of[a]].cls
+        if wedge(u, v) <= 0:
+            raise DimerError(f"the paths through arrow {a} do not turn "
+                             "counterclockwise (inconsistent model)")
+        if wedge(u, probe) >= 0 and wedge(probe, v) >= 0:
+            chosen.append(a)
+    support = frozenset(chosen)
     for f in q.faces:
         if sum(a in support for a in f.boundary) != 1:
             raise DimerError("cone tags do not form a perfect matching")
@@ -189,6 +170,8 @@ def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
     """All perfect matchings vanishing on S(gamma): the subset resonations
     of the extremal matching of the cone clockwise-bounded by gamma."""
     fan = global_fan(paths)
+    if gamma not in fan.rays:
+        raise DimerError(f"{gamma} is not a ray of the zig-zag fan")
     i = fan.rays.index(gamma)
     sigma = (gamma, fan.rays[(i + 1) % len(fan.rays)])
     base = extremal_matching(q, paths, sigma).matching

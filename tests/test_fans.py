@@ -1,18 +1,24 @@
 """Zig-zag fans, extremal and external matchings."""
 
+import random
+import re
 from collections import Counter
 from functools import lru_cache
 
 import pytest
 
-from conftest import CONSISTENT, fixture_path
-from dimertools.fans import (Fan2D, boundary_system, external_matchings,
+from conftest import ALL_FIXTURES, CONSISTENT, fixture_path
+from dimertools.fans import (ExtremalMatching, Fan2D, LocalFan,
+                             boundary_system, external_matchings,
                              extremal_matching, global_fan, local_fan,
                              pairing, resonate)
-from dimertools.matchings import enumerate_matchings, polygon
-from dimertools.polygen import pattern_to_dimer, square_pattern
-from dimertools.surface import DimerError, dualize, load_file
-from dimertools.zigzag import zigzag_paths
+from dimertools.matchings import (PerfectMatching, enumerate_matchings,
+                                  pm_class, polygon, reference_matching)
+from dimertools.polygen import merging_move, pattern_to_dimer, square_pattern
+from dimertools.surface import (BLACK, DimerError, dualize, load_file,
+                                split_vertex, vadd)
+from dimertools.zigzag import (angular_sort, crossing_paths, geometric_check,
+                               wedge, zigzag_paths)
 
 # the consistent fixtures and the generated square-grid models n = 2..4
 # (24, 448 and 26,752 perfect matchings)
@@ -20,24 +26,139 @@ WITH_SQUARES = CONSISTENT + ("square-2", "square-3", "square-4")
 
 
 @lru_cache(maxsize=None)
+def all_models():
+    """name -> dimer graph: every fixture that loads, gen-square 1-4, the
+    models of one to three seeded merging moves on the square patterns of
+    size 1-3 (of 400 tries, those that load), and every vertex split of
+    hexagonal, conifold, memeg and gen-square 1-2."""
+    out = {}
+    for name in ALL_FIXTURES:
+        try:
+            out[name] = load_file(fixture_path(name))
+        except DimerError:
+            continue                # cube does not load
+    for n in (1, 2, 3, 4):
+        out[f"square-{n}"] = pattern_to_dimer(square_pattern(n))
+    rng = random.Random(1)
+    for k in range(400):
+        p = square_pattern(rng.choice((1, 2, 3)))
+        try:
+            for _ in range(rng.randint(1, 3)):
+                p = merging_move(p, rng.randrange(p.n_crossings))
+            out[f"merged-{k}"] = pattern_to_dimer(p)
+        except DimerError:
+            continue
+    for name in ("hexagonal", "conifold", "memeg", "square-1", "square-2"):
+        g = out[name]
+        for v, rot in enumerate(g.rotation):
+            for pos in range(len(rot)):
+                out[f"{name}-split-{v}-{pos}"] = split_vertex(g, v, pos)
+    return out
+
+
+@lru_cache(maxsize=None)
+def zigzag(name):
+    """(quiver, zig-zag paths, geometrically consistent?) of a model of
+    `all_models`, or None if it does not dualize."""
+    try:
+        q = dualize(all_models()[name])
+    except DimerError:
+        return None
+    paths = zigzag_paths(q)
+    return q, paths, geometric_check(paths).verdict
+
+
+def consistent_models():
+    return [name for name in all_models()
+            if zigzag(name) is not None and zigzag(name)[2]]
+
+
+@lru_cache(maxsize=None)
 def enumerated(name):
-    """(graph, quiver, zig-zag paths, all perfect matchings) of a fixture
-    or of `square-n`."""
-    if name.startswith("square-"):
-        g = pattern_to_dimer(square_pattern(int(name[len("square-"):])))
-    else:
-        g = load_file(fixture_path(name))
-    q = dualize(g)
-    return g, q, zigzag_paths(q), enumerate_matchings(g, q)
+    """(graph, quiver, zig-zag paths, all perfect matchings) of a model of
+    `all_models`."""
+    g = all_models()[name]
+    q, paths, _ = zigzag(name)
+    return g, q, paths, enumerate_matchings(g, q)
+
+
+def local_fan_oracle(q, paths, fid):
+    """Oracle for `local_fan`: each path crossing the face enters and
+    leaves it through two consecutive boundary arrows (zig then zag in a
+    black face, zag then zig in a white one); each cone is tagged by the
+    one arrow its two representatives share."""
+    zig_of, zag_of = crossing_paths(paths)
+    f = q.faces[fid]
+    lookup, nxt = ((zig_of, q.next_black) if f.color == BLACK
+                   else (zag_of, q.next_white))
+    cross = {}
+    for a in f.boundary:
+        p = lookup[a]
+        if p in cross:
+            raise DimerError("path crosses a face twice (inconsistent model)")
+        cross[p] = (a, nxt[a])
+    reps = {}
+    for p in cross:
+        cls = paths[p].cls
+        if cls in reps:
+            raise DimerError("two parallel paths cross one face")
+        reps[cls] = p
+    fan = Fan2D(tuple(angular_sort(list(reps))))
+    tags = {}
+    for u, v in fan.cones:
+        shared = set(cross[reps[u]]) & set(cross[reps[v]])
+        if len(shared) != 1:
+            raise DimerError("adjacent representatives must chain")
+        tags[(u, v)] = shared.pop()
+    return LocalFan(fid, fan, reps, tags)
+
+
+def extremal_matching_oracle(q, paths, sigma):
+    """Oracle for `extremal_matching`: every face donates the tag of the
+    first cone of its local fan whose closed span holds the ray-sum of
+    sigma."""
+    probe = vadd(*sigma)
+    chosen = []
+    for f in q.faces:
+        lf = local_fan_oracle(q, paths, f.id)
+        cone = next((c for c in lf.fan.cones
+                     if wedge(c[0], probe) >= 0 and wedge(probe, c[1]) >= 0
+                     and wedge(*c) > 0), None)
+        if cone is None:
+            raise DimerError(f"no cone contains {probe}: fan not complete")
+        chosen.append(lf.tags[cone])
+    support = frozenset(chosen)
+    for f in q.faces:
+        if sum(a in support for a in f.boundary) != 1:
+            raise DimerError("cone tags do not form a perfect matching")
+    pm = PerfectMatching(support, pm_class(
+        support, reference_matching(q.graph), q))
+    return ExtremalMatching(sigma, pm)
+
+
+def outcome(f, *args):
+    """f(*args), or "raises" if it raises a DimerError."""
+    try:
+        return f(*args)
+    except DimerError:
+        return "raises"
 
 
 def test_fan_cones():
+    """Fans refuse a degenerate cone; a gamma that is not a ray of the
+    global fan, or a sigma that is not one of its cones (in either order),
+    is a DimerError naming it."""
     fan = Fan2D(((1, 0), (0, 1), (-1, -1)))
     assert len(fan.cones) == 3
-    assert fan.cone_containing((1, 1)) == ((1, 0), (0, 1))
-    assert fan.cone_containing((-1, 0)) == ((0, 1), (-1, -1))
     with pytest.raises(DimerError):
         Fan2D(((1, 0), (-1, 0)))        # degenerate half-plane cone
+    q, paths, _ = zigzag("hexagonal")
+    assert global_fan(paths).rays == ((1, 0), (-1, 1), (0, -1))
+    with pytest.raises(DimerError, match=re.escape("(0, 1)")):
+        external_matchings(q, paths, (0, 1))
+    for sigma in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, -1))):
+        with pytest.raises(DimerError, match=re.escape(str(sigma))):
+            extremal_matching(q, paths, sigma)
 
 
 def test_local_fans(load_quiver):
@@ -55,18 +176,75 @@ def test_local_fans(load_quiver):
             assert set(tags) <= set(f.boundary)
 
 
+def test_local_fan_matches_oracle():
+    """On every face of every model that dualizes, the tags read from the
+    (zig path, zag path) pair of each boundary arrow give the oracle's fan,
+    representatives and tags, or both raise."""
+    raised = 0
+    for name in all_models():
+        if zigzag(name) is None:
+            continue
+        q, paths, _ = zigzag(name)
+        for f in q.faces:
+            want = outcome(local_fan_oracle, q, paths, f.id)
+            assert outcome(local_fan, q, paths, f.id) == want, (name, f.id)
+            raised += want == "raises"
+    assert raised > 0
+
+
+def test_extremal_matches_oracle():
+    """On every cone of every geometrically consistent model, the
+    per-arrow rule picks the oracle's matching with the oracle's class.
+    On the other models it raises wherever the oracle raises, and agrees
+    where neither does; on 9 of their cones only the per-arrow rule
+    raises, because the two paths through an arrow turn clockwise."""
+    cones = only_new = 0
+    for name in all_models():
+        if zigzag(name) is None:
+            continue
+        q, paths, consistent = zigzag(name)
+        fan = outcome(global_fan, paths)
+        if fan == "raises":
+            continue
+        for sigma in fan.cones:
+            got = outcome(extremal_matching, q, paths, sigma)
+            want = outcome(extremal_matching_oracle, q, paths, sigma)
+            if consistent:
+                assert got == want != "raises", (name, sigma)
+                cones += 1
+            elif want == "raises":
+                assert got == "raises", (name, sigma)
+            else:
+                assert got in ("raises", want), (name, sigma)
+                only_new += got == "raises"
+    assert (cones, only_new) == (840, 9)
+
+
 def test_extremal_vertices_bijective():
-    """Cones of the global fan pick out the polygon vertices, one matching
-    each, with the class the enumeration gives that matching."""
-    for name in WITH_SQUARES:
+    """On every geometrically consistent model, cones of the global fan
+    pick out the polygon vertices, one matching each, with the class the
+    enumeration gives that matching.  The two paths through every arrow
+    turn counterclockwise from its zag path to its zig path, and each
+    cone's matching holds the zigs of the paths on its counterclockwise
+    ray and the zags of those on its clockwise ray."""
+    for name in consistent_models():
         g, q, paths, ms = enumerated(name)
+        zig_of, zag_of = crossing_paths(paths)
+        for a in range(q.n_arrows):
+            assert wedge(paths[zag_of[a]].cls, paths[zig_of[a]].cls) > 0
         poly = polygon(ms)
         cls_of = {m.support: m.cls for m in ms}
         fan = global_fan(paths)
         picked = {}
         for sigma in fan.cones:
             ext = extremal_matching(q, paths, sigma)
-            assert cls_of[ext.matching.support] == ext.matching.cls
+            support = ext.matching.support
+            assert cls_of[support] == ext.matching.cls
+            for p in paths:
+                if p.cls == sigma[1]:
+                    assert set(p.zigs) <= support, (name, sigma)
+                if p.cls == sigma[0]:
+                    assert set(p.zags) <= support, (name, sigma)
             picked[sigma] = ext.matching
         classes = [m.cls for m in picked.values()]
         assert sorted(classes) == sorted(set(classes))
