@@ -7,9 +7,17 @@ quiver vertex v,
 
     sum over arrows at v of R_a  =  deg(R) * (|H_v| - 1),
 
-where H_v is the set of incoming arrows.  All feasibility questions are
-decided by exact rational LP with slack maximization, so a strict
-inequality holds iff the optimum is strictly positive.
+where H_v is the set of incoming arrows.  Both finders return an R that
+maximizes the least weight (for rhombic angles, the least of R and 1 - R).
+
+The first candidate is read from the zig-zag paths: the m distinct classes,
+in counterclockwise order, get the angles 2k/m (in units of pi), and an
+arrow gets the angle from its zag class to its zig class.  Every face
+bounds the least weight by 2/|f| (and 1 - R by 1 - 2/|f|); a candidate
+that solves the equations and meets that bound is an optimum, and a bound
+of at most 0 leaves no solution.  Otherwise the question is decided by
+exact rational LP with slack maximization, so a strict inequality holds
+iff the optimum is strictly positive.
 """
 
 from __future__ import annotations
@@ -24,6 +32,7 @@ from typing import Optional, Sequence
 from .matchings import PerfectMatching
 from .rationallp import solve_lp
 from .surface import DimerError, Quiver
+from .zigzag import angular_sort, crossing_paths, zigzag_paths
 
 
 @dataclass(frozen=True)
@@ -74,17 +83,66 @@ def find_anomaly_free(q: Quiver) -> Optional[WeightFunction]:
 
     Solves: coboundary = 2 on every face, vertex anomaly equations, all
     weights positive; among solutions the minimum weight is maximized.
+    The zig-zag angle candidate is returned when it solves the equations
+    and its least weight is min over faces of 2/|f|, a bound on every
+    solution; otherwise the exact LP decides.
     """
     return _solve_weights(q, rhombic=False)
 
 
 def find_rhombic(q: Quiver) -> Optional[WeightFunction]:
     """An anomaly-free solution with every weight in the open interval
-    (0,1); weights times pi are then rhombus angles."""
+    (0,1); weights times pi are then rhombus angles.
+
+    The least of R_a and 1 - R_a is maximized.  The zig-zag angle
+    candidate is returned when it meets the face bound min over faces of
+    min(2/|f|, 1 - 2/|f|), and None when a face has at most two arrows;
+    otherwise the exact LP decides.
+    """
     return _solve_weights(q, rhombic=True)
 
 
 def _solve_weights(q: Quiver, rhombic: bool) -> Optional[WeightFunction]:
+    bounds = [Fraction(2, len(f.boundary)) for f in q.faces]
+    if rhombic:
+        bounds += [1 - b for b in bounds]
+    bound = min(bounds)
+    if bound <= 0:
+        return None
+    wf = _angle_weights(q, rhombic, bound)
+    return wf if wf is not None else _lp_weights(q, rhombic)
+
+
+def _angle_weights(q: Quiver, rhombic: bool, bound: Fraction
+                   ) -> Optional[WeightFunction]:
+    """The R of the zig-zag ray angles if it solves the equations of
+    `_lp_weights` and its least weight is the face bound, which makes it an
+    optimum of that LP; else None.
+
+    The k-th of the m distinct path classes in counterclockwise order has
+    the angle 2k/m (in units of pi), and arrow a gets the angle from its
+    zag class to its zig class, 2((k(zig) - k(zag)) mod m)/m.
+    """
+    paths = zigzag_paths(q)
+    classes = {p.cls for p in paths}
+    if (0, 0) in classes or len(classes) < 2:
+        return None
+    m = len(classes)
+    k = {u: i for i, u in enumerate(angular_sort(sorted(classes)))}
+    zig_of, zag_of = crossing_paths(paths)
+    wf = WeightFunction(tuple(
+        Fraction(2 * ((k[paths[zig_of[a]].cls] - k[paths[zag_of[a]].cls])
+                      % m), m)
+        for a in range(q.n_arrows)), Fraction(2))
+    least = min(min(w, 1 - w) if rhombic else w for w in wf.weights)
+    if least != bound or _violation(q, wf, rhombic) is not None:
+        return None
+    return wf
+
+
+def _lp_weights(q: Quiver, rhombic: bool) -> Optional[WeightFunction]:
+    """Maximize the least weight (and least 1 - weight, for rhombic
+    angles) over the face and vertex equations by exact rational LP."""
     n = q.n_arrows
     # variables: R_0..R_{n-1}, t (slack to maximize)
     nv = n + 1
@@ -117,25 +175,28 @@ def _solve_weights(q: Quiver, rhombic: bool) -> Optional[WeightFunction]:
     if res.status != "optimal" or res.objective <= 0:
         return None
     wf = WeightFunction(tuple(res.solution[:n]), Fraction(2))
-    _certify(q, wf, rhombic)
+    problem = _violation(q, wf, rhombic)
+    if problem is not None:
+        raise DimerError(problem)
     return wf
 
 
-def _certify(q: Quiver, wf: WeightFunction, rhombic: bool) -> None:
+def _violation(q: Quiver, wf: WeightFunction, rhombic: bool
+               ) -> Optional[str]:
     """Check, independently of the LP and in time linear in the quiver,
-    that wf solves the system `_solve_weights` posed: every face sums to
-    2, every vertex anomaly equation holds, every weight is positive and,
-    for rhombic angles, below 1.  Raises DimerError otherwise."""
+    that wf solves the system `_lp_weights` poses: every face sums to 2,
+    every vertex anomaly equation holds, every weight is positive and, for
+    rhombic angles, below 1.  Returns the first condition broken, or
+    None."""
     if not wf.check(q):
-        raise DimerError("R-symmetry fails a face equation")
+        return "R-symmetry fails a face equation"
     for v, (star, nh) in enumerate(_vertex_stars(q)):
         if sum(wf.weights[a] for a in star) != 2 * (nh - 1):
-            raise DimerError("R-symmetry fails the anomaly equation at "
-                             f"vertex {v}")
+            return f"R-symmetry fails the anomaly equation at vertex {v}"
     for a, w in enumerate(wf.weights):
         if w <= 0:
-            raise DimerError(f"R-symmetry weight of arrow {a} is {w}, not "
-                             "positive")
+            return f"R-symmetry weight of arrow {a} is {w}, not positive"
         if rhombic and w >= 1:
-            raise DimerError(f"rhombic R-symmetry weight of arrow {a} is {w}, "
-                             "not below 1")
+            return (f"rhombic R-symmetry weight of arrow {a} is {w}, not "
+                    "below 1")
+    return None

@@ -1,5 +1,6 @@
-"""Package-wide properties: the README example runs, and no module of
-`dimertools` guards anything with `assert`."""
+"""Package-wide properties: the README example runs, no module of
+`dimertools` guards anything with `assert`, and none but the renderer
+computes with floats."""
 
 import ast
 import os
@@ -34,4 +35,30 @@ def test_no_asserts_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                   if isinstance(n, ast.Assert)]
+    assert found == []
+
+
+def test_no_floats_in_package():
+    """No verdict may rest on a float: outside `render.py` no module has a
+    float literal, calls `float`, or uses pi, atan2, sqrt, sin or cos from
+    `math`."""
+    banned = {"pi", "atan2", "sqrt", "sin", "cos"}
+
+    def is_float(n):
+        return ((isinstance(n, ast.Constant) and isinstance(n.value, float))
+                or (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                    and n.func.id == "float")
+                or (isinstance(n, ast.ImportFrom) and n.module == "math"
+                    and any(a.name in banned for a in n.names))
+                or (isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id == "math" and n.attr in banned))
+
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "render.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if is_float(n)]
     assert found == []

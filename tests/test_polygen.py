@@ -64,14 +64,12 @@ def satisfies_r_equations(q, weights):
             and all(w > 0 for w in weights))
 
 
-@pytest.mark.parametrize("n", [1, 2, 3, 4])
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
 def test_generated_anomaly_free_and_rhombic(n):
-    """The anomaly-free R on gen-square 1-4 and the rhombic one on 1-3
-    give every arrow the right angle pi/2, and solve their equations."""
+    """The anomaly-free and the rhombic R on gen-square 1-6 give every
+    arrow the right angle pi/2, and solve their equations."""
     q = dualize(pattern_to_dimer(square_pattern(n)))
-    finders = (find_anomaly_free, find_rhombic) if n <= 3 else \
-        (find_anomaly_free,)
-    for find in finders:
+    for find in (find_anomaly_free, find_rhombic):
         r = find(q)
         assert r is not None
         assert r.weights == (Fraction(1, 2),) * (4 * n * n)

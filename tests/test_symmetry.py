@@ -3,18 +3,21 @@
 import os
 import subprocess
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
 from conftest import (CONSISTENT, FIXTURES, NONDEGENERATE,
                       enumerate_matchings_oracle)
+from dimertools import symmetry
 from dimertools.matchings import enumerate_matchings
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.surface import DimerError, dualize
 from dimertools.symmetry import (WeightFunction, default_r_symmetry,
                                  euler_check, find_anomaly_free,
                                  find_rhombic)
+from test_fans import all_models
 
 
 def test_euler(load_quiver):
@@ -108,8 +111,9 @@ def test_rhombic_not_asserted_conversely(load_quiver):
     assert outcome is None or all(0 < w < 1 for w in outcome.weights)
 
 
-# Hands find_anomaly_free and find_rhombic a wrong LP vertex that breaks one
-# condition at a time and prints what each answer is.
+# Hands the LP-only finder `_lp_weights` a wrong LP vertex that breaks one
+# condition at a time and prints what each answer is.  It calls the LP
+# directly: hexagonal would otherwise get its R from the zig-zag angles.
 WRONG_VERTEX = """
 from fractions import Fraction
 from dimertools import symmetry
@@ -129,16 +133,16 @@ combo = [Fraction(2 * (sum(a in m.support for m in ms)
                        + (a in ms[0].support)), len(ms) + 1)
          for a in range(q.n_arrows)]
 af = symmetry.find_anomaly_free(q).weights      # has weights equal to 1
-cases = [("examplestp", symmetry.find_anomaly_free, [1] * q.n_arrows),
-         ("examplestp", symmetry.find_anomaly_free, combo),
-         ("hexagonal", symmetry.find_anomaly_free, [2, 0, 0]),
-         ("examplestp", symmetry.find_rhombic, af)]
-for name, find, weights in cases:
+cases = [("examplestp", False, [1] * q.n_arrows),
+         ("examplestp", False, combo),
+         ("hexagonal", False, [2, 0, 0]),
+         ("examplestp", True, af)]
+for name, rhombic, weights in cases:
     t = Fraction(1, 10)
     symmetry.solve_lp = lambda *lp: LPResult(
         "optimal", t, [Fraction(w) for w in weights] + [t])
     try:
-        print("accepted", find(quiver(name)[1]))
+        print("accepted", symmetry._lp_weights(quiver(name)[1], rhombic))
     except DimerError as e:
         print("DimerError", e)
 """
@@ -159,3 +163,83 @@ def test_wrong_lp_vertex_rejected(flags):
         "DimerError R-symmetry weight of arrow 1 is 0, not positive",
         "DimerError rhombic R-symmetry weight of arrow 8 is 1, not below 1",
     ]
+
+
+def least_weight(r, rhombic):
+    """The least weight of r, or the least of R and 1 - R for rhombic
+    angles: the objective of the LP."""
+    return min(min(w, 1 - w) if rhombic else w for w in r.weights)
+
+
+def face_bound(q, rhombic):
+    """min over faces of 2/|f| (and 1 - 2/|f|): every solution of the face
+    equations has a least weight at most this."""
+    bounds = [Fraction(2, len(f.boundary)) for f in q.faces]
+    if rhombic:
+        bounds += [1 - b for b in bounds]
+    return min(bounds)
+
+
+def test_angle_path_matches_lp(monkeypatch):
+    """On every model of `all_models` that dualizes, both finders give the
+    LP-only answer.  Where they answer without the LP, an R meets the face
+    bound and a None has a face bound of at most 0."""
+    lp_weights = symmetry._lp_weights
+    fell_back = []
+
+    def recorded(q, rhombic):
+        fell_back.append(lp_weights(q, rhombic))
+        return fell_back[-1]
+
+    monkeypatch.setattr(symmetry, "_lp_weights", recorded)
+    without_lp = Counter()
+    for name, g in all_models().items():
+        try:
+            q = dualize(g)
+        except DimerError:
+            continue
+        for rhombic, find in ((False, find_anomaly_free),
+                              (True, find_rhombic)):
+            fell_back.clear()
+            got = find(q)
+            want = fell_back[0] if fell_back else lp_weights(q, rhombic)
+            assert got == want, (name, rhombic)
+            if fell_back:
+                continue
+            without_lp[rhombic, got is None] += 1
+            if got is None:
+                assert face_bound(q, rhombic) <= 0, name
+            else:
+                assert least_weight(got, rhombic) == \
+                    face_bound(q, rhombic), (name, rhombic)
+    assert without_lp == {(False, False): 119, (True, False): 45,
+                          (True, True): 146}
+
+
+def test_angle_path_needs_no_lp(monkeypatch, load_quiver):
+    """With the LP disabled, both finders still answer on consistent
+    models whose angles meet the face bound, and find_rhombic answers None
+    on nonmin_conifold, whose quiver has 2-gons.  examplestp, and the
+    rhombic R of memeg, whose equally spaced angles give an arrow the
+    angle pi, reach the LP."""
+    def no_lp(*lp):
+        raise RuntimeError("LP called")
+
+    monkeypatch.setattr(symmetry, "solve_lp", no_lp)
+    memeg, nonmin, examplestp = (load_quiver(name)[1] for name in
+                                 ("memeg", "nonmin_conifold", "examplestp"))
+    models = [load_quiver(name)[1] for name in ("conifold", "hexagonal")]
+    models += [dualize(pattern_to_dimer(square_pattern(n)))
+               for n in range(1, 7)]
+    for q in models:
+        for rhombic, find in ((False, find_anomaly_free),
+                              (True, find_rhombic)):
+            r = find(q)
+            assert least_weight(r, rhombic) == face_bound(q, rhombic)
+    for q in (memeg, nonmin):
+        r = find_anomaly_free(q)
+        assert least_weight(r, False) == face_bound(q, False)
+    assert find_rhombic(nonmin) is None
+    for find, q in ((find_rhombic, memeg), (find_anomaly_free, examplestp)):
+        with pytest.raises(RuntimeError, match="LP called"):
+            find(q)
