@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .matchings import PerfectMatching, enumerate_matchings
+from .matchings import PerfectMatching, edge_mask, enumerate_matchings
 # not called here; perfbench/spans.py traces `algebra.solve_lp` by name
 from .rationallp import solve_lp  # noqa: F401
 from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
@@ -119,6 +119,10 @@ class ToricData:
             raise DimerError("first perfect matching is not the reference "
                              "matching of class (0, 0)")
         self.pi0 = self.matchings[0].support
+        # the matchings' bits per class, read by _class_table
+        self._bits_by_cls: dict[Vec, list[int]] = {}
+        for m in self.matchings:
+            self._bits_by_cls.setdefault(m.cls, []).append(m.bits)
         # closed-class functionals: weight and matching evaluations factor
         # through (hom, deg) via the basis walks
         gx, gy = self.q.gamma_x, self.q.gamma_y
@@ -191,6 +195,15 @@ class ToricData:
         return (self.path_weight(p) + self.lam * (m.deg - b.deg)
                 + self.rho[0] * z[0] + self.rho[1] * z[1])
 
+    def _class_table(self, beta: Sequence[int]) -> dict[Vec, int]:
+        """Class c -> the least number of arrows of beta in a matching of
+        class c, by popcount; beta must not repeat an arrow."""
+        mask = edge_mask(beta)
+        if mask.bit_count() != len(beta):
+            raise DimerError(f"base path {list(beta)} repeats an arrow")
+        return {c: min(map(int.bit_count, map(mask.__and__, bits)))
+                for c, bits in self._bits_by_cls.items()}
+
     def _pieces(self, i: int, j: int,
                 max_weight: int) -> list[list[PathClass]]:
         """M_ij^+ up to max_weight: entry d lists the elements of weight d
@@ -208,10 +221,7 @@ class ToricData:
         if len(self._pieces_cache.get(key, ())) <= max_weight:
             beta, b = self._base[key]
             wb = self.path_weight(beta)
-            low: dict[Vec, int] = {}
-            for m in self.matchings:
-                ev = sum(a in m.support for a in beta)
-                low[m.cls] = min(ev, low.get(m.cls, ev))
+            low = self._class_table(beta)
             out: list[list[PathClass]] = [[] for _ in range(max_weight + 1)]
             for zx, y0, y1 in _columns([(self.lam * c[0] - self.rho[0],
                                          self.lam * c[1] - self.rho[1],

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections import Counter
 from functools import cache
 from typing import Optional, Sequence
 
@@ -105,10 +106,7 @@ def cmd_report(args, rep: Reporter) -> int:
 
     paths = zigzag.zigzag_paths(q)
     geo = zigzag.geometric_check(paths)
-    kinds: dict[str, int] = {}
-    for f in geo.failures:
-        name = type(f).__name__
-        kinds[name] = kinds.get(name, 0) + 1
+    kinds = dict(Counter(type(f).__name__ for f in geo.failures))
     summary = f"{len(paths)} zig-zag paths behave like lines" \
         if geo.verdict else f"failures {kinds}"
     rep.emit({"kind": "rung", "name": "geometric", "ok": geo.verdict,
@@ -299,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
         "toric data.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, with_input=True, with_degree=False):
+    def command(name, func, summary, with_input=True, with_degree=False):
+        p = sub.add_parser(name, help=summary)
         if with_input:
             p.add_argument("input", help="DIMER format file")
         if with_degree:
@@ -308,47 +307,30 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--format", choices=("text", "json-lines"),
                        default="text")
         p.add_argument("--out", default=None, help="output file")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("validate", help="parse and check structure")
-    common(p)
-    p.set_defaults(func=cmd_validate)
-    p = sub.add_parser("report", help="run the consistency ladder")
-    common(p, with_degree=True)
-    p.set_defaults(func=cmd_report)
-    p = sub.add_parser("matchings", help="list perfect matchings")
-    common(p)
-    p.set_defaults(func=cmd_matchings)
-    p = sub.add_parser("polygon", help="matching polygon with multiplicities")
-    common(p)
-    p.set_defaults(func=cmd_polygon)
-    p = sub.add_parser("zigzag", help="zig-zag paths and geometric check")
-    common(p)
-    p.set_defaults(func=cmd_zigzag)
-    p = sub.add_parser("extremal", help="extremal matchings per fan cone")
-    common(p)
-    p.set_defaults(func=cmd_extremal)
-    p = sub.add_parser("algebra", help="bounded-degree algebraic consistency")
-    common(p, with_degree=True)
-    p.set_defaults(func=cmd_algebra)
-    p = sub.add_parser("cy3", help="bounded-degree one-sided complex check")
-    common(p, with_degree=True)
-    p.set_defaults(func=cmd_cy3)
-    p = sub.add_parser("gen-square", help="generate a square-grid model")
-    p.add_argument("n", type=int)
-    common(p, with_input=False)
-    p.set_defaults(func=cmd_gen_square)
-    p = sub.add_parser("svg", help="render an SVG diagram")
-    common(p)
+    command("validate", cmd_validate, "parse and check structure")
+    command("report", cmd_report, "run the consistency ladder",
+            with_degree=True)
+    command("matchings", cmd_matchings, "list perfect matchings")
+    command("polygon", cmd_polygon, "matching polygon with multiplicities")
+    command("zigzag", cmd_zigzag, "zig-zag paths and geometric check")
+    command("extremal", cmd_extremal, "extremal matchings per fan cone")
+    command("algebra", cmd_algebra, "bounded-degree algebraic consistency",
+            with_degree=True)
+    command("cy3", cmd_cy3, "bounded-degree one-sided complex check",
+            with_degree=True)
+    command("gen-square", cmd_gen_square, "generate a square-grid model",
+            with_input=False).add_argument("n", type=int)
+    p = command("svg", cmd_svg, "render an SVG diagram")
     p.add_argument("--layers", default="tiling",
                    help="comma list: tiling,quiver,matching,zigzag")
     p.add_argument("--matching", type=int, default=0,
                    help="matching index for the matching layer")
     p.add_argument("--path", type=int, default=0,
                    help="path index for the zigzag layer")
-    p.set_defaults(func=cmd_svg)
-    p = sub.add_parser("pattern-check", help="validate a PATTERN file")
-    common(p)
-    p.set_defaults(func=cmd_pattern_check)
+    command("pattern-check", cmd_pattern_check, "validate a PATTERN file")
     return ap
 
 

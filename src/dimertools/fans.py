@@ -16,7 +16,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
-from .matchings import PerfectMatching, pm_class, reference_matching
+from .matchings import (PerfectMatching, edge_mask, pm_class,
+                        reference_matching)
 from .surface import DimerError, Quiver, Vec, vadd
 from .zigzag import (ZigZagPath, angular_sort, boundary_flows, crossing_paths,
                      wedge)
@@ -110,7 +111,7 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone
     for f in q.faces:
         if sum(a in support for a in f.boundary) != 1:
             raise DimerError("cone tags do not form a perfect matching")
-    pm = PerfectMatching(support, pm_class(
+    pm = PerfectMatching.from_support(support, pm_class(
         support, reference_matching(q.graph), q))
     return ExtremalMatching(sigma, pm)
 
@@ -141,7 +142,7 @@ def boundary_system(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
 
 
 def pairing(m: PerfectMatching, vec: dict[int, int]) -> int:
-    return sum(k for a, k in vec.items() if a in m.support)
+    return sum(k for a, k in vec.items() if a in m)
 
 
 def resonate(q: Quiver, m: PerfectMatching, eta: ZigZagPath, direction: str
@@ -158,11 +159,11 @@ def resonate(q: Quiver, m: PerfectMatching, eta: ZigZagPath, direction: str
         drop, add = eta.zags, eta.zigs
     else:
         raise ValueError(f"unknown direction {direction!r}")
-    if not set(drop) <= m.support:
+    drop_bits = edge_mask(drop)
+    if m.bits & drop_bits != drop_bits:
         raise DimerError("cannot resonate")
-    support = (m.support - set(drop)) | set(add)
-    return PerfectMatching(support,
-                           vadd(m.cls, pm_class(support, m.support, q)))
+    out = PerfectMatching(m.bits & ~drop_bits | edge_mask(add))
+    return PerfectMatching(out.bits, vadd(m.cls, pm_class(out, m, q)))
 
 
 def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
@@ -183,6 +184,6 @@ def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
             for eta in subset:
                 m = resonate(q, m, eta, "zag->zig")
             out.append(m)
-    if len(set(m.support for m in out)) != len(out):
+    if len({m.bits for m in out}) != len(out):
         raise DimerError(f"resonations along ray {gamma} repeat a matching")
     return out

@@ -1,13 +1,14 @@
 """Perfect matchings, degeneracy tests, and the matching polygon.
 
-A perfect matching is stored as a frozen set of edge ids; through the dual
-quiver it doubles as a 0/1 cochain on arrows whose coboundary is 1 on every
-quiver face.  Relative cohomology classes are measured against a fixed
-reference matching, the least support in edge-id order, using the
-homology basis walks of the quiver.  `enumerate_matchings` meets in the
-middle over covered-vertex bitmasks: prefix layers of the first half of
-the edges, a memo of suffixes per mask, and a join of the two that yields
-each matching with its class and order key.
+A perfect matching is stored as an int bitmask, bit e set iff edge e is in
+it; through the dual quiver it doubles as a 0/1 cochain on arrows whose
+coboundary is 1 on every quiver face.  Relative cohomology classes are
+measured against a fixed reference matching, the least support in edge-id
+order, using the homology basis walks of the quiver.
+`enumerate_matchings` meets in the middle over covered-vertex bitmasks:
+prefix layers of the first half of the edges, a memo of suffixes per mask,
+and a join of the two that yields each matching with its class and order
+key.
 """
 
 from __future__ import annotations
@@ -15,24 +16,39 @@ from __future__ import annotations
 import itertools
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Container, Iterable, Optional, Sequence
 
 from .surface import BLACK, WHITE, DimerError, Quiver, TorusGraph, Vec
 
 
+def edge_mask(edges: Iterable[int]) -> int:
+    """The bitmask of a set of edge (or arrow) ids; a repeat counts once."""
+    return sum(1 << e for e in set(edges))
+
+
 @dataclass(frozen=True, slots=True)
 class PerfectMatching:
-    support: frozenset[int]      # edge ids == dual arrow ids
+    bits: int                    # bit e set iff edge (== dual arrow) e is in
     cls: Vec = (0, 0)            # relative cohomology class
 
+    @staticmethod
+    def from_support(support: Iterable[int], cls: Vec = (0, 0)
+                     ) -> PerfectMatching:
+        return PerfectMatching(edge_mask(support), cls)
+
+    @property
+    def support(self) -> frozenset[int]:
+        bits = self.bits
+        return frozenset(e for e in range(bits.bit_length()) if bits >> e & 1)
+
     def __contains__(self, edge: int) -> bool:
-        return edge in self.support
+        return self.bits >> edge & 1 == 1
 
 
-# A partial matching is (order key, x, y, edge ids): the OR of its edges'
-# order bits, its class offset and its edges in the order they were chosen.
-Partial = tuple[int, int, int, tuple[int, ...]]
-# Per vertex, its edges in rotation order as (edge id, bits of both ends,
+# A partial matching is (order key, bits, x, y): the OR of its edges' order
+# bits, the OR of their bits and its class offset.
+Partial = tuple[int, int, int, int]
+# Per vertex, its edges in rotation order as (edge bit, bits of both ends,
 # order bit, dx, dy).
 Nbrs = list[list[tuple[int, int, int, int, int]]]
 
@@ -47,12 +63,12 @@ def _prefix_layer(nbrs: Nbrs, start: Partial, depth: int
         nxt: dict[int, list[Partial]] = {}
         for mask, partials in layer.items():
             v = (~mask & (mask + 1)).bit_length() - 1
-            for e, ends, bit, dx, dy in nbrs[v]:
+            for eb, ends, bit, dx, dy in nbrs[v]:
                 if mask & ends:
                     continue
                 out = nxt.setdefault(mask | ends, [])
-                for k, x, y, es in partials:
-                    out.append((k | bit, x + dx, y + dy, es + (e,)))
+                for k, b, x, y in partials:
+                    out.append((k | bit, b | eb, x + dx, y + dy))
         layer = nxt
     return layer
 
@@ -60,7 +76,7 @@ def _prefix_layer(nbrs: Nbrs, start: Partial, depth: int
 def _suffixes(nbrs: Nbrs, mask: int, memo: dict[int, list[Partial]]
               ) -> list[Partial]:
     """The partial matchings that complete the covered-vertex mask to a
-    perfect matching, starting from (0, 0, 0, ()), by the same lowest
+    perfect matching, starting from (0, 0, 0, 0), by the same lowest
     uncovered vertex rule; memo must hold the full mask.
 
     A module-level function rather than a closure that calls itself: such
@@ -71,11 +87,11 @@ def _suffixes(nbrs: Nbrs, mask: int, memo: dict[int, list[Partial]]
         return got
     v = (~mask & (mask + 1)).bit_length() - 1
     out: list[Partial] = []
-    for e, ends, bit, dx, dy in nbrs[v]:
+    for eb, ends, bit, dx, dy in nbrs[v]:
         if mask & ends:
             continue
-        for k, x, y, es in _suffixes(nbrs, mask | ends, memo):
-            out.append((k | bit, x + dx, y + dy, (e,) + es))
+        for k, b, x, y in _suffixes(nbrs, mask | ends, memo):
+            out.append((k | bit, b | eb, x + dx, y + dy))
     memo[mask] = out
     return out
 
@@ -89,20 +105,20 @@ def _join(nbrs: Nbrs, start: Partial, middle: int
     found once, at the mask its first `middle` edges cover.  All masks
     share one suffix memo, and matchings of one class share one class
     tuple."""
-    memo = {(1 << len(nbrs)) - 1: [(0, 0, 0, ())]}
+    memo = {(1 << len(nbrs)) - 1: [(0, 0, 0, 0)]}
     classes: dict[Vec, Vec] = {}
     found: dict[int, PerfectMatching] = {}
     for mask, prefixes in _prefix_layer(nbrs, start, middle).items():
         suffixes = _suffixes(nbrs, mask, memo)
-        for k1, x1, y1, e1 in prefixes:
-            for k2, x2, y2, e2 in suffixes:
+        for k1, b1, x1, y1 in prefixes:
+            for k2, b2, x2, y2 in suffixes:
                 cls = (x1 + x2, y1 + y2)
-                found[k1 | k2] = PerfectMatching(frozenset(e1 + e2),
+                found[k1 | k2] = PerfectMatching(b1 | b2,
                                                  classes.setdefault(cls, cls))
     return found
 
 
-def pm_class(pi: frozenset[int], pi0: frozenset[int], q: Quiver) -> Vec:
+def pm_class(pi: Container[int], pi0: Container[int], q: Quiver) -> Vec:
     """Pairing of the cocycle pi - pi0 with the homology basis walks."""
     def pair(walk: Sequence[int]) -> int:
         return sum((a in pi) - (a in pi0) for a in walk)
@@ -120,10 +136,10 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     the |B| choices is listed layer by layer per mask, the completions of
     each mask reached are listed once in a memo they share, and each
     matching is one prefix joined with one suffix of the same mask.  Every
-    partial matching carries its class, the multiplicities of its edges
-    in gamma_x and gamma_y (minus those of the reference, in the prefix
-    start), and its order key, the OR of 2^(|E|-1-e) over its edges e.
-    The list is sorted by that key, descending; all supports have the
+    partial matching carries its edge bits, its class (the multiplicities
+    of its edges in gamma_x and gamma_y, minus the reference's in the
+    prefix start) and its order key, the OR of 2^(|E|-1-e) over its edges
+    e.  The list is sorted by that key, descending; all supports have the
     same size, so this is the lexicographic order of their sorted edge ids.
     A first entry other than the reference raises DimerError.
     """
@@ -134,14 +150,13 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
         q = Quiver(g)
     mult_x, mult_y = Counter(q.gamma_x), Counter(q.gamma_y)
     top = len(g.edges) - 1
-    edges = [(ed.id, 1 << ed.black | 1 << ed.white, 1 << (top - ed.id),
+    edges = [(1 << ed.id, 1 << ed.black | 1 << ed.white, 1 << (top - ed.id),
               mult_x[ed.id], mult_y[ed.id]) for ed in g.edges]
     nbrs = [[edges[e] for e in rot] for rot in g.rotation]
-    start = (0, -sum(mult_x[e] for e in pi0), -sum(mult_y[e] for e in pi0),
-             ())
+    start = (0, 0, -sum(mult_x[e] for e in pi0), -sum(mult_y[e] for e in pi0))
     found = _join(nbrs, start, len(pi0) // 2)
     keys = sorted(found, reverse=True)
-    if not keys or found[keys[0]].support != pi0:
+    if not keys or found[keys[0]].bits != edge_mask(pi0):
         raise DimerError("the least enumerated matching is not the "
                          "reference matching")
     return [found[k] for k in keys]
@@ -324,12 +339,9 @@ class PMPolygon:
         return p in set(self.vertices)
 
     def is_external(self, p: Vec) -> bool:
-        """On the boundary (vertex or on a facet)."""
-        if self.is_vertex(p):
-            return True
+        """On the boundary (vertex or on a facet); every vertex ends a
+        facet, and a single vertex is a facet of length 0."""
         v = self.vertices
-        if len(v) == 1:
-            return p == v[0]
         return any(_on_segment(p, v[i], v[(i + 1) % len(v)])
                    for i in range(len(v)))
 
@@ -340,9 +352,7 @@ class PMPolygon:
 def polygon(matchings: Sequence[PerfectMatching]) -> PMPolygon:
     if not matchings:
         raise DimerError("no perfect matchings")
-    points: dict[Vec, int] = {}
-    for m in matchings:
-        points[m.cls] = points.get(m.cls, 0) + 1
+    points = dict(Counter(m.cls for m in matchings))
     return PMPolygon(points, convex_hull(list(points)))
 
 
@@ -430,7 +440,7 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
         m = frozenset(edge_of[(b, match[b])] for b in blacks)
         for e in m:
             work[e] -= 1
-        out.append(PerfectMatching(m, pm_class(m, pi0, q)))
+        out.append(PerfectMatching.from_support(m, pm_class(m, pi0, q)))
     if any(work.values()):
         raise DimerError(f"leftover after {k} matchings")
     return out

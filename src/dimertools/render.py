@@ -117,7 +117,7 @@ def emit_svg(g: TorusGraph, layers: Sequence[str] = ("tiling",),
                    'stroke-width="5" stroke-linecap="round">')
         for tx, ty in domains:
             for e in g.edges:
-                if e.id in matching.support:
+                if e.id in matching:
                     a, b = _edge_endpoints(g, pos, e)
                     out.append(line(a, b, tx, ty))
         out.append('</g>')

@@ -107,14 +107,11 @@ class TorusGraph:
         for e in self.edges:
             adj[e.black].add(e.white)
             adj[e.white].add(e.black)
-        seen = {0}
-        queue = deque([0])
-        while queue:
-            v = queue.popleft()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    queue.append(w)
+        seen, todo = {0}, [0]
+        while todo:
+            for w in adj[todo.pop()] - seen:
+                seen.add(w)
+                todo.append(w)
         if len(seen) != n:
             raise ParseError("graph is not connected")
 
@@ -166,9 +163,7 @@ class TorusGraph:
         return faces
 
     def _validate_topology(self) -> None:
-        v = len(self.colors)
-        e = len(self.edges)
-        f = len(self.faces)
+        v, e, f = len(self.colors), len(self.edges), len(self.faces)
         if v - e + f != 0:
             raise TopologyError(
                 f"Euler characteristic {v - e + f} != 0: "
@@ -206,11 +201,8 @@ def load(text: str) -> TorusGraph:
     ``edge <id> <black-id> <white-id> <dx> <dy>`` and
     ``rot <vertex-id> <edge-id>...`` records.  '#' starts a comment.
     """
-    lines = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            lines.append(line)
+    lines = [line for raw in text.splitlines()
+             if (line := raw.split("#", 1)[0].strip())]
     if not lines or lines[0] != _HEADER:
         raise ParseError("missing DIMER 1 header")
 
@@ -520,13 +512,8 @@ class Superpotential:
 
 
 def _least_rotation(cyc: Sequence[int]) -> tuple[int, ...]:
-    best = None
-    cyc = list(cyc)
-    for i in range(len(cyc)):
-        cand = tuple(cyc[i:] + cyc[:i])
-        if best is None or cand < best:
-            best = cand
-    return best
+    cyc = tuple(cyc)
+    return min(cyc[i:] + cyc[:i] for i in range(len(cyc)))
 
 
 def superpotential(q: Quiver) -> Superpotential:

@@ -22,10 +22,8 @@ iff the optimum is strictly positive.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
 from math import lcm
 from typing import Optional, Sequence
 
@@ -62,9 +60,21 @@ def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
                        ) -> WeightFunction:
     """The sum of all perfect matchings, an integral R-symmetry whenever the
     model is non-degenerate."""
-    counts = Counter(chain.from_iterable(m.support for m in matchings))
-    wf = WeightFunction(tuple(Fraction(counts[a]) for a in range(q.n_arrows)),
-                        Fraction(len(matchings)))
+    # plane i holds bit i of every arrow's count; add each matching's bits
+    planes: list[int] = []
+    for carry in [m.bits for m in matchings]:
+        i = 0
+        for plane in planes:
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+            i += 1
+        else:
+            planes.append(carry)
+    wf = WeightFunction(tuple(
+        Fraction(sum((p >> a & 1) << i for i, p in enumerate(planes)))
+        for a in range(q.n_arrows)), Fraction(len(matchings)))
     if not matchings or 0 in wf.weights:
         raise DimerError("no R-symmetry from matchings: model is degenerate")
     if not wf.check(q):

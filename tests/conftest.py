@@ -93,4 +93,5 @@ def enumerate_matchings_oracle(g, q=None):
     if q is None:
         q = Quiver(g)
     pi0 = supports[0]
-    return [PerfectMatching(s, pm_class(s, pi0, q)) for s in supports]
+    return [PerfectMatching.from_support(s, pm_class(s, pi0, q))
+            for s in supports]

@@ -69,6 +69,26 @@ def test_pm_eval_counts_matched_arrows():
                 assert pm_eval(td, pm, cls) == crossed
 
 
+def test_class_table_matches_support_scan():
+    """The popcount class table equals the scan of each matching's support
+    along the base path, for every vertex pair of the six nondegenerate
+    fixtures and of gen-square 1-3; a path that repeats an arrow is
+    refused rather than counted."""
+    models = [load_file(fixture_path(name)) for name in NONDEGENERATE]
+    models += [pattern_to_dimer(square_pattern(n)) for n in (1, 2, 3)]
+    for g in models:
+        td = ToricData(g)
+        supports = [(m.cls, m.support) for m in td.matchings]
+        for beta, _ in td._base.values():
+            want = {}
+            for cls, s in supports:
+                ev = sum(a in s for a in beta)
+                want[cls] = min(ev, want.get(cls, ev))
+            assert td._class_table(beta) == want
+    with pytest.raises(DimerError, match="repeats an arrow"):
+        td._class_table((0, 0))
+
+
 def test_weight_is_grading():
     td = toric("hexagonal")
     rng = random.Random(3)
@@ -305,7 +325,7 @@ g = load_file(fixture_path("conifold"))
 original = algebra.enumerate_matchings
 
 def shifted(g, q):
-    return [PerfectMatching(m.support, (m.cls[0] + 1, m.cls[1]))
+    return [PerfectMatching(m.bits, (m.cls[0] + 1, m.cls[1]))
             for m in original(g, q)]
 
 cut = Quiver(g)

@@ -131,7 +131,7 @@ def extremal_matching_oracle(q, paths, sigma):
     for f in q.faces:
         if sum(a in support for a in f.boundary) != 1:
             raise DimerError("cone tags do not form a perfect matching")
-    pm = PerfectMatching(support, pm_class(
+    pm = PerfectMatching.from_support(support, pm_class(
         support, reference_matching(q.graph), q))
     return ExtremalMatching(sigma, pm)
 
