@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .matchings import PerfectMatching, edge_mask, enumerate_matchings
@@ -536,20 +535,25 @@ def _columns(cons: list[tuple[int, int, int]]
     columns (zx, least zy, greatest zy) in order of zx, or none if the
     region is empty; raises if it is nonempty and unbounded.  The x-range
     comes from eliminating zy (Fourier-Motzkin: the ay == 0 rows, and each
-    lower ay > 0 row plus each upper ay < 0 row with zy cancelled)."""
+    lower ay > 0 row plus each upper ay < 0 row with zy cancelled), as the
+    integer ceiling of its lower and floor of its upper bounds."""
     lower = [r for r in cons if r[1] > 0]
     upper = [r for r in cons if r[1] < 0]
     xrows = [(ax, b) for ax, ay, b in cons if ay == 0]
     xrows += [(-uy * lx + ly * ux, -uy * lb + ly * ub)
               for lx, ly, lb in lower for ux, uy, ub in upper]
-    lo = max((Fraction(-b, ax) for ax, b in xrows if ax > 0), default=None)
-    hi = min((Fraction(b, -ax) for ax, b in xrows if ax < 0), default=None)
-    if any(ax == 0 and b < 0 for ax, b in xrows) or \
-            (lo is not None and hi is not None and lo > hi):
+    lo = max((-(b // ax) for ax, b in xrows if ax > 0), default=None)
+    hi = min((b // -ax for ax, b in xrows if ax < 0), default=None)
+    if any(ax == 0 and b < 0 for ax, b in xrows):
         return []
     if lo is None or hi is None or not lower or not upper:
+        # empty (not unbounded) iff two bounds on zx cross over the reals
+        if lo is not None and hi is not None and lo > hi and any(
+                px * nb < nx * pb for px, pb in xrows if px > 0
+                for nx, nb in xrows if nx < 0):
+            return []
         raise DimerError("graded piece unbounded; grading not positive "
                          "definite on this model")
     return [(zx, max(-((ax * zx + b) // ay) for ax, ay, b in lower),
              min((ax * zx + b) // -ay for ax, ay, b in upper))
-            for zx in range(math.ceil(lo), math.floor(hi) + 1)]
+            for zx in range(lo, hi + 1)]

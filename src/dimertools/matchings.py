@@ -5,10 +5,9 @@ it; through the dual quiver it doubles as a 0/1 cochain on arrows whose
 coboundary is 1 on every quiver face.  Relative cohomology classes are
 measured against a fixed reference matching, the least support in edge-id
 order, using the homology basis walks of the quiver.
-`enumerate_matchings` meets in the middle over covered-vertex bitmasks:
-prefix layers of the first half of the edges, a memo of suffixes per mask,
-and a join of the two that yields each matching with its class and order
-key.
+`enumerate_matchings` meets in the middle over covered-vertex bitmasks
+with each partial matching packed into one int (order key, edge bits, x
+and y class counts), so that joining a prefix with a suffix is one add.
 """
 
 from __future__ import annotations
@@ -18,7 +17,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
 
-from .surface import BLACK, WHITE, DimerError, Quiver, TorusGraph, Vec
+from .surface import BLACK, DimerError, Quiver, TorusGraph, Vec
 
 
 def edge_mask(edges: Iterable[int]) -> int:
@@ -45,39 +44,11 @@ class PerfectMatching:
         return self.bits >> edge & 1 == 1
 
 
-# A partial matching is (order key, bits, x, y): the OR of its edges' order
-# bits, the OR of their bits and its class offset.
-Partial = tuple[int, int, int, int]
-# Per vertex, its edges in rotation order as (edge bit, bits of both ends,
-# order bit, dx, dy).
-Nbrs = list[list[tuple[int, int, int, int, int]]]
-
-
-def _prefix_layer(nbrs: Nbrs, start: Partial, depth: int
-                  ) -> dict[int, list[Partial]]:
-    """Covered-vertex mask -> the partial matchings of `depth` edges that
-    cover it, each extending start.  Every step matches the lowest
-    uncovered vertex, so all vertices below it are covered."""
-    layer = {0: [start]}
-    for _ in range(depth):
-        nxt: dict[int, list[Partial]] = {}
-        for mask, partials in layer.items():
-            v = (~mask & (mask + 1)).bit_length() - 1
-            for eb, ends, bit, dx, dy in nbrs[v]:
-                if mask & ends:
-                    continue
-                out = nxt.setdefault(mask | ends, [])
-                for k, b, x, y in partials:
-                    out.append((k | bit, b | eb, x + dx, y + dy))
-        layer = nxt
-    return layer
-
-
-def _suffixes(nbrs: Nbrs, mask: int, memo: dict[int, list[Partial]]
-              ) -> list[Partial]:
-    """The partial matchings that complete the covered-vertex mask to a
-    perfect matching, starting from (0, 0, 0, 0), by the same lowest
-    uncovered vertex rule; memo must hold the full mask.
+def _suffixes(nbrs: list[list[tuple[int, int]]], mask: int,
+              memo: dict[int, list[int]]) -> list[int]:
+    """The packed partial matchings that complete the covered-vertex mask
+    to a perfect matching, by the lowest uncovered vertex rule of `_join`;
+    memo must hold the full mask.
 
     A module-level function rather than a closure that calls itself: such
     a closure is a reference cycle that keeps its frame's lists alive
@@ -86,36 +57,37 @@ def _suffixes(nbrs: Nbrs, mask: int, memo: dict[int, list[Partial]]
     if got is not None:
         return got
     v = (~mask & (mask + 1)).bit_length() - 1
-    out: list[Partial] = []
-    for eb, ends, bit, dx, dy in nbrs[v]:
-        if mask & ends:
-            continue
-        for k, b, x, y in _suffixes(nbrs, mask | ends, memo):
-            out.append((k | bit, b | eb, x + dx, y + dy))
+    out: list[int] = []
+    for ends, d in nbrs[v]:
+        if not mask & ends:
+            out += [s + d for s in _suffixes(nbrs, mask | ends, memo)]
     memo[mask] = out
     return out
 
 
-def _join(nbrs: Nbrs, start: Partial, middle: int
-          ) -> dict[int, PerfectMatching]:
-    """Order key -> matching for every perfect matching: each prefix of
-    `middle` edges from start, joined with each suffix of the mask it
-    covers.  The vertex matched next is the mask's lowest uncovered one,
-    so a mask's completions depend on the mask alone and each matching is
-    found once, at the mask its first `middle` edges cover.  All masks
-    share one suffix memo, and matchings of one class share one class
-    tuple."""
-    memo = {(1 << len(nbrs)) - 1: [(0, 0, 0, 0)]}
-    classes: dict[Vec, Vec] = {}
-    found: dict[int, PerfectMatching] = {}
-    for mask, prefixes in _prefix_layer(nbrs, start, middle).items():
+def _join(nbrs: list[list[tuple[int, int]]], middle: int) -> list[int]:
+    """Every perfect matching, packed: the partial matchings of `middle`
+    edges, listed layer by layer per covered-vertex mask, each joined with
+    each suffix of its mask.  The vertex matched next is always the mask's
+    lowest uncovered one, so a mask's completions depend on the mask alone
+    and each matching is found once, at the mask its first `middle` edges
+    cover.  All masks share one suffix memo."""
+    layer = {0: [0]}
+    for _ in range(middle):
+        nxt: dict[int, list[int]] = {}
+        for mask, parts in layer.items():
+            v = (~mask & (mask + 1)).bit_length() - 1
+            for ends, d in nbrs[v]:
+                if not mask & ends:
+                    nxt.setdefault(mask | ends, []).extend(
+                        [p + d for p in parts])
+        layer = nxt
+    memo = {(1 << len(nbrs)) - 1: [0]}
+    vals: list[int] = []
+    for mask, prefixes in layer.items():
         suffixes = _suffixes(nbrs, mask, memo)
-        for k1, b1, x1, y1 in prefixes:
-            for k2, b2, x2, y2 in suffixes:
-                cls = (x1 + x2, y1 + y2)
-                found[k1 | k2] = PerfectMatching(b1 | b2,
-                                                 classes.setdefault(cls, cls))
-    return found
+        vals.extend([p + s for p in prefixes for s in suffixes])
+    return vals
 
 
 def pm_class(pi: Container[int], pi0: Container[int], q: Quiver) -> Vec:
@@ -130,36 +102,52 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     """Complete duplicate-free matching list, classes against
     `reference_matching(g)`, which comes first.
 
-    A matching is built by matching the lowest uncovered vertex, in
-    rotation order, until every vertex is covered; the vertices covered
-    so far, a bitmask, decide every later choice.  So the first half of
-    the |B| choices is listed layer by layer per mask, the completions of
-    each mask reached are listed once in a memo they share, and each
-    matching is one prefix joined with one suffix of the same mask.  Every
-    partial matching carries its edge bits, its class (the multiplicities
-    of its edges in gamma_x and gamma_y, minus the reference's in the
-    prefix start) and its order key, the OR of 2^(|E|-1-e) over its edges
-    e.  The list is sorted by that key, descending; all supports have the
-    same size, so this is the lexicographic order of their sorted edge ids.
-    A first entry other than the reference raises DimerError.
+    Each matching is built by matching the lowest uncovered vertex, in
+    rotation order, so the covered-vertex mask decides every later choice
+    and `_join` meets in the middle.  A partial matching is one int of four
+    fields, from the top: its order key, the OR of 2^(|E|-1-e) over its
+    edges e; its edge bits; and its edges' multiplicities in gamma_x and in
+    gamma_y, each in F bits with 2^(F-1) > |gamma_x| + |gamma_y|.  A prefix
+    and a suffix share no edge and the counts stay below 2^F, so no field
+    carries into the next.  One descending sort orders by key, which is
+    the lexicographic order of the sorted edge ids, as all supports have
+    the same size; a class is the counts minus the reference's.  A first
+    entry other than the reference raises DimerError.
     """
     pi0 = reference_matching(g)
     if pi0 is None:
         return []
     if q is None:
         q = Quiver(g)
-    mult_x, mult_y = Counter(q.gamma_x), Counter(q.gamma_y)
-    top = len(g.edges) - 1
-    edges = [(1 << ed.id, 1 << ed.black | 1 << ed.white, 1 << (top - ed.id),
-              mult_x[ed.id], mult_y[ed.id]) for ed in g.edges]
-    nbrs = [[edges[e] for e in rot] for rot in g.rotation]
-    start = (0, 0, -sum(mult_x[e] for e in pi0), -sum(mult_y[e] for e in pi0))
-    found = _join(nbrs, start, len(pi0) // 2)
-    keys = sorted(found, reverse=True)
-    if not keys or found[keys[0]].bits != edge_mask(pi0):
+    f = (len(q.gamma_x) + len(q.gamma_y)).bit_length() + 1
+    n, low = len(g.edges), 2 * f
+    counts = [0] * n
+    for a in q.gamma_x:
+        counts[a] += 1 << f
+    for a in q.gamma_y:
+        counts[a] += 1
+    edges = [(1 << ed.black | 1 << ed.white,
+              1 << (2 * n - 1 - e + low) | 1 << (e + low) | counts[e])
+             for e, ed in enumerate(g.edges)]
+    vals = _join([[edges[e] for e in rot] for rot in g.rotation],
+                 len(pi0) // 2)
+    vals.sort(reverse=True)
+    bx, by = divmod(sum(counts[e] for e in pi0), 1 << f)
+    edge_bits, cls_bits = (1 << n) - 1, (1 << low) - 1
+    classes = {c: ((c >> f) - bx, (c & (1 << f) - 1) - by)
+               for c in {v & cls_bits for v in vals}}
+    new, set_bits = object.__new__, PerfectMatching.bits.__set__
+    set_cls = PerfectMatching.cls.__set__
+    out = []
+    for v in vals:
+        m = new(PerfectMatching)
+        set_bits(m, v >> low & edge_bits)
+        set_cls(m, classes[v & cls_bits])
+        out.append(m)
+    if not out or out[0].bits != edge_mask(pi0):
         raise DimerError("the least enumerated matching is not the "
                          "reference matching")
-    return [found[k] for k in keys]
+    return out
 
 
 def reference_matching(g: TorusGraph) -> Optional[frozenset[int]]:
@@ -285,17 +273,58 @@ class NondegeneracyReport:
 def nondegeneracy_check(g: TorusGraph) -> NondegeneracyReport:
     """Per edge: does some perfect matching contain it?
 
-    Checked in polynomial time by removing the edge's endpoints and asking
-    for a perfect matching on the rest.
+    From one perfect matching M: direct every edge from black to white and
+    add an arc from each white vertex to its partner in M.  An edge lies in
+    some perfect matching iff it is in M or lies on an M-alternating cycle
+    (Lovasz-Plummer, Matching Theory), that is iff both its ends lie in one
+    strongly connected component; the edges of M close a 2-cycle.
     """
     blacks = g.black_vertices
-    whites = g.white_vertices
-    flags: dict[int, bool] = {}
-    balanced = len(blacks) == len(whites)
-    for e in g.edges:
-        flags[e.id] = balanced and _covers(g.edges, blacks,
-                                           {e.black, e.white})
+    flags = dict.fromkeys((e.id for e in g.edges), False)
+    if len(blacks) == len(g.white_vertices):
+        adj: dict[int, set[int]] = {}
+        for e in g.edges:
+            adj.setdefault(e.black, set()).add(e.white)
+            adj.setdefault(e.white, set()).add(e.black)
+        match = _max_matching(adj, blacks)
+        if all(b in match for b in blacks):
+            succ = [[] if c == BLACK else [match[v]]
+                    for v, c in enumerate(g.colors)]
+            for e in g.edges:
+                succ[e.black].append(e.white)
+            comp = _components(succ)
+            flags = {e.id: comp[e.black] == comp[e.white] for e in g.edges}
     return NondegeneracyReport(all(flags.values()), flags)
+
+
+def _components(succ: list[list[int]]) -> list[int]:
+    """A strongly connected component label per vertex, by Tarjan's
+    algorithm on an explicit stack, so that depth is not bounded by the
+    recursion limit.  A vertex is numbered when it comes to the top of the
+    work stack, and is on Tarjan's stack iff numbered and not labelled."""
+    num, low, comp = [0] * len(succ), [0] * len(succ), [-1] * len(succ)
+    stack: list[int] = []
+    count = 0
+    for root in range(len(succ)):
+        work = [] if num[root] else [(root, iter(succ[root]))]
+        while work:
+            v, it = work[-1]
+            if not num[v]:
+                count = num[v] = low[v] = count + 1
+                stack.append(v)
+            for w in it:
+                if not num[w]:
+                    work.append((w, iter(succ[w])))
+                    break
+                if comp[w] < 0:
+                    low[v] = min(low[v], num[w])
+            else:
+                work.pop()
+                if work:
+                    low[work[-1][0]] = min(low[work[-1][0]], low[v])
+                while low[v] == num[v] and comp[v] < 0:
+                    comp[stack.pop()] = v
+    return comp
 
 
 # ---------------------------------------------------------------------------

@@ -56,24 +56,21 @@ def euler_check(q: Quiver) -> bool:
     return q.n_vertices - q.n_arrows + len(q.faces) == 0
 
 
+# _BIT[i][x] is bit i of the byte x
+_BIT = tuple(bytes(x >> i & 1 for x in range(256)) for i in range(8))
+
+
 def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
                        ) -> WeightFunction:
     """The sum of all perfect matchings, an integral R-symmetry whenever the
-    model is non-degenerate."""
-    # plane i holds bit i of every arrow's count; add each matching's bits
-    planes: list[int] = []
-    for carry in [m.bits for m in matchings]:
-        i = 0
-        for plane in planes:
-            planes[i] = plane ^ carry
-            carry &= plane
-            if not carry:
-                break
-            i += 1
-        else:
-            planes.append(carry)
+    model is non-degenerate.  Each matching's bits are nb little-endian
+    bytes of one blob, so arrow a's count is the number of bytes with bit
+    a % 8 set in column a // 8, the blob's every nb-th byte from a // 8."""
+    nb = (q.n_arrows + 7) // 8
+    blob = b"".join([m.bits.to_bytes(nb, "little") for m in matchings])
+    cols = [blob[c::nb] for c in range(nb)]
     wf = WeightFunction(tuple(
-        Fraction(sum((p >> a & 1) << i for i, p in enumerate(planes)))
+        Fraction(cols[a >> 3].translate(_BIT[a & 7]).count(1))
         for a in range(q.n_arrows)), Fraction(len(matchings)))
     if not matchings or 0 in wf.weights:
         raise DimerError("no R-symmetry from matchings: model is degenerate")

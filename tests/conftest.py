@@ -4,7 +4,8 @@ import pathlib
 import pytest
 
 import dimertools
-from dimertools.matchings import PerfectMatching, pm_class
+from dimertools.matchings import (NondegeneracyReport, PerfectMatching,
+                                  _covers, pm_class)
 from dimertools.rationallp import solve_lp
 from dimertools.surface import DimerError, Quiver, dualize, load_file
 
@@ -95,3 +96,33 @@ def enumerate_matchings_oracle(g, q=None):
     pi0 = supports[0]
     return [PerfectMatching.from_support(s, pm_class(s, pi0, q))
             for s in supports]
+
+
+def nondegeneracy_oracle(g):
+    """Oracle for `matchings.nondegeneracy_check`: an edge lies in some
+    perfect matching iff the rest of the graph, without its two ends, has
+    a perfect matching; one Hall kernel call per edge."""
+    blacks = g.black_vertices
+    balanced = len(blacks) == len(g.white_vertices)
+    flags = {e.id: balanced and _covers(g.edges, blacks, {e.black, e.white})
+             for e in g.edges}
+    return NondegeneracyReport(all(flags.values()), flags)
+
+
+def matching_counts_oracle(matchings, n_arrows):
+    """Oracle for the weights of `symmetry.default_r_symmetry`: per arrow,
+    the number of matchings that hold it, by adding each matching's bits
+    into bit planes (plane i holds bit i of every arrow's count)."""
+    planes = []
+    for carry in [m.bits for m in matchings]:
+        i = 0
+        for plane in planes:
+            planes[i] = plane ^ carry
+            carry &= plane
+            if not carry:
+                break
+            i += 1
+        else:
+            planes.append(carry)
+    return [sum((p >> a & 1) << i for i, p in enumerate(planes))
+            for a in range(n_arrows)]

@@ -621,16 +621,21 @@ def test_columns_match_lp_box():
     """`_columns` lists the integer points of the LP box that meet every
     row, or raises where the LP finds the region unbounded: on a few
     boundary cases (a region with no integer point is empty unless it is
-    unbounded) and on 3,000 seeded random systems of 1-6 rows."""
+    unbounded, also where its zx-range is a real interval between two
+    integers) and on 3,000 seeded random systems of 1-6 rows."""
     cases = [
         [(0, 2, -1), (0, -2, 1)],              # the line zy = 1/2
         [(2, 0, -1), (-2, 0, 1)],              # the line zx = 1/2
+        [(2, 0, -1), (-4, 0, 3)],              # 1/2 <= zx <= 3/4, zy free
+        [(2, 0, -1), (-4, 0, 3), (0, 1, 0)],   # the same, zy >= 0
+        [(2, 0, -1), (-4, 0, 1)],              # 1/2 <= zx <= 1/4
         [(1, 0, -1), (-1, 0, 0)],              # 1 <= zx <= 0, zy free
         [(0, 0, -1), (1, 1, 0)],               # -1 >= 0
         [(0, 0, 0)],                           # the whole plane
         [(1, 0, 0), (-1, 0, 2), (0, 1, 1), (0, -1, 1), (-1, -1, 2)],
     ]
-    want = ["unbounded", "unbounded", set(), set(), "unbounded",
+    want = ["unbounded", "unbounded", "unbounded", "unbounded", set(),
+            set(), set(), "unbounded",
             {(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1),
              (2, 0)}]
     assert [outcome(column_points, c) for c in cases] == want

@@ -42,7 +42,7 @@ def test_default_r_symmetry(load_quiver):
 def test_default_r_symmetry_counts_oracle_matchings(load_quiver):
     """The weight of each arrow is the number of oracle matchings that
     contain it, on every nondegenerate fixture and on gen-square 3 and 4;
-    on gen-square 4 every count is 6,688, which takes 13 bit planes."""
+    on gen-square 4 every count is 6,688, a 13-bit number."""
     models = [load_quiver(name) for name in NONDEGENERATE]
     for n in (3, 4):
         g = pattern_to_dimer(square_pattern(n))
