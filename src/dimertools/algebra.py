@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .matchings import PerfectMatching, edge_mask, enumerate_matchings
+from .matchings import edge_mask, enumerate_matchings
 # not called here; perfbench/spans.py traces `algebra.solve_lp` by name
 from .rationallp import solve_lp  # noqa: F401
 from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
@@ -395,20 +395,6 @@ class ToricData:
         report = AlgebraReport(not failures, max_degree, failures, stats)
         self._reports[max_degree] = report
         return report
-
-    # -- extremal-avoiding paths -----------------------------------------
-
-    def avoid_path(self, i: int, j: int, hom: Vec, pm: PerfectMatching,
-                   window: Optional[int] = None
-                   ) -> Optional[tuple[int, ...]]:
-        """A path i -> j with the given homology offset avoiding a given
-        (extremal) matching, searched on a covering window; None means not
-        found in the window, never a disproof.  The default window is four
-        times the longest zig-zag period."""
-        if window is None:
-            from .zigzag import zigzag_paths
-            window = 4 * max(p.period for p in zigzag_paths(self.q))
-        return self.q.covering_walk(i, j, hom, window, skip=pm.support)
 
     # -- the Calabi-Yau complex ------------------------------------------
 

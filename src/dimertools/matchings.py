@@ -12,7 +12,7 @@ and y class counts), so that joining a prefix with a suffix is one add.
 
 from __future__ import annotations
 
-import itertools
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Container, Iterable, Optional, Sequence
@@ -185,6 +185,15 @@ class HallReport:
     witness: Optional[tuple[frozenset[int], frozenset[int]]] = None
 
 
+def _adjacency(edges: Iterable) -> dict[int, set[int]]:
+    """The neighbours of each dimer vertex over the given edges."""
+    adj: dict[int, set[int]] = {}
+    for e in edges:
+        adj.setdefault(e.black, set()).add(e.white)
+        adj.setdefault(e.white, set()).add(e.black)
+    return adj
+
+
 def _max_matching(adj: dict[int, set[int]], lefts: list[int]
                   ) -> dict[int, int]:
     """Simple augmenting-path bipartite maximum matching.
@@ -217,11 +226,8 @@ def _augment(adj: dict[int, set[int]], match: dict[int, int], u: int,
 def _covers(edges: Sequence, blacks: list[int], ends: set[int]) -> bool:
     """Do the edges with no end in `ends` match every black vertex not in
     `ends`?"""
-    adj: dict[int, set[int]] = {}
-    for e in edges:
-        if e.black not in ends and e.white not in ends:
-            adj.setdefault(e.black, set()).add(e.white)
-            adj.setdefault(e.white, set()).add(e.black)
+    adj = _adjacency(e for e in edges
+                     if e.black not in ends and e.white not in ends)
     rest = [b for b in blacks if b not in ends]
     match = _max_matching(adj, rest)
     return all(b in match for b in rest)
@@ -233,10 +239,7 @@ def hall_check(g: TorusGraph) -> HallReport:
     whites = g.white_vertices
     if len(blacks) != len(whites):
         return HallReport(False, imbalance=(len(blacks), len(whites)))
-    adj: dict[int, set[int]] = {}
-    for e in g.edges:
-        adj.setdefault(e.black, set()).add(e.white)
-        adj.setdefault(e.white, set()).add(e.black)
+    adj = _adjacency(g.edges)
     match = _max_matching(adj, blacks)
     unmatched = [b for b in blacks if b not in match]
     if not unmatched:
@@ -282,11 +285,7 @@ def nondegeneracy_check(g: TorusGraph) -> NondegeneracyReport:
     blacks = g.black_vertices
     flags = dict.fromkeys((e.id for e in g.edges), False)
     if len(blacks) == len(g.white_vertices):
-        adj: dict[int, set[int]] = {}
-        for e in g.edges:
-            adj.setdefault(e.black, set()).add(e.white)
-            adj.setdefault(e.white, set()).add(e.black)
-        match = _max_matching(adj, blacks)
+        match = _max_matching(_adjacency(g.edges), blacks)
         if all(b in match for b in blacks):
             succ = [[] if c == BLACK else [match[v]]
                     for v, c in enumerate(g.colors)]
@@ -388,36 +387,59 @@ def polygon(matchings: Sequence[PerfectMatching]) -> PMPolygon:
 # ---------------------------------------------------------------------------
 # Normal form under unimodular transformation + translation
 
-def _apply(mat: tuple[int, int, int, int], p: Vec) -> Vec:
-    a, b, c, d = mat
-    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+def _bezout(a: int, b: int) -> Vec:
+    """(u, v) with u*a + v*b = 1 for coprime a and b, by extended Euclid."""
+    x0, x1, y0, y1 = 1, 0, 0, 1
+    while b:
+        t = a // b
+        a, b, x0, x1, y0, y1 = b, a - t * b, x1, x0 - t * x1, y1, y0 - t * y1
+    return (a * x0, a * y0)                     # a is 1 or -1
 
 
 def polygon_normal_form(points: dict[Vec, int]
                         ) -> tuple[tuple[Vec, int], ...]:
     """Lexicographically least image of a weighted point set under
-    GL(2,Z) x translations.
+    GL(2,Z) x translations: the sorted ((x, y), multiplicity) pairs, each
+    coordinate translated to least value 0.
 
-    The search enumerates unimodular matrices with entries bounded by the
-    point-set diameter plus two; for lattice polygons of desk scale this
-    bound is comfortably sufficient (invariance is property-tested).
+    Exact, from two maps per edge of the convex hull.  The first row f of
+    a map decides column x = 0: the face of the hull where f is least.
+    - Column 0 sorts first, and a shear can put its lowest point at
+      (0, 0), so a hull edge on it beats any single vertex at the second
+      entry: f is the primitive inner normal of an edge.
+    - Once f is fixed, the only freedom left is the second row s*g0 + k*f,
+      with s = +-1 and g0.d = 1 for the edge's primitive direction d; the
+      sign picks which end of the edge is lowest.
+    - With (x, y) the image under (f, s*g0), shifted so that column 0 is
+      at x = 0 and its lowest y is c0, k = max ceil((c0 - y)/x) over the
+      points with x > 0 is the least shear that leaves no point below c0.
+      A smaller k lifts the first entry of column 0; a larger k raises the
+      first entry of the next nonempty column.
+    - A collinear set has a hull of two points and takes the same path,
+      over both normals of its line.  A single point is a special case.
     """
-    pts = list(points)
-    span = max(max(abs(p[0] - q[0]), abs(p[1] - q[1]))
-               for p in pts for q in pts) if len(pts) > 1 else 1
-    bound = span + 2
+    if not points:
+        raise DimerError("normal form of an empty point set")
+    hull = convex_hull(list(points))
+    if len(hull) == 1:
+        return (((0, 0), points[hull[0]]),)
 
-    def image(mat: tuple[int, int, int, int]) -> tuple[tuple[Vec, int], ...]:
-        img = [(_apply(mat, p), m) for p, m in points.items()]
-        mx = min(p[0] for p, _ in img)
-        my = min(p[1] for p, _ in img)
-        return tuple(sorted(((p[0] - mx, p[1] - my), m) for p, m in img))
+    def image(a: Vec, b: Vec, s: int) -> tuple[tuple[Vec, int], ...]:
+        n = math.gcd(b[0] - a[0], b[1] - a[1])
+        dx, dy = (b[0] - a[0]) // n, (b[1] - a[1]) // n
+        gx, gy = _bezout(dx, dy)
+        # the hull is counterclockwise, so f = (-dy, dx) is the inner normal
+        img = [(dx * y - dy * x, s * (gx * x + gy * y), m)
+               for (x, y), m in points.items()]
+        x0 = min(u for u, _, _ in img)
+        c0 = min(v for u, v, _ in img if u == x0)
+        k = max((-((v - c0) // (u - x0)) for u, v, _ in img if u > x0),
+                default=0)
+        return tuple(sorted(((u - x0, v + k * (u - x0) - c0), m)
+                            for u, v, m in img))
 
-    # the identity is among the candidates, so the minimum is over a
-    # nonempty set
-    rng = range(-bound, bound + 1)
-    return min(image(mat) for mat in itertools.product(rng, repeat=4)
-               if mat[0] * mat[3] - mat[1] * mat[2] in (1, -1))
+    return min(image(a, b, s) for a, b in zip(hull, hull[1:] + hull[:1])
+               for s in (1, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -456,16 +478,13 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
     out: list[PerfectMatching] = []
     work = dict(vec)
     for _ in range(k):
-        adj: dict[int, set[int]] = {}
-        edge_of: dict[tuple[int, int], int] = {}
-        for ed in g.edges:
-            if work.get(ed.id, 0) > 0:
-                adj.setdefault(ed.black, set()).add(ed.white)
-                adj.setdefault(ed.white, set()).add(ed.black)
-                edge_of.setdefault((ed.black, ed.white), ed.id)
-        match = _max_matching(adj, blacks)
+        live = [ed for ed in g.edges if work.get(ed.id, 0) > 0]
+        match = _max_matching(_adjacency(live), blacks)
         if not all(b in match for b in blacks):
             raise DimerError("support graph lost the marriage property")
+        edge_of: dict[tuple[int, int], int] = {}
+        for ed in live:
+            edge_of.setdefault((ed.black, ed.white), ed.id)
         m = frozenset(edge_of[(b, match[b])] for b in blacks)
         for e in m:
             work[e] -= 1

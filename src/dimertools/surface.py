@@ -406,45 +406,34 @@ class Quiver:
         self.gamma_y = self._closed_walk_with_class((0, 1))
 
     def _closed_walk_with_class(self, target: Vec) -> list[int]:
+        """A shortest closed walk at vertex 0 with offset sum `target`, by
+        the windowed search of `_find_homology_basis`: the window holds the
+        lifts within `radius` (max norm) of the start or of the end."""
+        start, goal = (0, (0, 0)), (0, target)
         radius = 2
         while True:
-            walk = self.covering_walk(0, 0, target, radius)
-            if walk is not None:
-                return list(walk)
+            prev: dict[tuple[int, Vec], Optional[tuple]] = {start: None}
+            queue = deque([start])
+            while queue:
+                node = queue.popleft()
+                if node == goal:
+                    walk = []
+                    while prev[node] is not None:
+                        node, a = prev[node]
+                        walk.append(a)
+                    return walk[::-1]
+                v, off = node
+                for a in self.out_arrows[v]:
+                    arr = self.arrows[a]
+                    o2 = vadd(off, arr.offset)
+                    if max(abs(o2[0] - target[0]), abs(o2[1] - target[1])) \
+                            > radius and max(abs(o2[0]), abs(o2[1])) > radius:
+                        continue
+                    nxt = (arr.head, o2)
+                    if nxt not in prev:
+                        prev[nxt] = (node, a)
+                        queue.append(nxt)
             radius *= 2
-
-    def covering_walk(self, i: int, j: int, hom: Vec, window: int,
-                      skip: Iterable[int] = ()) -> Optional[tuple[int, ...]]:
-        """A shortest walk i -> j with offset sum `hom` that uses no arrow
-        in `skip`, by breadth-first search on the covering graph Q0 x Z^2.
-        Only lifts within `window` (max norm) of the start or of the end
-        are visited; None means no such walk inside that window."""
-        skip = frozenset(skip)
-        start, target = (i, (0, 0)), (j, hom)
-        prev: dict[tuple[int, Vec], Optional[tuple]] = {start: None}
-        queue = deque([start])
-        while queue:
-            node = queue.popleft()
-            if node == target:
-                walk = []
-                while prev[node] is not None:
-                    node, a = prev[node]
-                    walk.append(a)
-                return tuple(reversed(walk))
-            v, off = node
-            for a in self.out_arrows[v]:
-                if a in skip:
-                    continue
-                arr = self.arrows[a]
-                o2 = vadd(off, arr.offset)
-                if max(abs(o2[0] - hom[0]), abs(o2[1] - hom[1])) > window \
-                        and max(abs(o2[0]), abs(o2[1])) > window:
-                    continue
-                nxt = (arr.head, o2)
-                if nxt not in prev:
-                    prev[nxt] = (node, a)
-                    queue.append(nxt)
-        return None
 
     def _check(self) -> None:
         ids = {a.id for a in self.arrows}

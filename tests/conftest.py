@@ -1,3 +1,4 @@
+import itertools
 import math
 import pathlib
 
@@ -126,3 +127,30 @@ def matching_counts_oracle(matchings, n_arrows):
             planes.append(carry)
     return [sum((p >> a & 1) << i for i, p in enumerate(planes))
             for a in range(n_arrows)]
+
+
+def _apply(mat, p):
+    a, b, c, d = mat
+    return (a * p[0] + b * p[1], c * p[0] + d * p[1])
+
+
+def polygon_normal_form_oracle(points):
+    """Oracle for `matchings.polygon_normal_form`: the least image over
+    every unimodular matrix with entries bounded by the point-set diameter
+    plus two."""
+    pts = list(points)
+    span = max(max(abs(p[0] - q[0]), abs(p[1] - q[1]))
+               for p in pts for q in pts) if len(pts) > 1 else 1
+    bound = span + 2
+
+    def image(mat):
+        img = [(_apply(mat, p), m) for p, m in points.items()]
+        mx = min(p[0] for p, _ in img)
+        my = min(p[1] for p, _ in img)
+        return tuple(sorted(((p[0] - mx, p[1] - my), m) for p, m in img))
+
+    # the identity is among the candidates, so the minimum is over a
+    # nonempty set
+    rng = range(-bound, bound + 1)
+    return min(image(mat) for mat in itertools.product(rng, repeat=4)
+               if mat[0] * mat[3] - mat[1] * mat[2] in (1, -1))

@@ -721,22 +721,3 @@ def test_lattice_points_cover_paths():
             d = td.weight(cls)
             pts = td._pieces(cls.tail, cls.head, d)[d]
             assert cls in pts
-
-
-def test_avoid_path():
-    for name in CONSISTENT:
-        td = toric(name)
-        pm = td.matchings[0]
-        for i in range(td.q.n_vertices):
-            # trivial case: empty path at the vertex itself
-            assert td.avoid_path(i, i, (0, 0), pm) == ()
-        found = 0
-        for a in td.q.arrows:
-            p = td.avoid_path(a.tail, a.head, a.offset, pm)
-            if p is not None:
-                found += 1
-                assert all(x not in pm.support for x in p)
-                cls = td.path_class(p, at=a.tail)
-                assert cls.tail == a.tail and cls.head == a.head
-                assert cls.hom == a.offset
-        assert found > 0

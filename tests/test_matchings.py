@@ -9,12 +9,12 @@ import sys
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import (ALL_FIXTURES, FIXTURES, NONDEGENERATE,
                       _extend_matchings_oracle, enumerate_matchings_oracle,
                       fixture_path, matching_counts_oracle,
-                      nondegeneracy_oracle)
+                      nondegeneracy_oracle, polygon_normal_form_oracle)
 from dimertools import matchings
 from dimertools.matchings import (PerfectMatching, bvn_decompose,
                                   coboundary, enumerate_matchings,
@@ -99,19 +99,62 @@ def test_polygon_shapes(load_quiver):
 
 UNIMODULAR = [(1, 0, 0, 1), (0, -1, 1, 0), (1, 1, 0, 1), (1, 0, 1, 1),
               (-1, 0, 0, -1), (2, 1, 1, 1), (1, -1, 0, 1), (3, 2, 1, 1)]
+POINT_SETS = st.dictionaries(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                             st.integers(1, 12), min_size=1, max_size=9)
 
 
-@given(mat=st.sampled_from(UNIMODULAR),
+@given(points=POINT_SETS, mat=st.sampled_from(UNIMODULAR),
        shift=st.tuples(st.integers(-5, 5), st.integers(-5, 5)))
-@settings(max_examples=40, deadline=None)
-def test_normal_form_invariance(mat, shift):
+@example(points={(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 12, (2, 1): 1,
+                 (1, 2): 1, (2, 2): 1}, mat=(3, 2, 1, 1), shift=(1, -2))
+@settings(max_examples=200, deadline=None)
+def test_normal_form_invariance(points, mat, shift):
     """The polygon normal form does not change under a lattice symmetry."""
     a, b, c, d = mat
-    points = {(0, 0): 1, (1, 0): 2, (0, 1): 2, (1, 1): 12, (2, 1): 1,
-              (1, 2): 1, (2, 2): 1}
     moved = {(a * x + b * y + shift[0], c * x + d * y + shift[1]): m
              for (x, y), m in points.items()}
     assert polygon_normal_form(points) == polygon_normal_form(moved)
+
+
+def random_point_sets(rng, count):
+    """Weighted point sets with coordinates in [-2, 2]: every fifth is
+    collinear along a random primitive direction, every tenth a single
+    point."""
+    out = []
+    for k in range(count):
+        if k % 10 == 9:
+            pts = [(rng.randint(-2, 2), rng.randint(-2, 2))]
+        elif k % 5 == 0:
+            dx, dy = rng.choice([(1, 0), (0, 1), (1, 1), (1, -1), (1, 2),
+                                 (2, 1), (1, -2), (2, -1)])
+            pts = [(t * dx, t * dy) for t in range(-2, 3)
+                   if abs(t * dx) <= 2 and abs(t * dy) <= 2]
+            pts = rng.sample(pts, rng.randint(2, len(pts)))
+        else:
+            pts = [(rng.randint(-2, 2), rng.randint(-2, 2))
+                   for _ in range(rng.randint(2, 8))]
+        out.append({p: rng.randint(1, 3) for p in pts})
+    return out
+
+
+def test_normal_form_matches_oracle():
+    """The hull-edge normal form equals the bounded matrix search of
+    `conftest` on the polygon of every model of `all_models` that has a
+    perfect matching, and on seeded random weighted point sets."""
+    for name in all_models():
+        ms = enumerated(name)[3]
+        if ms:
+            points = polygon(ms).points
+            assert (polygon_normal_form(points)
+                    == polygon_normal_form_oracle(points)), name
+    for points in random_point_sets(random.Random(18), 400):
+        assert (polygon_normal_form(points)
+                == polygon_normal_form_oracle(points)), points
+
+
+def test_normal_form_of_nothing_raises():
+    with pytest.raises(DimerError, match="empty"):
+        polygon_normal_form({})
 
 
 def test_bvn_round_trip():
