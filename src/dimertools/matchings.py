@@ -99,8 +99,8 @@ def pm_class(pi: Container[int], pi0: Container[int], q: Quiver) -> Vec:
 
 def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
                         ) -> list[PerfectMatching]:
-    """Complete duplicate-free matching list, classes against
-    `reference_matching(g)`, which comes first.
+    """Complete duplicate-free matching list, classes against the first,
+    which is `reference_matching(g)`.
 
     Each matching is built by matching the lowest uncovered vertex, in
     rotation order, so the covered-vertex mask decides every later choice
@@ -111,12 +111,9 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     and a suffix share no edge and the counts stay below 2^F, so no field
     carries into the next.  One descending sort orders by key, which is
     the lexicographic order of the sorted edge ids, as all supports have
-    the same size; a class is the counts minus the reference's.  A first
-    entry other than the reference raises DimerError.
+    the same size; so the first entry is the least support, and a class
+    is the counts minus the first entry's.
     """
-    pi0 = reference_matching(g)
-    if pi0 is None:
-        return []
     if q is None:
         q = Quiver(g)
     f = (len(q.gamma_x) + len(q.gamma_y)).bit_length() + 1
@@ -130,10 +127,10 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
               1 << (2 * n - 1 - e + low) | 1 << (e + low) | counts[e])
              for e, ed in enumerate(g.edges)]
     vals = _join([[edges[e] for e in rot] for rot in g.rotation],
-                 len(pi0) // 2)
+                 len(g.black_vertices) // 2)
     vals.sort(reverse=True)
-    bx, by = divmod(sum(counts[e] for e in pi0), 1 << f)
     edge_bits, cls_bits = (1 << n) - 1, (1 << low) - 1
+    bx, by = divmod(vals[0] & cls_bits if vals else 0, 1 << f)
     classes = {c: ((c >> f) - bx, (c & (1 << f) - 1) - by)
                for c in {v & cls_bits for v in vals}}
     new, set_bits = object.__new__, PerfectMatching.bits.__set__
@@ -144,9 +141,6 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
         set_bits(m, v >> low & edge_bits)
         set_cls(m, classes[v & cls_bits])
         out.append(m)
-    if not out or out[0].bits != edge_mask(pi0):
-        raise DimerError("the least enumerated matching is not the "
-                         "reference matching")
     return out
 
 

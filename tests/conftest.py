@@ -5,6 +5,7 @@ import pathlib
 import pytest
 
 import dimertools
+from dimertools import algebra
 from dimertools.matchings import (NondegeneracyReport, PerfectMatching,
                                   _covers, pm_class)
 from dimertools.rationallp import solve_lp
@@ -154,3 +155,69 @@ def polygon_normal_form_oracle(points):
     rng = range(-bound, bound + 1)
     return min(image(mat) for mat in itertools.product(rng, repeat=4)
                if mat[0] * mat[3] - mat[1] * mat[2] in (1, -1))
+
+
+def cy3_summands_oracle(td, max_degree, rank=None):
+    """Oracle for `ToricData.cy3_check`: the report from two int matrices
+    per summand, the differentials d2 and d3 at one lattice point, each
+    handed to `rank` (default `algebra._rank`), as the rung computed it
+    before it read the ranks from components."""
+    rank = algebra._rank if rank is None else rank
+    pre = td._reports.get(max_degree)
+    if pre is None:
+        pre = td.algebraic_consistency(max_degree)
+    if not pre.ok:
+        raise DimerError("algebraic consistency fails up to degree "
+                         f"{max_degree}: Calabi-Yau bases undefined")
+    failures = []
+    stats = []
+    nv = td.q.n_vertices
+    out_arrows, in_arrows = td.q.out_arrows, td.q.in_arrows
+    single = [(b.head, *b.offset, b.id in td.pi0) for b in td.q.arrows]
+    sides = {}
+    for a, (plus, minus) in td.rels.items():
+        c = td.path_class(plus)
+        sides[a] = (c.head, *c.hom, c.deg, plus[0], minus[0])
+    for j in range(nv):
+        into_j = [td._pieces(i, j, max_degree) for i in range(nv)]
+        in_plus = {(i, *m.hom, m.deg) for i in range(nv)
+                   for piece in into_j[i] for m in piece}
+        for d in range(max_degree + 1):
+            dim1 = dim2 = dim3 = r2 = r3 = 0
+            composite_zero = True
+            for i in range(nv):
+                for t in into_j[i][d]:
+                    (hx, hy), dg = t.hom, t.deg
+                    col_of = {}
+                    for b in out_arrows[i]:
+                        h, ox, oy, in0 = single[b]
+                        if (h, hx - ox, hy - oy, dg - in0) in in_plus:
+                            col_of[b] = len(col_of)
+                    rows2, row_of = [], {}
+                    for a in in_arrows[i]:
+                        h, cx, cy, cd, b_plus, b_minus = sides[a]
+                        if (h, hx - cx, hy - cy, dg - cd) in in_plus:
+                            row = [0] * len(col_of)
+                            row[col_of[b_plus]] += 1
+                            row[col_of[b_minus]] -= 1
+                            row_of[a] = len(rows2)
+                            rows2.append(row)
+                    rows3 = []
+                    if (i, hx, hy, dg - 1) in in_plus:
+                        rows3.append([0] * len(rows2))
+                        for a in in_arrows[i]:
+                            rows3[0][row_of[a]] -= 1
+                        composite_zero &= not any(map(sum, zip(*rows2)))
+                    dim1 += len(col_of)
+                    dim2 += len(rows2)
+                    dim3 += len(rows3)
+                    r2 += rank(rows2)
+                    r3 += rank(rows3)
+            if not composite_zero:
+                failures.append((j, d, "composite not zero"))
+            if r3 != dim3:
+                failures.append((j, d, "third differential not injective"))
+            if r2 + r3 != dim2:
+                failures.append((j, d, "complex not exact at second term"))
+            stats.append((j, d, dim1, dim2, dim3, r2, r3))
+    return algebra.Cy3Report(not failures, max_degree, failures, stats)

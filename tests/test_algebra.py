@@ -10,7 +10,8 @@ from collections import Counter, deque
 
 import pytest
 
-from conftest import CONSISTENT, NONDEGENERATE, bounding_box_lp
+from conftest import (CONSISTENT, NONDEGENERATE, bounding_box_lp,
+                      cy3_summands_oracle)
 from dimertools import algebra
 from dimertools.algebra import (AlgebraFailure, AlgebraReport, Cy3Report,
                                 PathClass, ToricData)
@@ -18,6 +19,7 @@ from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.rationallp import solve_lp
 from dimertools.surface import DimerError, fterm_relations, load_file
 from conftest import FIXTURES, fixture_path
+from test_fans import all_models
 
 
 def toric(name, **kw):
@@ -494,6 +496,35 @@ def test_cy3_matches_oracle():
             assert td.cy3_check(d) == cy3_oracle(td, d), (n, k)
 
 
+def test_cy3_matches_summand_oracle():
+    """Ranks from components give the report of the two matrices per
+    summand: on every model of `all_models` that builds ToricData, bar
+    square-4, at degree 4, lam and 2 lam up to 40 (790 pairs), with a stub
+    consistency report so that failing complexes are compared too; and on
+    conifold with one relation read the wrong way round."""
+    pairs = failing = 0
+    for name, g in all_models().items():
+        if name == "square-4":
+            continue
+        try:
+            td = ToricData(g)
+        except DimerError:
+            continue
+        for d in sorted({d for d in (4, td.lam, 2 * td.lam) if d <= 40}):
+            td._reports[d] = AlgebraReport(True, d, [], [])
+            rep = td.cy3_check(d)
+            assert rep == cy3_summands_oracle(td, d), (name, d)
+            pairs += 1
+            failing += not rep.ok
+    assert pairs == 790
+    assert failing == 76
+    td = toric("conifold")
+    td.rels[0] = td.rels[0][::-1]
+    rep = td.cy3_check(8)
+    assert rep == cy3_summands_oracle(td, 8)
+    assert "composite not zero" in {reason for _, _, reason in rep.failures}
+
+
 def closed_points_lp(td, max_weight):
     """Oracle: M_o^+ up to max_weight by bounding (h, dd) jointly with
     three-variable LPs, then listing dd per offset h."""
@@ -685,6 +716,44 @@ def test_pieces_match_box_scan(model, monkeypatch):
             want = [box_td._pieces(i, j, w)
                     for i in range(nv) for j in range(nv)]
         assert got == want, (model, w)
+
+
+def center_generators_oracle(td, max_weight):
+    """Oracle for `ToricData.center_generators`: the closed points that
+    are no sum of two nonzero closed points, by testing each point against
+    every other one."""
+    pts = [m for m in td.closed_points(max_weight)
+           if (m.hom, m.deg) != ((0, 0), 0)]
+    index = {(m.hom, m.deg) for m in pts}
+    gens = []
+    for m in pts:
+        decomposable = False
+        for m1 in pts:
+            rest = ((m.hom[0] - m1.hom[0], m.hom[1] - m1.hom[1]),
+                    m.deg - m1.deg)
+            if rest != ((0, 0), 0) and (m1.hom, m1.deg) != (m.hom, m.deg) \
+                    and rest in index:
+                decomposable = True
+                break
+        if not decomposable:
+            gens.append(m)
+    gens.sort(key=lambda m: (td.weight(m), m.hom, m.deg))
+    return gens
+
+
+def test_center_generators_match_oracle():
+    """Testing each point against the generators found before it gives
+    the generators of the pair loop, in the same order, on every fixture
+    with matchings and on gen-square 1-3, at lam, 2 lam and 3 lam."""
+    models = [(name, load_file(fixture_path(name))) for name in NONDEGENERATE]
+    models += [(f"square-{n}", pattern_to_dimer(square_pattern(n)))
+               for n in (1, 2, 3)]
+    for name, g in models:
+        td = ToricData(g)
+        for k in (1, 2, 3):
+            w = k * td.lam
+            assert td.center_generators(w) == center_generators_oracle(td, w), \
+                (name, k)
 
 
 def test_center_generators_hexagonal():

@@ -256,16 +256,6 @@ def test_enumeration_at_every_split(monkeypatch):
             assert enumerate_matchings(g, q) == want, (name, depth)
 
 
-def test_enumeration_checks_reference(monkeypatch):
-    """The sorted list must start with the reference matching; a wrong
-    reference is a DimerError, not a list with shifted classes."""
-    g = load_file(fixture_path("memeg"))
-    second = enumerate_matchings_oracle(g)[1].support
-    monkeypatch.setattr(matchings, "reference_matching", lambda _: second)
-    with pytest.raises(DimerError, match="reference"):
-        enumerate_matchings(g)
-
-
 def test_perfect_matching_has_no_dict():
     m = PerfectMatching.from_support(frozenset({0, 2}), (1, -1))
     assert not hasattr(m, "__dict__")

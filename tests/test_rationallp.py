@@ -258,32 +258,31 @@ def test_redundant_equalities_dropped():
 # -- the rank ----------------------------------------------------------------
 
 
-def test_rank_matches_oracle_on_cy3_matrices(monkeypatch):
+def test_rank_matches_oracle_on_cy3_matrices():
     """The CY3 differentials of the three `deep` benchmark models, two per
-    lattice point, none larger than the largest vertex valence.  xyloops
-    fails algebraic consistency, so cy3_check would refuse it; a stub
-    consistency report lets its matrices be built anyway."""
+    lattice point as `conftest.cy3_summands_oracle` builds them, none
+    larger than the largest vertex valence.  xyloops fails algebraic
+    consistency, so the oracle would refuse it; a stub consistency report
+    lets its matrices be built anyway."""
     matrices = []
-    rank = algebra._rank
 
     def record(rows):
         matrices.append(rows)
-        return rank(rows)
+        return algebra._rank(rows)
 
-    monkeypatch.setattr(algebra, "_rank", record)
     valence = 0
     for name, d in (("hexagonal", 10), ("nonmin_conifold", 11),
                     ("xyloops", 14)):
         td = ToricData(load_file(fixture_path(name)))
         td._reports[d] = AlgebraReport(True, d, [], [])
-        td.cy3_check(d)
+        conftest.cy3_summands_oracle(td, d, rank=record)
         valence = max(valence, *map(len, td.q.out_arrows + td.q.in_arrows))
     assert len(matrices) == 2772
     for rows in matrices:
         assert len(rows) <= valence
         assert all(len(r) <= valence for r in rows)
         assert all(type(x) is int for r in rows for x in r)
-        assert rank(rows) == oracle_rank(rows)
+        assert algebra._rank(rows) == oracle_rank(rows)
 
 
 def test_rank_matches_oracle_on_random_matrices():
