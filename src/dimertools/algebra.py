@@ -10,6 +10,9 @@ points, and no path is listed.  The Calabi-Yau complex is checked per
 lattice point too: its differentials keep the class, so it splits into
 one summand per point: a graph on the out-arrows of the point's tail,
 with one edge per F-term relation, whose ranks are read from components.
+Both kernels key a lattice point by one int, its coordinates as digits of
+a radix large enough for every lookup, and an arrow, a relation side or
+the face cycle acts on keys by adding or subtracting its delta.
 """
 
 from __future__ import annotations
@@ -17,7 +20,9 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import chain
+from operator import attrgetter
+from typing import Iterable, Optional, Sequence
 
 from .matchings import edge_mask, enumerate_matchings
 # not called here; perfbench/spans.py traces `algebra.solve_lp` by name
@@ -26,9 +31,9 @@ from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
                       vadd, vsub)
 from .symmetry import default_r_symmetry
 
-# a lattice point as (tail, head, hx, hy, deg), cheaper to hash than a
-# PathClass
-_Key = tuple[int, int, int, int, int]
+# per lattice point key: paths, F-term classes, offset of each first arrow
+# in the flat list of pairs, F-class of each pair
+_Reached = dict[int, tuple[int, int, dict[int, int], tuple[int, ...]]]
 
 
 @dataclass(frozen=True)
@@ -288,78 +293,125 @@ class ToricData:
 
     # -- consistency ------------------------------------------------------
 
-    def _fterm_classes(self, max_degree: int
-                       ) -> dict[_Key, tuple[int, int, dict]]:
-        """Per lattice point up to max_degree that some path reaches, keyed
-        (tail, head, hx, hy, deg): its number of paths, its number of
-        F-term classes, and the F-class of each of its pairs.
+    def _radix(self, points: Iterable[PathClass]) -> int:
+        """The radix R of the keys of `points`, the lattice points of the
+        graded pieces of every vertex pair up to a degree.
+
+        A point m is keyed ((deg*R + hx)*R + hy)*nv^2 + head*nv + tail
+        (`_keys`), and prepending an arrow x of class (in_pi0, ox, oy) to a
+        path adds D[x] = ((in_pi0*R + ox)*R + oy)*nv^2 + tail(x) - head(x)
+        (`_deltas`).  The kernels look up m - x for an arrow, a relation
+        side or the face cycle x starting at m's tail, whose delta is the
+        sum of its arrows' deltas (R^2*nv^2 for the face cycle, which is
+        null-homologous and meets the reference matching once).  Let B be
+        the largest |hx| or |hy| of a point, and E the largest offset
+        component of an arrow, a relation side or the face cycle.  Then
+        R = 2(B + E) + 1 keeps the hom of every such m - x, in M^+ or
+        not, a pair of balanced digits, |hx - ox| <= B + E = (R - 1)/2,
+        and its low part head(m)*nv + head(x) in [0, nv^2).  So a key is
+        read back digit by digit, deg being the unbounded top digit, and
+        distinct coordinates have distinct keys.
+        """
+        b = max(map(abs, chain.from_iterable(map(attrgetter("hom"),
+                                                 points))), default=0)
+        offsets = [a.offset for a in self.q.arrows] + [
+            self.path_class(plus).hom for plus, _ in self.rels.values()]
+        e = max(abs(c) for x in offsets for c in x)
+        return 2 * (b + e) + 1
+
+    def _deltas(self, r: int) -> list[int]:
+        """Per arrow x, D[x]: the key of x.p less that of p at radix r."""
+        nv2 = self.q.n_vertices ** 2
+        return [(((a.id in self.pi0) * r + a.offset[0]) * r + a.offset[1])
+                * nv2 + a.tail - a.head for a in self.q.arrows]
+
+    def _fterm_classes(self, max_degree: int) -> tuple[int, _Reached]:
+        """The radix R of `_radix` and, per lattice point up to max_degree
+        that some path reaches, keyed by `_keys` at radix R: its number of
+        paths, its number of F-term classes, the offset of each first
+        arrow a in its flat list of pairs, and the F-class of each pair.
 
         The points are visited in order of weight, which every arrow
         raises.  A path of class m is an arrow a out of m's tail followed
         by a path of class m - a, so the F-classes of m are the pairs
-        (a, F-class of m - a) up to rewrites at position 0.  A rewrite
-        a.u -> b.v glues (a, [u.w]) to (b, [v.w]) in a union-find for
-        every F-class [w] of m - class(a.u); [u.w] is read from finished
-        points by prepending the arrows of u one at a time.  A rewrite
-        further right changes only the tail, whose F-class is already the
-        pair's second entry.  Gluing is symmetric, so each relation is
-        read one way.  No path is listed.
+        (a, F-class of m - a) up to rewrites at position 0; the pair (a, c)
+        sits at the offset of a plus c.  A rewrite a.u -> b.v glues (a,
+        [u.w]) to (b, [v.w]) in a union-find for every F-class [w] of m -
+        class(a.u); [u.w] is read from finished points by prepending the
+        arrows of u one at a time, adding each one's delta to the key.  A
+        rewrite further right changes only the tail, whose F-class is
+        already the pair's second entry.  Gluing is symmetric, so each
+        relation is read one way; a point with one pair is one class, and
+        gluing stops once all pairs are.  No path is listed.
         """
         nv = self.q.n_vertices
-        steps = [(a.tail, a.head, a.offset[0], a.offset[1], a.id in self.pi0)
-                 for a in self.q.arrows]
-        glue: list[list[tuple]] = [[] for _ in range(nv)]
-        for plus, minus in self.rels.values():
-            c = self.path_class(plus)
-            glue[c.tail].append((c.head, *c.hom, c.deg, plus, minus))
         by_weight: list[list[PathClass]] = [[] for _ in range(max_degree + 1)]
         for i in range(nv):
             for j in range(nv):
                 for d, pts in enumerate(self._pieces(i, j, max_degree)):
                     by_weight[d] += pts
-        reached: dict[_Key, tuple[int, int, dict]] = {}
+        r = self._radix(chain.from_iterable(by_weight))
+        delta = self._deltas(r)
+        steps = [[(a, delta[a]) for a in out] for out in self.q.out_arrows]
+        # per tail, each relation a.u = b.v as (delta, a, u reversed with
+        # deltas, b, v reversed with deltas)
+        glue: list[list[tuple]] = [[] for _ in range(nv)]
+        for plus, minus in self.rels.values():
+            glue[self.q.arrows[plus[0]].tail].append(
+                (sum(delta[x] for x in plus),
+                 plus[0], [(x, delta[x]) for x in plus[:0:-1]],
+                 minus[0], [(x, delta[x]) for x in minus[:0:-1]]))
+        empty = {i * (nv + 1) for i in range(nv)}
+        reached: _Reached = {}
 
-        def prepend(u: tuple[int, ...], p: _Key, c: int) -> int:
+        def prepend(u: list[tuple[int, int]], p: int, c: int) -> int:
             """The F-class of u.w, for w of F-class c at point p."""
-            for x in reversed(u):
-                t, _, ox, oy, in0 = steps[x]
-                p = (t, p[1], p[2] + ox, p[3] + oy, p[4] + in0)
-                c = reached[p][2][(x, c)]
+            for x, dx in u:
+                p += dx
+                _, _, base, flat = reached[p]
+                c = flat[base[x] + c]
             return c
 
-        for pts in by_weight:
-            for m in pts:
-                i, j, (hx, hy), dg = m.tail, m.head, m.hom, m.deg
-                key = (i, j, hx, hy, dg)
-                if i == j and key[2:] == (0, 0, 0):     # the empty path
-                    reached[key] = (1, 1, {})
+        for keys in _keys(by_weight, r, nv):
+            for k in keys:
+                if k in empty:
+                    reached[k] = (1, 1, {}, ())
                     continue
-                pairs: list[tuple[int, int]] = []
-                n = 0
-                for a in self.q.out_arrows[i]:
-                    _, h, ox, oy, in0 = steps[a]
-                    rest = reached.get((h, j, hx - ox, hy - oy, dg - in0))
+                i = k % nv
+                base: dict[int, int] = {}
+                n = size = 0
+                for a, da in steps[i]:
+                    rest = reached.get(k - da)
                     if rest:
                         n += rest[0]
-                        pairs += [(a, c) for c in range(rest[1])]
-                if not pairs:
+                        base[a] = size
+                        size += rest[1]
+                if size == 1:
+                    reached[k] = (n, 1, base, (0,))
                     continue
-                index = {pair: k for k, pair in enumerate(pairs)}
-                parent = list(range(len(pairs)))
-                for th, cx, cy, cd, lhs, rhs in glue[i]:
-                    p = (th, j, hx - cx, hy - cy, dg - cd)
+                if not size:
+                    continue
+                parent = list(range(size))
+                ncls = size
+                for dp, a0, u, b0, v in glue[i]:
+                    p = k - dp
                     for c in range(reached[p][1] if p in reached else 0):
-                        x = _find(parent, index[(lhs[0],
-                                                 prepend(lhs[1:], p, c))])
-                        y = _find(parent, index[(rhs[0],
-                                                 prepend(rhs[1:], p, c))])
-                        parent[x] = y
-                roots: dict[int, int] = {}
-                of_pair = {pair: roots.setdefault(_find(parent, k),
-                                                  len(roots))
-                           for k, pair in enumerate(pairs)}
-                reached[key] = (n, len(roots), of_pair)
-        return reached
+                        x = _find(parent, base[a0] + prepend(u, p, c))
+                        y = _find(parent, base[b0] + prepend(v, p, c))
+                        if x != y:
+                            parent[x] = y
+                            ncls -= 1
+                    if ncls == 1:
+                        break
+                if ncls == 1:
+                    flat = (0,) * size
+                else:
+                    roots: dict[int, int] = {}
+                    flat = tuple([roots.setdefault(_find(parent, x),
+                                                   len(roots))
+                                  for x in range(size)])
+                reached[k] = (n, ncls, base, flat)
+        return r, reached
 
     def algebraic_consistency(self, max_degree: int) -> AlgebraReport:
         """Compare path classes up to the degree bound with the lattice
@@ -376,13 +428,16 @@ class ToricData:
         failures: list[AlgebraFailure] = []
         stats = []
         nv = self.q.n_vertices
-        reached = self._fterm_classes(max_degree)
+        radix, reached = self._fterm_classes(max_degree)
         for i in range(nv):
             for j in range(nv):
-                for d, pts in enumerate(self._pieces(i, j, max_degree)):
+                pieces = self._pieces(i, j, max_degree)
+                keys = _keys(pieces, radix, nv)
+                for d, pts in enumerate(pieces):
                     ncls = 0
-                    for m in pts:
-                        r = reached.get((i, j, *m.hom, m.deg))
+                    # no zip for an empty piece: most are, at high degree
+                    for m, k in zip(pts, keys[d]) if pts else ():
+                        r = reached.get(k)
                         if r is None:
                             failures.append(AlgebraFailure(
                                 "surjectivity", m, d,
@@ -421,8 +476,10 @@ class ToricData:
         A signed incidence matrix of a graph with n vertices and c
         components (isolated ones included) has rank n - c, a loop being a
         zero row, and F2 o F3 = 0 iff each column is b+ as often as b-.  So
-        exactness is read from counts, with no matrix.  Reuses the
-        algebraic consistency report of the same degree bound if any.
+        exactness is read from counts, with no matrix.  Points are keyed by
+        one int (`_radix`), so t - b, t - p_a^+ and t - w are subtractions
+        of deltas.  Reuses the algebraic consistency report of the same
+        degree bound if any.
         """
         pre = self._reports.get(max_degree)
         if pre is None:
@@ -433,48 +490,53 @@ class ToricData:
         failures: list[tuple[int, int, str]] = []
         stats = []
         nv = self.q.n_vertices
-        out_arrows, in_arrows = self.q.out_arrows, self.q.in_arrows
-        # per arrow b, its head and class; per arrow a, the head and class
-        # of p_a^+ and the first arrows of p_a^+ and p_a^-
-        single = [(b.head, *b.offset, b.id in self.pi0)
-                  for b in self.q.arrows]
-        sides = {}
-        for a, (plus, minus) in self.rels.items():
-            c = self.path_class(plus)
-            sides[a] = (c.head, *c.hom, c.deg, plus[0], minus[0])
+        # into[j][d]: the points of weight d of M_ij^+, i = 0, 1, ...
+        into = [[[] for _ in range(max_degree + 1)] for _ in range(nv)]
+        for i in range(nv):
+            for j in range(nv):
+                for d, pts in enumerate(self._pieces(i, j, max_degree)):
+                    into[j][d] += pts
+        r = self._radix(chain.from_iterable(chain.from_iterable(into)))
+        keys = [_keys(into_j, r, nv) for into_j in into]
+        in_plus = set(chain.from_iterable(chain.from_iterable(keys)))
+        delta = self._deltas(r)
+        outs = [[(b, delta[b]) for b in out] for out in self.q.out_arrows]
+        # per in-arrow a, the delta of p_a^+ and the first arrows of p_a^+-
+        ins = [[(sum(delta[x] for x in self.rels[a][0]),
+                 self.rels[a][0][0], self.rels[a][1][0]) for a in arrows]
+               for arrows in self.q.in_arrows]
+        # the face cycle: null-homologous (Quiver checks every face) and
+        # meeting the reference matching once
+        d_w = r * r * nv * nv
         for j in range(nv):
-            into_j = [self._pieces(i, j, max_degree) for i in range(nv)]
-            in_plus = {(i, *m.hom, m.deg) for i in range(nv)
-                       for piece in into_j[i] for m in piece}
             for d in range(max_degree + 1):
                 dim1 = dim2 = dim3 = r2 = 0
                 composite_zero = True
-                for i in range(nv):
-                    for t in into_j[i][d]:
-                        (hx, hy), dg = t.hom, t.deg
-                        col_of: dict[int, int] = {}
-                        for b in out_arrows[i]:
-                            h, ox, oy, in0 = single[b]
-                            if (h, hx - ox, hy - oy, dg - in0) in in_plus:
-                                col_of[b] = len(col_of)
-                        parent = list(range(len(col_of)))
-                        # per column, how often it is b+ less how often b-
-                        excess = [0] * len(col_of)
-                        for a in in_arrows[i]:
-                            h, cx, cy, cd, b_plus, b_minus = sides[a]
-                            if (h, hx - cx, hy - cy, dg - cd) in in_plus:
-                                x, y = col_of[b_plus], col_of[b_minus]
-                                excess[x] += 1
-                                excess[y] -= 1
-                                parent[_find(parent, x)] = _find(parent, y)
-                                dim2 += 1
-                        # w is null-homologous (Quiver checks every face)
-                        # and meets the reference matching once
-                        if (i, hx, hy, dg - 1) in in_plus:
-                            dim3 += 1
-                            composite_zero &= not any(excess)
-                        dim1 += len(col_of)
-                        r2 += sum(k != p for k, p in enumerate(parent))
+                for t in keys[j][d]:
+                    i = t % nv
+                    col_of: dict[int, int] = {}
+                    for b, db in outs[i]:
+                        if t - db in in_plus:
+                            col_of[b] = len(col_of)
+                    parent = list(range(len(col_of)))
+                    # per column, how often it is b+ less how often b-
+                    excess = [0] * len(col_of)
+                    for dp, b_plus, b_minus in ins[i]:
+                        if t - dp in in_plus:
+                            x, y = col_of[b_plus], col_of[b_minus]
+                            excess[x] += 1
+                            excess[y] -= 1
+                            dim2 += 1
+                            # each union of two components adds 1 to
+                            # the rank
+                            x, y = _find(parent, x), _find(parent, y)
+                            if x != y:
+                                parent[x] = y
+                                r2 += 1
+                    if t - d_w in in_plus:
+                        dim3 += 1
+                        composite_zero &= not any(excess)
+                    dim1 += len(col_of)
                 if not composite_zero:
                     failures.append((j, d, "composite not zero"))
                 if r2 + dim3 != dim2:
@@ -483,12 +545,6 @@ class ToricData:
         return Cy3Report(not failures, max_degree, failures, stats)
 
     # -- the center -------------------------------------------------------
-
-    def closed_points(self, max_weight: int) -> list[PathClass]:
-        """All elements of M_o^+ (closed classes nonnegative on every
-        matching) of weight at most max_weight, in (hom, deg) order."""
-        return sorted((m for piece in self._pieces(0, 0, max_weight)
-                       for m in piece), key=lambda m: (m.hom, m.deg))
 
     def center_generators(self, max_weight: int) -> list[PathClass]:
         """Closed lattice points that are not sums of two smaller nonzero
@@ -510,6 +566,17 @@ class ToricData:
                            for g in gens):
                     gens.append(m)
         return gens
+
+
+def _keys(pieces: Sequence[Sequence[PathClass]], r: int, nv: int
+          ) -> list[Sequence[int]]:
+    """The keys of the lattice points of each piece at radix r
+    (`ToricData._radix`) in a quiver of nv vertices."""
+    nv2 = nv * nv
+    # most pieces are empty at high degree; they share one empty tuple, as
+    # a list apiece costs allocation and garbage collection
+    return [[((m.deg * r + m.hom[0]) * r + m.hom[1]) * nv2 + m.head * nv
+             + m.tail for m in piece] if piece else () for piece in pieces]
 
 
 def _find(parent: list[int], x: int) -> int:

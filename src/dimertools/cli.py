@@ -97,14 +97,14 @@ def cmd_report(args, rep: Reporter) -> int:
               "summary": f"degree {td.lam} from {len(td.matchings)} "
               "matchings"})
 
-    af = symmetry.find_anomaly_free(q)
+    paths = zigzag.zigzag_paths(q)
+    af = symmetry.find_anomaly_free(q, paths=paths)
     rep.emit({"kind": "rung", "name": "anomaly-free", "ok": af is not None,
               "summary": "anomaly-free R-symmetry found" if af else
               "vertex equations infeasible"})
     if af is None:
         return 1
 
-    paths = zigzag.zigzag_paths(q)
     geo = zigzag.geometric_check(paths)
     kinds = dict(Counter(type(f).__name__ for f in geo.failures))
     summary = f"{len(paths)} zig-zag paths behave like lines" \
@@ -185,8 +185,9 @@ def cmd_extremal(args, rep: Reporter) -> int:
         return 1
     fan = fans.global_fan(paths)
     systems = {ray: fans.boundary_system(q, paths, ray) for ray in fan.rays}
+    reference = matchings.reference_matching(g)
     for sigma in fan.cones:
-        ext = fans.extremal_matching(q, paths, sigma)
+        ext = fans.extremal_matching(q, paths, sigma, reference=reference)
         rep.emit({"kind": "cone",
                   "rays": [list(sigma[0]), list(sigma[1])],
                   "vertex": list(ext.matching.cls),

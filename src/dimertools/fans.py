@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .matchings import (PerfectMatching, edge_mask, pm_class,
                         reference_matching)
@@ -85,10 +85,13 @@ def global_fan(paths: Sequence[ZigZagPath]) -> Fan2D:
     return Fan2D(tuple(angular_sort(sorted(set(p.cls for p in paths)))))
 
 
-def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone
+def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone,
+                      *, reference: Optional[frozenset[int]] = None
                       ) -> ExtremalMatching:
     """The perfect matching P of a cone of the global fan, its class
-    taken against the reference matching of `enumerate_matchings`.
+    taken against the reference matching of `enumerate_matchings`, the
+    support `reference` if given, else searched for by
+    `reference_matching`.
 
     Every arrow is the zag of one path and the zig of another; in both its
     faces it tags the local cone running counterclockwise from the class
@@ -111,8 +114,10 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone
     for f in q.faces:
         if sum(a in support for a in f.boundary) != 1:
             raise DimerError("cone tags do not form a perfect matching")
-    pm = PerfectMatching.from_support(support, pm_class(
-        support, reference_matching(q.graph), q))
+    if reference is None:
+        reference = reference_matching(q.graph)
+    pm = PerfectMatching.from_support(support, pm_class(support, reference,
+                                                        q))
     return ExtremalMatching(sigma, pm)
 
 

@@ -30,7 +30,7 @@ from typing import Optional, Sequence
 from .matchings import PerfectMatching
 from .rationallp import solve_lp
 from .surface import DimerError, Quiver
-from .zigzag import angular_sort, crossing_paths, zigzag_paths
+from .zigzag import ZigZagPath, angular_sort, crossing_paths, zigzag_paths
 
 
 @dataclass(frozen=True)
@@ -85,43 +85,51 @@ def _vertex_stars(q: Quiver) -> list[tuple[list[int], int]]:
             for inc, out in zip(q.in_arrows, q.out_arrows)]
 
 
-def find_anomaly_free(q: Quiver) -> Optional[WeightFunction]:
+def find_anomaly_free(q: Quiver, *,
+                      paths: Optional[Sequence[ZigZagPath]] = None
+                      ) -> Optional[WeightFunction]:
     """An anomaly-free R-symmetry normalized to degree 2, or None.
 
     Solves: coboundary = 2 on every face, vertex anomaly equations, all
     weights positive; among solutions the minimum weight is maximized.
     The zig-zag angle candidate is returned when it solves the equations
     and its least weight is min over faces of 2/|f|, a bound on every
-    solution; otherwise the exact LP decides.
+    solution; otherwise the exact LP decides.  `paths`, the zig-zag paths
+    of q, are built when not given.
     """
-    return _solve_weights(q, rhombic=False)
+    return _solve_weights(q, rhombic=False, paths=paths)
 
 
-def find_rhombic(q: Quiver) -> Optional[WeightFunction]:
+def find_rhombic(q: Quiver, *, paths: Optional[Sequence[ZigZagPath]] = None
+                 ) -> Optional[WeightFunction]:
     """An anomaly-free solution with every weight in the open interval
     (0,1); weights times pi are then rhombus angles.
 
     The least of R_a and 1 - R_a is maximized.  The zig-zag angle
     candidate is returned when it meets the face bound min over faces of
     min(2/|f|, 1 - 2/|f|), and None when a face has at most two arrows;
-    otherwise the exact LP decides.
+    otherwise the exact LP decides.  `paths`, the zig-zag paths of q, are
+    built when not given.
     """
-    return _solve_weights(q, rhombic=True)
+    return _solve_weights(q, rhombic=True, paths=paths)
 
 
-def _solve_weights(q: Quiver, rhombic: bool) -> Optional[WeightFunction]:
+def _solve_weights(q: Quiver, rhombic: bool,
+                   paths: Optional[Sequence[ZigZagPath]]
+                   ) -> Optional[WeightFunction]:
     bounds = [Fraction(2, len(f.boundary)) for f in q.faces]
     if rhombic:
         bounds += [1 - b for b in bounds]
     bound = min(bounds)
     if bound <= 0:
         return None
-    wf = _angle_weights(q, rhombic, bound)
+    wf = _angle_weights(q, rhombic, bound,
+                        zigzag_paths(q) if paths is None else paths)
     return wf if wf is not None else _lp_weights(q, rhombic)
 
 
-def _angle_weights(q: Quiver, rhombic: bool, bound: Fraction
-                   ) -> Optional[WeightFunction]:
+def _angle_weights(q: Quiver, rhombic: bool, bound: Fraction,
+                   paths: Sequence[ZigZagPath]) -> Optional[WeightFunction]:
     """The R of the zig-zag ray angles if it solves the equations of
     `_lp_weights` and its least weight is the face bound, which makes it an
     optimum of that LP; else None.
@@ -130,7 +138,6 @@ def _angle_weights(q: Quiver, rhombic: bool, bound: Fraction
     the angle 2k/m (in units of pi), and arrow a gets the angle from its
     zag class to its zig class, 2((k(zig) - k(zag)) mod m)/m.
     """
-    paths = zigzag_paths(q)
     classes = {p.cls for p in paths}
     if (0, 0) in classes or len(classes) < 2:
         return None

@@ -221,3 +221,66 @@ def cy3_summands_oracle(td, max_degree, rank=None):
                 failures.append((j, d, "complex not exact at second term"))
             stats.append((j, d, dim1, dim2, dim3, r2, r3))
     return algebra.Cy3Report(not failures, max_degree, failures, stats)
+
+
+def fterm_classes_oracle(td, max_degree):
+    """Oracle for `ToricData._fterm_classes`: per lattice point up to
+    max_degree that some path reaches, keyed (tail, head, hx, hy, deg), its
+    number of paths, its number of F-term classes and the F-class of each
+    (first arrow, F-class of the rest) pair, with every step on a 5-tuple,
+    as the kernel computed it before it keyed points by one int."""
+    nv = td.q.n_vertices
+    steps = [(a.tail, a.head, a.offset[0], a.offset[1], a.id in td.pi0)
+             for a in td.q.arrows]
+    glue = [[] for _ in range(nv)]
+    for plus, minus in td.rels.values():
+        c = td.path_class(plus)
+        glue[c.tail].append((c.head, *c.hom, c.deg, plus, minus))
+    by_weight = [[] for _ in range(max_degree + 1)]
+    for i in range(nv):
+        for j in range(nv):
+            for d, pts in enumerate(td._pieces(i, j, max_degree)):
+                by_weight[d] += pts
+    reached = {}
+
+    def prepend(u, p, c):
+        for x in reversed(u):
+            t, _, ox, oy, in0 = steps[x]
+            p = (t, p[1], p[2] + ox, p[3] + oy, p[4] + in0)
+            c = reached[p][2][(x, c)]
+        return c
+
+    for pts in by_weight:
+        for m in pts:
+            i, j, (hx, hy), dg = m.tail, m.head, m.hom, m.deg
+            key = (i, j, hx, hy, dg)
+            if i == j and key[2:] == (0, 0, 0):     # the empty path
+                reached[key] = (1, 1, {})
+                continue
+            pairs = []
+            n = 0
+            for a in td.q.out_arrows[i]:
+                _, h, ox, oy, in0 = steps[a]
+                rest = reached.get((h, j, hx - ox, hy - oy, dg - in0))
+                if rest:
+                    n += rest[0]
+                    pairs += [(a, c) for c in range(rest[1])]
+            if not pairs:
+                continue
+            index = {pair: k for k, pair in enumerate(pairs)}
+            parent = list(range(len(pairs)))
+            for th, cx, cy, cd, lhs, rhs in glue[i]:
+                p = (th, j, hx - cx, hy - cy, dg - cd)
+                for c in range(reached[p][1] if p in reached else 0):
+                    x = algebra._find(parent, index[(lhs[0],
+                                                     prepend(lhs[1:], p, c))])
+                    y = algebra._find(parent, index[(rhs[0],
+                                                     prepend(rhs[1:], p, c))])
+                    parent[x] = y
+            roots = {}
+            of_pair = {pair: roots.setdefault(algebra._find(parent, k),
+                                              len(roots))
+                       for k, pair in enumerate(pairs)}
+            reached[key] = (n, len(roots), of_pair)
+    return reached
+

@@ -11,7 +11,7 @@ from collections import Counter, deque
 import pytest
 
 from conftest import (CONSISTENT, NONDEGENERATE, bounding_box_lp,
-                      cy3_summands_oracle)
+                      cy3_summands_oracle, fterm_classes_oracle)
 from dimertools import algebra
 from dimertools.algebra import (AlgebraFailure, AlgebraReport, Cy3Report,
                                 PathClass, ToricData)
@@ -525,6 +525,101 @@ def test_cy3_matches_summand_oracle():
     assert "composite not zero" in {reason for _, _, reason in rep.failures}
 
 
+def point_key(m, r, nv):
+    """The key of one lattice point at radix r."""
+    return algebra._keys([[m]], r, nv)[0][0]
+
+
+def test_fterm_classes_match_oracle():
+    """Int keys and deltas give the tuple-keyed kernel's paths, F-term
+    classes and F-class of every pair at every lattice point: on every
+    model of `all_models` that builds ToricData, bar square-4, at degree
+    4, lam and 2 lam up to 40 (790 pairs)."""
+    pairs = 0
+    for name, g in all_models().items():
+        if name == "square-4":
+            continue
+        try:
+            td = ToricData(g)
+        except DimerError:
+            continue
+        nv = td.q.n_vertices
+        for d in sorted({d for d in (4, td.lam, 2 * td.lam) if d <= 40}):
+            r, got = td._fterm_classes(d)
+            want = {}
+            for (i, j, hx, hy, dg), (n, ncls, of_pair) in \
+                    fterm_classes_oracle(td, d).items():
+                want[point_key(PathClass(i, j, (hx, hy), dg), r, nv)] = (
+                    n, ncls, of_pair)
+            assert got.keys() == want.keys(), (name, d)
+            for k, (n, ncls, base, flat) in got.items():
+                ends = [*base.values(), len(flat)][1:]
+                of_pair = {(a, c): flat[b + c]
+                           for (a, b), end in zip(base.items(), ends)
+                           for c in range(end - b)}
+                assert (n, ncls, of_pair) == want[k], (name, d, k)
+            pairs += 1
+    assert pairs == 790
+
+
+def decode_key(k, r, nv):
+    """(tail, head, hom, deg) read back from a key digit by digit, hx and
+    hy as balanced digits of radix r."""
+    high, low = divmod(k, nv * nv)
+    hom = []
+    for _ in range(2):
+        high, digit = divmod(high, r)
+        if digit > (r - 1) // 2:
+            high, digit = high + 1, digit - r
+        hom.insert(0, digit)
+    return (low % nv, low // nv, tuple(hom), high)
+
+
+def test_keys_distinct_on_neighbours():
+    """At radix `_radix`, the keys of the lattice points up to 2 lam and
+    of their neighbours one arrow, relation side or face cycle away on
+    either side read back to their coordinates, so they are distinct, the
+    points of extreme hom included, on every fixture that builds
+    ToricData; and adding a delta to a key gives the neighbour's key."""
+    for name in NONDEGENERATE:
+        td = toric(name)
+        nv, d = td.q.n_vertices, 2 * td.lam
+        points = [m for i in range(nv) for j in range(nv)
+                  for piece in td._pieces(i, j, d) for m in piece]
+        r = td._radix(points)
+        delta = td._deltas(r)
+        # each step as (tail, head, hom, deg, delta)
+        steps = [(a.tail, a.head, a.offset, a.id in td.pi0, delta[a.id])
+                 for a in td.q.arrows]
+        for plus, _ in td.rels.values():
+            c = td.path_class(plus)
+            steps.append((c.tail, c.head, c.hom, c.deg,
+                          sum(delta[x] for x in plus)))
+        steps += [(v, v, (0, 0), 1, r * r * nv * nv) for v in range(nv)]
+        key_of = {}
+        for m in points:
+            k = point_key(m, r, nv)
+            key_of[(m.tail, m.head, m.hom, m.deg)] = k
+            for t, h, (ox, oy), dg, dx in steps:
+                if t == m.tail:        # m less the step
+                    key_of[(h, m.head, (m.hom[0] - ox, m.hom[1] - oy),
+                            m.deg - dg)] = k - dx
+                if h == m.tail:        # the step followed by m
+                    key_of[(t, m.head, (m.hom[0] + ox, m.hom[1] + oy),
+                            m.deg + dg)] = k + dx
+        for (t, h, hom, dg), k in key_of.items():
+            assert point_key(PathClass(t, h, hom, dg), r, nv) == k
+            assert decode_key(k, r, nv) == (t, h, hom, dg), name
+        assert len(set(key_of.values())) == len(key_of), name
+
+
+def closed_points(td, max_weight):
+    """All elements of M_o^+ (closed classes nonnegative on every matching)
+    of weight at most max_weight, in (hom, deg) order."""
+    return sorted((m for piece in td._pieces(0, 0, max_weight)
+                   for m in piece), key=lambda m: (m.hom, m.deg))
+
+
 def closed_points_lp(td, max_weight):
     """Oracle: M_o^+ up to max_weight by bounding (h, dd) jointly with
     three-variable LPs, then listing dd per offset h."""
@@ -562,7 +657,7 @@ def test_closed_points_match_lp_oracle(model):
         td = toric(model)
     lam = td.lam
     for w in (0, 1, lam, 2 * lam, 3 * lam + 1):
-        got = [(m.hom, m.deg) for m in td.closed_points(w)]
+        got = [(m.hom, m.deg) for m in closed_points(td, w)]
         assert got == closed_points_lp(td, w), (model, w)
 
 
@@ -620,7 +715,7 @@ def test_pieces_match_lp_oracle(model):
             for d in range(top + 1):
                 assert td._pieces(i, j, d)[d] == pieces[d]
                 assert pieces[d] == piece_lp(td, i, j, d), (model, i, j, d)
-    assert [(m.hom, m.deg) for m in td.closed_points(0)] == [((0, 0), 0)]
+    assert [(m.hom, m.deg) for m in closed_points(td, 0)] == [((0, 0), 0)]
 
 
 def column_points(cons):
@@ -722,7 +817,7 @@ def center_generators_oracle(td, max_weight):
     """Oracle for `ToricData.center_generators`: the closed points that
     are no sum of two nonzero closed points, by testing each point against
     every other one."""
-    pts = [m for m in td.closed_points(max_weight)
+    pts = [m for m in closed_points(td, max_weight)
            if (m.hom, m.deg) != ((0, 0), 0)]
     index = {(m.hom, m.deg) for m in pts}
     gens = []

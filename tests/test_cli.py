@@ -313,26 +313,51 @@ def test_svg_index_out_of_range(capsys, argv):
     assert len(err.splitlines()) == 1 and "out of range" in err
 
 
+def counting_calls(monkeypatch, calls, name, modules):
+    """Wrap `name` in each of `modules`, appending name to calls per call."""
+    for module in modules:
+        original = getattr(module, name)
+
+        def wrapper(*args, original=original, **kwargs):
+            calls.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+
 def test_report_enumerates_matchings_once(capsys, monkeypatch):
     from dimertools import algebra, matchings, symmetry
     calls = []
-
-    def counting(module, name):
-        original = getattr(module, name)
-
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return original(*args, **kwargs)
-        return wrapper
-
-    for module in (matchings, algebra):
-        monkeypatch.setattr(module, "enumerate_matchings",
-                            counting(module, "enumerate_matchings"))
-    for module in (symmetry, algebra):
-        monkeypatch.setattr(module, "default_r_symmetry",
-                            counting(module, "default_r_symmetry"))
+    counting_calls(monkeypatch, calls, "enumerate_matchings",
+                   (matchings, algebra))
+    counting_calls(monkeypatch, calls, "default_r_symmetry",
+                   (symmetry, algebra))
     assert run(capsys, "report", fixture_path("memeg"))[0] == 0
     assert sorted(calls) == ["default_r_symmetry", "enumerate_matchings"]
+
+
+def test_report_builds_zigzag_paths_once(capsys, monkeypatch):
+    """`report` builds the zig-zag paths once and hands them to the
+    anomaly-free rung."""
+    from dimertools import cli, symmetry
+    calls = []
+    counting_calls(monkeypatch, calls, "zigzag_paths", (cli.zigzag,
+                                                        symmetry))
+    assert run(capsys, "report", fixture_path("hexagonal"))[0] == 0
+    assert calls == ["zigzag_paths"]
+
+
+def test_extremal_searches_reference_once(capsys, monkeypatch, tmp_path):
+    """`extremal` finds the reference matching once for all cones, here
+    the 4 of gen-square 4."""
+    from dimertools import fans, matchings
+    model = tmp_path / "sq.dimer"
+    assert main(["gen-square", "4", "--out", str(model)]) == 0
+    calls = []
+    counting_calls(monkeypatch, calls, "reference_matching",
+                   (matchings, fans))
+    code, out = run(capsys, "extremal", model)
+    assert code == 0 and out.count("CONE") == 4
+    assert calls == ["reference_matching"]
 
 
 # runs report, algebra and cy3 at degree 6 on each fixture as json-lines;
