@@ -141,6 +141,7 @@ class ToricData:
                          tuple[tuple[int, ...], PathClass]] = {}
         self._build_base_paths()
         self._pieces_cache: dict[tuple[int, int], list[list[PathClass]]] = {}
+        self._points_cache: dict[int, tuple[int, list[Sequence[int]]]] = {}
         self._reports: dict[int, AlgebraReport] = {}
         # the F-term relation p_a^+ = p_a^- of each arrow a
         self.rels = {a: (plus, minus)
@@ -325,11 +326,28 @@ class ToricData:
         return [(((a.id in self.pi0) * r + a.offset[0]) * r + a.offset[1])
                 * nv2 + a.tail - a.head for a in self.q.arrows]
 
-    def _fterm_classes(self, max_degree: int) -> tuple[int, _Reached]:
-        """The radix R of `_radix` and, per lattice point up to max_degree
-        that some path reaches, keyed by `_keys` at radix R: its number of
-        paths, its number of F-term classes, the offset of each first
-        arrow a in its flat list of pairs, and the F-class of each pair.
+    def _points(self, max_degree: int) -> tuple[int, list[Sequence[int]]]:
+        """The radix R of `_radix` and, per weight d up to max_degree, the
+        keys (`_keys`) at radix R of the lattice points of weight d of the
+        pieces M_ij^+, pair by pair in order of (i, j).  Kept per degree
+        bound, so the kernels of one bound key each point once."""
+        if max_degree not in self._points_cache:
+            nv = self.q.n_vertices
+            by_weight: list[list[PathClass]] = [
+                [] for _ in range(max_degree + 1)]
+            for i in range(nv):
+                for j in range(nv):
+                    for d, pts in enumerate(self._pieces(i, j, max_degree)):
+                        by_weight[d] += pts
+            r = self._radix(chain.from_iterable(by_weight))
+            self._points_cache[max_degree] = (r, _keys(by_weight, r, nv))
+        return self._points_cache[max_degree]
+
+    def _fterm_classes(self, max_degree: int) -> _Reached:
+        """Per lattice point up to max_degree that some path reaches, keyed
+        as in `_points`: its number of paths, its number of F-term classes,
+        the offset of each first arrow a in its flat list of pairs, and the
+        F-class of each pair.
 
         The points are visited in order of weight, which every arrow
         raises.  A path of class m is an arrow a out of m's tail followed
@@ -345,12 +363,7 @@ class ToricData:
         gluing stops once all pairs are.  No path is listed.
         """
         nv = self.q.n_vertices
-        by_weight: list[list[PathClass]] = [[] for _ in range(max_degree + 1)]
-        for i in range(nv):
-            for j in range(nv):
-                for d, pts in enumerate(self._pieces(i, j, max_degree)):
-                    by_weight[d] += pts
-        r = self._radix(chain.from_iterable(by_weight))
+        r, by_weight = self._points(max_degree)
         delta = self._deltas(r)
         steps = [[(a, delta[a]) for a in out] for out in self.q.out_arrows]
         # per tail, each relation a.u = b.v as (delta, a, u reversed with
@@ -372,7 +385,7 @@ class ToricData:
                 c = flat[base[x] + c]
             return c
 
-        for keys in _keys(by_weight, r, nv):
+        for keys in by_weight:
             for k in keys:
                 if k in empty:
                     reached[k] = (1, 1, {}, ())
@@ -411,7 +424,7 @@ class ToricData:
                                                    len(roots))
                                   for x in range(size)])
                 reached[k] = (n, ncls, base, flat)
-        return r, reached
+        return reached
 
     def algebraic_consistency(self, max_degree: int) -> AlgebraReport:
         """Compare path classes up to the degree bound with the lattice
@@ -428,12 +441,12 @@ class ToricData:
         failures: list[AlgebraFailure] = []
         stats = []
         nv = self.q.n_vertices
-        radix, reached = self._fterm_classes(max_degree)
+        reached = self._fterm_classes(max_degree)
+        # each weight's keys, taken piece by piece in the order of _points
+        keys = [iter(ks) for ks in self._points(max_degree)[1]]
         for i in range(nv):
             for j in range(nv):
-                pieces = self._pieces(i, j, max_degree)
-                keys = _keys(pieces, radix, nv)
-                for d, pts in enumerate(pieces):
+                for d, pts in enumerate(self._pieces(i, j, max_degree)):
                     ncls = 0
                     # no zip for an empty piece: most are, at high degree
                     for m, k in zip(pts, keys[d]) if pts else ():
@@ -477,7 +490,7 @@ class ToricData:
         components (isolated ones included) has rank n - c, a loop being a
         zero row, and F2 o F3 = 0 iff each column is b+ as often as b-.  So
         exactness is read from counts, with no matrix.  Points are keyed by
-        one int (`_radix`), so t - b, t - p_a^+ and t - w are subtractions
+        one int (`_points`), so t - b, t - p_a^+ and t - w are subtractions
         of deltas.  Reuses the algebraic consistency report of the same
         degree bound if any.
         """
@@ -490,15 +503,14 @@ class ToricData:
         failures: list[tuple[int, int, str]] = []
         stats = []
         nv = self.q.n_vertices
-        # into[j][d]: the points of weight d of M_ij^+, i = 0, 1, ...
-        into = [[[] for _ in range(max_degree + 1)] for _ in range(nv)]
-        for i in range(nv):
-            for j in range(nv):
-                for d, pts in enumerate(self._pieces(i, j, max_degree)):
-                    into[j][d] += pts
-        r = self._radix(chain.from_iterable(chain.from_iterable(into)))
-        keys = [_keys(into_j, r, nv) for into_j in into]
-        in_plus = set(chain.from_iterable(chain.from_iterable(keys)))
+        r, by_weight = self._points(max_degree)
+        in_plus = set(chain.from_iterable(by_weight))
+        # into[j][d]: the keys of the points of weight d with head j
+        into: list[list[list[int]]] = [[[] for _ in by_weight]
+                                       for _ in range(nv)]
+        for d, ts in enumerate(by_weight):
+            for t in ts:
+                into[t // nv % nv][d].append(t)
         delta = self._deltas(r)
         outs = [[(b, delta[b]) for b in out] for out in self.q.out_arrows]
         # per in-arrow a, the delta of p_a^+ and the first arrows of p_a^+-
@@ -512,7 +524,7 @@ class ToricData:
             for d in range(max_degree + 1):
                 dim1 = dim2 = dim3 = r2 = 0
                 composite_zero = True
-                for t in keys[j][d]:
+                for t in into[j][d]:
                     i = t % nv
                     col_of: dict[int, int] = {}
                     for b, db in outs[i]:

@@ -100,18 +100,16 @@ def find_anomaly_free(q: Quiver, *,
     return _solve_weights(q, rhombic=False, paths=paths)
 
 
-def find_rhombic(q: Quiver, *, paths: Optional[Sequence[ZigZagPath]] = None
-                 ) -> Optional[WeightFunction]:
+def find_rhombic(q: Quiver) -> Optional[WeightFunction]:
     """An anomaly-free solution with every weight in the open interval
     (0,1); weights times pi are then rhombus angles.
 
     The least of R_a and 1 - R_a is maximized.  The zig-zag angle
     candidate is returned when it meets the face bound min over faces of
     min(2/|f|, 1 - 2/|f|), and None when a face has at most two arrows;
-    otherwise the exact LP decides.  `paths`, the zig-zag paths of q, are
-    built when not given.
+    otherwise the exact LP decides.
     """
-    return _solve_weights(q, rhombic=True, paths=paths)
+    return _solve_weights(q, rhombic=True, paths=None)
 
 
 def _solve_weights(q: Quiver, rhombic: bool,

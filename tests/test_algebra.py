@@ -360,9 +360,12 @@ def test_broken_invariants_raise(flags):
 
 
 def test_cy3_lists_each_pair_once(monkeypatch):
-    """One cy3_check lists the graded pieces of each vertex pair once."""
-    td = toric("memeg")
+    """One cy3_check lists the graded pieces of each vertex pair once, and
+    none after algebraic_consistency at the same degree bound, whose keys
+    of the lattice points it reads."""
+    td, fresh = toric("memeg"), toric("memeg")
     assert td.algebraic_consistency(4).ok
+    fresh._reports[4] = td._reports[4]
     calls = []
     original = ToricData._pieces
 
@@ -371,9 +374,12 @@ def test_cy3_lists_each_pair_once(monkeypatch):
         return original(self, i, j, max_weight)
 
     monkeypatch.setattr(ToricData, "_pieces", counting)
-    assert td.cy3_check(4).ok
+    assert fresh.cy3_check(4).ok
     nv = td.q.n_vertices
     assert sorted(calls) == [(i, j, 4) for i in range(nv) for j in range(nv)]
+    calls.clear()
+    assert td.cy3_check(4).ok
+    assert calls == []
 
 
 def cy3_oracle(td, max_degree):
@@ -497,11 +503,14 @@ def test_cy3_matches_oracle():
 
 
 def test_cy3_matches_summand_oracle():
-    """Ranks from components give the report of the two matrices per
-    summand: on every model of `all_models` that builds ToricData, bar
-    square-4, at degree 4, lam and 2 lam up to 40 (790 pairs), with a stub
-    consistency report so that failing complexes are compared too; and on
-    conifold with one relation read the wrong way round."""
+    """On every model of `all_models` that builds ToricData, bar square-4,
+    at degree 4, lam and 2 lam up to 40 (790 pairs), both kernels match
+    their oracles.  Int keys and deltas give the tuple-keyed kernel's
+    paths, F-term classes and F-class of every pair at every lattice
+    point.  Ranks from components give the report of the two matrices per
+    summand, with a stub consistency report so that failing complexes are
+    compared too; and so on conifold with one relation read the wrong way
+    round."""
     pairs = failing = 0
     for name, g in all_models().items():
         if name == "square-4":
@@ -510,7 +519,22 @@ def test_cy3_matches_summand_oracle():
             td = ToricData(g)
         except DimerError:
             continue
+        nv = td.q.n_vertices
         for d in sorted({d for d in (4, td.lam, 2 * td.lam) if d <= 40}):
+            got = td._fterm_classes(d)
+            r = td._points(d)[0]
+            want = {}
+            for (i, j, hx, hy, dg), (n, ncls, of_pair) in \
+                    fterm_classes_oracle(td, d).items():
+                want[point_key(PathClass(i, j, (hx, hy), dg), r, nv)] = (
+                    n, ncls, of_pair)
+            assert got.keys() == want.keys(), (name, d)
+            for k, (n, ncls, base, flat) in got.items():
+                ends = [*base.values(), len(flat)][1:]
+                of_pair = {(a, c): flat[b + c]
+                           for (a, b), end in zip(base.items(), ends)
+                           for c in range(end - b)}
+                assert (n, ncls, of_pair) == want[k], (name, d, k)
             td._reports[d] = AlgebraReport(True, d, [], [])
             rep = td.cy3_check(d)
             assert rep == cy3_summands_oracle(td, d), (name, d)
@@ -528,38 +552,6 @@ def test_cy3_matches_summand_oracle():
 def point_key(m, r, nv):
     """The key of one lattice point at radix r."""
     return algebra._keys([[m]], r, nv)[0][0]
-
-
-def test_fterm_classes_match_oracle():
-    """Int keys and deltas give the tuple-keyed kernel's paths, F-term
-    classes and F-class of every pair at every lattice point: on every
-    model of `all_models` that builds ToricData, bar square-4, at degree
-    4, lam and 2 lam up to 40 (790 pairs)."""
-    pairs = 0
-    for name, g in all_models().items():
-        if name == "square-4":
-            continue
-        try:
-            td = ToricData(g)
-        except DimerError:
-            continue
-        nv = td.q.n_vertices
-        for d in sorted({d for d in (4, td.lam, 2 * td.lam) if d <= 40}):
-            r, got = td._fterm_classes(d)
-            want = {}
-            for (i, j, hx, hy, dg), (n, ncls, of_pair) in \
-                    fterm_classes_oracle(td, d).items():
-                want[point_key(PathClass(i, j, (hx, hy), dg), r, nv)] = (
-                    n, ncls, of_pair)
-            assert got.keys() == want.keys(), (name, d)
-            for k, (n, ncls, base, flat) in got.items():
-                ends = [*base.values(), len(flat)][1:]
-                of_pair = {(a, c): flat[b + c]
-                           for (a, b), end in zip(base.items(), ends)
-                           for c in range(end - b)}
-                assert (n, ncls, of_pair) == want[k], (name, d, k)
-            pairs += 1
-    assert pairs == 790
 
 
 def decode_key(k, r, nv):
