@@ -107,7 +107,8 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone,
         u, v = paths[zag_of[a]].cls, paths[zig_of[a]].cls
         if wedge(u, v) <= 0:
             raise DimerError(f"the paths through arrow {a} do not turn "
-                             "counterclockwise (inconsistent model)")
+                             "counterclockwise (not geometrically "
+                             "consistent)")
         if wedge(u, probe) >= 0 and wedge(probe, v) >= 0:
             chosen.append(a)
     support = frozenset(chosen)

@@ -42,6 +42,10 @@ class CurvePattern:
     unrepaired: bool = False
 
     def __post_init__(self) -> None:
+        for k, s in enumerate(self.segments):
+            if s.id != k:
+                raise ParseError(f"segment {s.id} listed at position {k}: "
+                                 "ids must be in order")
         ends: dict[tuple[int, int], tuple[int, bool]] = {}
         for s in self.segments:
             for c, p in ((s.from_crossing, s.from_port),
@@ -53,10 +57,10 @@ class CurvePattern:
                 ends[(c, p)] = (s.id, (c, p) == (s.to_crossing, s.to_port))
         if len(ends) != 4 * self.n_crossings:
             raise ParseError("every crossing needs all four ports used")
-        owner = {s.id: s for s in self.segments}
         in_curve: dict[int, int] = {}
         for cid, segs in enumerate(self.curves):
-            unknown = set(segs) - owner.keys()
+            unknown = [sid for sid in segs
+                       if not 0 <= sid < len(self.segments)]
             if unknown:
                 raise ParseError(f"curve {cid} names unknown segment "
                                  f"{min(unknown)}")
@@ -64,7 +68,8 @@ class CurvePattern:
                 if sid in in_curve:
                     raise ParseError(f"segment {sid} in two curves")
                 in_curve[sid] = cid
-                s, t = owner[sid], owner[segs[(k + 1) % len(segs)]]
+                s = self.segments[sid]
+                t = self.segments[segs[(k + 1) % len(segs)]]
                 if s.curve != cid:
                     raise ParseError(f"segment {sid} labelled curve {s.curve}")
                 if (t.from_crossing, t.from_port) != \
@@ -74,18 +79,16 @@ class CurvePattern:
         if len(in_curve) != len(self.segments):
             raise ParseError("orphan segments")
         for c in range(self.n_crossings):
-            curves_at = {owner[ends[(c, p)][0]].curve for p in range(4)}
+            curves_at = {self.segments[ends[(c, p)][0]].curve
+                         for p in range(4)}
             if len(curves_at) != 2:
                 raise ParseError(f"crossing {c} not between two distinct "
                                   "curves")
 
-    def segment_by_id(self, sid: int) -> Segment:
-        return next(s for s in self.segments if s.id == sid)
-
     def curve_class(self, cid: int) -> Vec:
         total = (0, 0)
         for sid in self.curves[cid]:
-            total = vadd(total, self.segment_by_id(sid).offset)
+            total = vadd(total, self.segments[sid].offset)
         return total
 
     def as_flows(self) -> list[ZigZagPath]:
@@ -97,7 +100,7 @@ class CurvePattern:
             crossings, offsets = [], []
             pos = (0, 0)
             for sid in segs:
-                s = self.segment_by_id(sid)
+                s = self.segments[sid]
                 pos = vadd(pos, s.offset)
                 crossings.append(s.to_crossing)
                 offsets.append(pos)
@@ -248,7 +251,7 @@ def validate_pattern(pattern: CurvePattern) -> PatternReport:
     for cid, segs in enumerate(pattern.curves):
         signs = []
         for sid in segs:
-            s = pattern.segment_by_id(sid)
+            s = pattern.segments[sid]
             left = (s.to_crossing, (s.to_port + 3) % 4)
             signs.append(left in ends)   # other curve arrives from the left
         if any(a == b for a, b in zip(signs, signs[1:] + signs[:1])) \
@@ -329,8 +332,8 @@ def merging_move(pattern: CurvePattern, crossing: int) -> CurvePattern:
         return segs[(segs.index(s.id) + 1) % len(segs)]
 
     # reconnect: a's incoming continues along b's outgoing and vice versa
-    out_a = pattern.segment_by_id(successor(sa))
-    out_b = pattern.segment_by_id(successor(sb))
+    out_a = pattern.segments[successor(sa)]
+    out_b = pattern.segments[successor(sb)]
     merged_ab = Segment(sa.id, ca, sa.from_crossing, sa.from_port,
                         out_b.to_crossing, out_b.to_port,
                         vadd(sa.offset, out_b.offset))

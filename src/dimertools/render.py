@@ -51,12 +51,10 @@ def _face_centers(g: TorusGraph, pos) -> dict[int, tuple[float, float]]:
     centers = {}
     for fid, face in enumerate(g.faces):
         acc_x = acc_y = 0.0
-        cur = (0.0, 0.0)
         for v, e in face:
-            acc_x += pos[v][0] + cur[0]
-            acc_y += pos[v][1] + cur[1]
-            d = g._dart_disp(v, e)
-            cur = (cur[0] + d[0], cur[1] + d[1])
+            lx, ly = g.lift[v, e]
+            acc_x += pos[v][0] + lx
+            acc_y += pos[v][1] + ly
         centers[fid] = (acc_x / len(face), acc_y / len(face))
     return centers
 

@@ -72,8 +72,7 @@ class TorusGraph:
         self.edges = list(edges)
         self.rotation = [list(r) for r in rotation]
         self._validate_structure()
-        self.faces = self._trace_faces()
-        self._validate_topology()
+        self._validate_topology(self._trace_faces())
 
     # -- construction checks -------------------------------------------------
 
@@ -124,11 +123,6 @@ class TorusGraph:
     # rotations this traverses each face keeping it on a fixed side; the
     # Euler count below is what certifies the genus either way.
 
-    def _succ(self, v: int, e: int) -> int:
-        rot = self.rotation[v]
-        i = rot.index(e)
-        return rot[(i + 1) % len(rot)]
-
     def other_end(self, e: int, v: int) -> int:
         ed = self.edges[e]
         return ed.white if v == ed.black else ed.black
@@ -138,44 +132,49 @@ class TorusGraph:
         ed = self.edges[e]
         return ed.offset if v == ed.black else vneg(ed.offset)
 
-    def _face_next(self, dart: tuple[int, int]) -> tuple[int, int]:
-        v, e = dart
-        w = self.other_end(e, v)
-        return (w, self._succ(w, e))
-
-    def _trace_faces(self) -> list[list[tuple[int, int]]]:
-        faces = []
-        seen: set[tuple[int, int]] = set()
-        darts = [(v, e) for v in range(len(self.colors))
-                 for e in self.rotation[v]]
-        for d0 in darts:
-            if d0 in seen:
+    def _trace_faces(self) -> list[Vec]:
+        """Trace every face once.  Sets `faces` (each face's darts in
+        order) and, per dart, `succ` (the next edge in the rotation at its
+        vertex), `face_of` (its face) and `lift` (the displacement of its
+        vertex's copy from that of the face's first dart); returns each
+        face's closing displacement."""
+        self.succ: dict[tuple[int, int], int] = {}
+        for v, rot in enumerate(self.rotation):
+            self.succ.update(((v, e), nxt)
+                             for e, nxt in zip(rot, rot[1:] + rot[:1]))
+        self.faces: list[list[tuple[int, int]]] = []
+        self.face_of: dict[tuple[int, int], int] = {}
+        self.lift: dict[tuple[int, int], Vec] = {}
+        closing = []
+        for d0 in self.succ:
+            if d0 in self.face_of:
                 continue
             face = []
-            d = d0
-            while d not in seen:
-                seen.add(d)
+            d, pos = d0, (0, 0)
+            while d not in self.face_of:
+                self.face_of[d] = len(self.faces)
+                self.lift[d] = pos
                 face.append(d)
-                d = self._face_next(d)
+                v, e = d
+                pos = vadd(pos, self._dart_disp(v, e))
+                w = self.other_end(e, v)
+                d = (w, self.succ[(w, e)])
             if d != d0:
                 raise TopologyError("face tracing produced a non-cycle orbit")
-            faces.append(face)
-        return faces
+            self.faces.append(face)
+            closing.append(pos)
+        return closing
 
-    def _validate_topology(self) -> None:
+    def _validate_topology(self, closing: list[Vec]) -> None:
         v, e, f = len(self.colors), len(self.edges), len(self.faces)
         if v - e + f != 0:
             raise TopologyError(
                 f"Euler characteristic {v - e + f} != 0: "
                 "rotation system does not describe a torus")
-        for face in self.faces:
-            total = (0, 0)
-            for d in face:
-                total = vadd(total, self._dart_disp(*d))
-            if total != (0, 0):
-                raise TopologyError(
-                    "face boundary wraps around the torus; "
-                    "not a cell decomposition")
+        if any(c != (0, 0) for c in closing):
+            raise TopologyError(
+                "face boundary wraps around the torus; "
+                "not a cell decomposition")
 
     # -- convenience ---------------------------------------------------------
 
@@ -321,33 +320,22 @@ class Quiver:
 
     def _build(self) -> None:
         g = self.graph
-        # Dimer faces become quiver vertices.  Record, for every dart, which
-        # face orbit it lies in and its cumulative displacement from the
-        # face's anchor dart (the orbit's first dart).
+        # Dimer faces become quiver vertices.
         self.n_vertices = len(g.faces)
-        face_of_dart: dict[tuple[int, int], int] = {}
-        pos_in_face: dict[tuple[int, int], Vec] = {}
-        for fid, face in enumerate(g.faces):
-            pos = (0, 0)
-            for d in face:
-                face_of_dart[d] = fid
-                pos_in_face[d] = pos
-                pos = vadd(pos, g._dart_disp(*d))
 
         # One arrow per dimer edge.  Traversed inside the black face cycle
         # the arrow dual to e runs from the dimer face containing the corner
         # before e at its black vertex to the face containing the corner
         # after e; with counterclockwise rotations this puts the black vertex
-        # on the left.
+        # on the left.  Its offset compares the black vertex's lifts in the
+        # two faces.
         arrows = []
         for e in g.edges:
-            b = e.black
-            d_tail = (b, e.id)
-            d_head = (b, g._succ(b, e.id))
-            tail = face_of_dart[d_tail]
-            head = face_of_dart[d_head]
-            offset = vsub(pos_in_face[d_tail], pos_in_face[d_head])
-            arrows.append(Arrow(e.id, tail, head, e.id, offset))
+            d_tail = (e.black, e.id)
+            d_head = (e.black, g.succ[d_tail])
+            offset = vsub(g.lift[d_tail], g.lift[d_head])
+            arrows.append(Arrow(e.id, g.face_of[d_tail], g.face_of[d_head],
+                                e.id, offset))
         self.arrows = arrows
         self.out_arrows: list[list[int]] = [[] for _ in range(self.n_vertices)]
         self.in_arrows: list[list[int]] = [[] for _ in range(self.n_vertices)]
@@ -374,12 +362,13 @@ class Quiver:
     def _find_homology_basis(self) -> None:
         """Closed arrow walks with offset sums (1,0) and (0,1).
 
-        Breadth-first search on the covering graph Q0 x Z^2 restricted to a
-        window that doubles until the walk is found.  Such walks exist:
-        potentials on a spanning tree give each arrow's fundamental cycle a
-        class, and these generate the classes of closed walks (every arrow
-        lies on a face cycle, of class zero).  Their 2x2 minors have gcd 1
-        exactly when they generate Z^2, which is checked first.
+        Potentials on a spanning tree give each arrow's fundamental cycle a
+        class, and these generate the classes of closed walks.  Every arrow
+        lies on a face cycle, of class zero, so its inverse is homologous to
+        the rest of that directed cycle: both basis classes have directed
+        closed walks exactly when the 2x2 minors of these classes have gcd
+        1.  That is checked first, and it is what makes the unbounded search
+        of `_closed_walks` end.
         """
         pot: dict[int, Vec] = {0: (0, 0)}
         queue = deque([0])
@@ -402,38 +391,34 @@ class Quiver:
             raise TopologyError(f"cycle classes generate a sublattice of "
                                 f"{size} in Z^2: some class has no closed "
                                 "walk")
-        self.gamma_x = self._closed_walk_with_class((1, 0))
-        self.gamma_y = self._closed_walk_with_class((0, 1))
+        self.gamma_x, self.gamma_y = self._closed_walks(((1, 0), (0, 1)))
 
-    def _closed_walk_with_class(self, target: Vec) -> list[int]:
-        """A shortest closed walk at vertex 0 with offset sum `target`, by
-        the windowed search of `_find_homology_basis`: the window holds the
-        lifts within `radius` (max norm) of the start or of the end."""
-        start, goal = (0, (0, 0)), (0, target)
-        radius = 2
-        while True:
-            prev: dict[tuple[int, Vec], Optional[tuple]] = {start: None}
-            queue = deque([start])
-            while queue:
-                node = queue.popleft()
-                if node == goal:
-                    walk = []
-                    while prev[node] is not None:
-                        node, a = prev[node]
-                        walk.append(a)
-                    return walk[::-1]
-                v, off = node
-                for a in self.out_arrows[v]:
-                    arr = self.arrows[a]
-                    o2 = vadd(off, arr.offset)
-                    if max(abs(o2[0] - target[0]), abs(o2[1] - target[1])) \
-                            > radius and max(abs(o2[0]), abs(o2[1])) > radius:
-                        continue
-                    nxt = (arr.head, o2)
-                    if nxt not in prev:
-                        prev[nxt] = (node, a)
-                        queue.append(nxt)
-            radius *= 2
+    def _closed_walks(self, targets: Sequence[Vec]) -> list[list[int]]:
+        """A shortest closed walk at vertex 0 with offset sum t, for each t
+        in `targets`, by one breadth-first search of the covering graph
+        Q0 x Z^2 that stops once it has reached every (0, t)."""
+        start = (0, (0, 0))
+        prev: dict[tuple[int, Vec], Optional[tuple]] = {start: None}
+        todo = {(0, t) for t in targets}
+        queue = deque([start])
+        while todo:
+            node = queue.popleft()
+            v, off = node
+            for a in self.out_arrows[v]:
+                arr = self.arrows[a]
+                nxt = (arr.head, vadd(off, arr.offset))
+                if nxt not in prev:
+                    prev[nxt] = (node, a)
+                    queue.append(nxt)
+                    todo.discard(nxt)
+        walks = []
+        for t in targets:
+            node, walk = (0, t), []
+            while prev[node] is not None:
+                node, a = prev[node]
+                walk.append(a)
+            walks.append(walk[::-1])
+        return walks
 
     def _check(self) -> None:
         ids = {a.id for a in self.arrows}

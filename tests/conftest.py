@@ -1,6 +1,7 @@
 import itertools
 import math
 import pathlib
+from collections import deque
 
 import pytest
 
@@ -9,7 +10,8 @@ from dimertools import algebra
 from dimertools.matchings import (NondegeneracyReport, PerfectMatching,
                                   _covers, pm_class)
 from dimertools.rationallp import solve_lp
-from dimertools.surface import DimerError, Quiver, dualize, load_file
+from dimertools.surface import (DimerError, Quiver, dualize, load_file,
+                                vadd)
 
 FIXTURES = pathlib.Path(dimertools.__file__).parent / "fixtures"
 
@@ -284,3 +286,58 @@ def fterm_classes_oracle(td, max_degree):
             reached[key] = (n, len(roots), of_pair)
     return reached
 
+
+
+def face_records_oracle(g):
+    """Oracle for the dart records of `TorusGraph`: dart -> (face, lift of
+    its vertex from the face's first dart), by tracing the faces again with
+    each rotation successor found by `list.index`, as the graph and the
+    quiver each traced them before the graph kept the records."""
+    def face_next(v, e):
+        w = g.other_end(e, v)
+        rot = g.rotation[w]
+        return (w, rot[(rot.index(e) + 1) % len(rot)])
+
+    records, n_faces = {}, 0
+    for d0 in [(v, e) for v in range(len(g.colors)) for e in g.rotation[v]]:
+        if d0 in records:
+            continue
+        d, pos = d0, (0, 0)
+        while d not in records:
+            records[d] = (n_faces, pos)
+            pos = vadd(pos, g._dart_disp(*d))
+            d = face_next(*d)
+        n_faces += 1
+    return records
+
+
+def closed_walk_oracle(q, target):
+    """Oracle for `Quiver._closed_walks`: a shortest closed walk at vertex
+    0 with offset sum `target`, by a breadth-first search of Q0 x Z^2 in a
+    window that doubles until the walk is found; the window holds the lifts
+    within `radius` (max norm) of the start or of the end."""
+    start, goal = (0, (0, 0)), (0, target)
+    radius = 2
+    while True:
+        prev = {start: None}
+        queue = deque([start])
+        while queue:
+            node = queue.popleft()
+            if node == goal:
+                walk = []
+                while prev[node] is not None:
+                    node, a = prev[node]
+                    walk.append(a)
+                return walk[::-1]
+            v, off = node
+            for a in q.out_arrows[v]:
+                arr = q.arrows[a]
+                o2 = vadd(off, arr.offset)
+                if max(abs(o2[0] - target[0]), abs(o2[1] - target[1])) \
+                        > radius and max(abs(o2[0]), abs(o2[1])) > radius:
+                    continue
+                nxt = (arr.head, o2)
+                if nxt not in prev:
+                    prev[nxt] = (node, a)
+                    queue.append(nxt)
+        radius *= 2

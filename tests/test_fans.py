@@ -161,6 +161,19 @@ def test_fan_cones():
             extremal_matching(q, paths, sigma)
 
 
+def test_extremal_names_geometric_rung():
+    """On `examplestp`, which is algebraically consistent but not
+    geometrically consistent, every cone is refused as a failure of the
+    geometric rung, not as an inconsistent model."""
+    q, paths, consistent = zigzag("examplestp")
+    assert not consistent
+    for sigma in global_fan(paths).cones:
+        with pytest.raises(DimerError, match=re.escape(
+                "arrow 8 do not turn counterclockwise (not geometrically "
+                "consistent)")):
+            extremal_matching(q, paths, sigma)
+
+
 def test_local_fans(load_quiver):
     for name in CONSISTENT:
         _, q = load_quiver(name)

@@ -204,3 +204,13 @@ def test_pattern_invariants_enforced():
     with pytest.raises(ParseError):
         CurvePattern(p.n_crossings, p.segments[:-1],
                      p.curves[:-1])
+
+
+def test_pattern_segment_ids_are_positions():
+    """A segment's id is its position in the list, so two swapped segments
+    are refused even though every curve still names existing ids."""
+    p = square_pattern(1)
+    segments = list(p.segments)
+    segments[0], segments[1] = segments[1], segments[0]
+    with pytest.raises(ParseError, match="segment 1 listed at position 0"):
+        CurvePattern(p.n_crossings, segments, p.curves)

@@ -6,13 +6,15 @@ import sys
 
 import pytest
 
-from conftest import ALL_FIXTURES, FIXTURES, NONDEGENERATE, fixture_path
+from conftest import (ALL_FIXTURES, FIXTURES, NONDEGENERATE,
+                      closed_walk_oracle, face_records_oracle, fixture_path)
 from dimertools.matchings import enumerate_matchings, polygon, \
     polygon_normal_form
 from dimertools.surface import (BLACK, WHITE, Edge, ParseError,
                                 TopologyError, TorusGraph, contract_bivalent,
                                 dualize, dump, fterm_relations, load,
                                 load_file, split_vertex, superpotential, vadd)
+from test_fans import all_models, zigzag
 
 
 def test_round_trip(load_fixture):
@@ -79,6 +81,24 @@ def test_homology_basis(load_quiver):
         assert q.walk_class(q.gamma_y) == (0, 1)
 
 
+def test_records_and_basis_match_oracles():
+    """On every model of `all_models` that dualizes, the per-dart (face,
+    lift) records of the one face tracing and both walks of the one
+    covering-graph search equal the oracles': the faces traced again with
+    `list.index` successors, and one windowed search per class."""
+    checked = 0
+    for name, g in all_models().items():
+        if zigzag(name) is None:
+            continue
+        q = zigzag(name)[0]
+        got = {d: (g.face_of[d], g.lift[d]) for d in g.face_of}
+        assert got == face_records_oracle(g), name
+        assert q.gamma_x == closed_walk_oracle(q, (1, 0)), name
+        assert q.gamma_y == closed_walk_oracle(q, (0, 1)), name
+        checked += 1
+    assert checked == 376
+
+
 def scaled(g, sx, sy):
     """g with every edge offset scaled by sx in x and sy in y."""
     edges = [Edge(e.id, e.black, e.white,
@@ -107,8 +127,8 @@ WRONG_WALK = """
 from dimertools.surface import DimerError, Quiver, load_file
 from conftest import fixture_path
 
-find = Quiver._closed_walk_with_class
-Quiver._closed_walk_with_class = lambda self, target: find(self, target[::-1])
+find = Quiver._closed_walks
+Quiver._closed_walks = lambda self, targets: find(self, targets[::-1])
 try:
     Quiver(load_file(fixture_path("conifold")))
     print("built")
