@@ -12,7 +12,9 @@ one summand per point: a graph on the out-arrows of the point's tail,
 with one edge per F-term relation, whose ranks are read from components.
 Both kernels key a lattice point by one int, its coordinates as digits of
 a radix large enough for every lookup, and an arrow, a relation side or
-the face cycle acts on keys by adding or subtracting its delta.
+the face cycle acts on keys by adding or subtracting its delta.  Keys
+are listed from columns of fixed homology offset, as arithmetic
+progressions, and no `PathClass` is built but for a failure record.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from itertools import chain
-from operator import attrgetter
-from typing import Iterable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .matchings import edge_mask, enumerate_matchings
 # not called here; perfbench/spans.py traces `algebra.solve_lp` by name
@@ -30,11 +31,6 @@ from .rationallp import solve_lp  # noqa: F401
 from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
                       vadd, vsub)
 from .symmetry import default_r_symmetry
-
-# per lattice point key: paths, F-term classes, offset of each first arrow
-# in the flat list of pairs, F-class of each pair
-_Reached = dict[int, tuple[int, int, dict[int, int], tuple[int, ...]]]
-
 
 @dataclass(frozen=True)
 class PathClass:
@@ -140,14 +136,15 @@ class ToricData:
         self._base: dict[tuple[int, int],
                          tuple[tuple[int, ...], PathClass]] = {}
         self._build_base_paths()
-        self._pieces_cache: dict[tuple[int, int], list[list[PathClass]]] = {}
-        self._points_cache: dict[int, tuple[int, list[Sequence[int]]]] = {}
+        self._points_cache: dict[int, tuple[int, list[list[int]]]] = {}
         self._reports: dict[int, AlgebraReport] = {}
-        # the F-term relation p_a^+ = p_a^- of each arrow a
+        # the F-term relation p_a^+ = p_a^- of each arrow a, and the class
+        # of its two sides
         self.rels = {a: (plus, minus)
                      for a, plus, minus in fterm_relations(self.q)}
-        for a, (plus, minus) in self.rels.items():
-            if self.path_class(plus) != self.path_class(minus):
+        self._rel_cls = [self.path_class(p) for p, _ in self.rels.values()]
+        for (a, (_, minus)), c in zip(self.rels.items(), self._rel_cls):
+            if c != self.path_class(minus):
                 raise DimerError(f"F-term relation of arrow {a} joins paths "
                                  "of different classes")
 
@@ -207,10 +204,11 @@ class ToricData:
         return {c: min(map(int.bit_count, map(mask.__and__, bits)))
                 for c, bits in self._bits_by_cls.items()}
 
-    def _pieces(self, i: int, j: int,
-                max_weight: int) -> list[list[PathClass]]:
-        """M_ij^+ up to max_weight: entry d lists the elements of weight d
-        in (hom, deg) order.
+    def _pair_columns(self, i: int, j: int, max_weight: int
+                      ) -> list[tuple[int, int, int, int, int]]:
+        """M_ij^+ up to max_weight as columns (hx, hy, w, deg, n) in order
+        of hom: the n >= 1 points (hx, hy, deg + e), 0 <= e < n, of weight
+        w + lam*e.
 
         In z = hom - hom(beta) and e = deg - deg(beta) a matching of class c
         pairs to its value on beta plus e + c.z, so the matchings of class c
@@ -218,28 +216,34 @@ class ToricData:
         The weight wb + lam*e + rho.z is the sum of all these pairings and
         never negative; eliminating e from weight <= max_weight leaves one
         row per class on z, whose integer points `_columns` lists as
-        column ranges.
+        column ranges; at each, the least e meets weight <= max_weight.
         """
-        key = (i, j)
-        if len(self._pieces_cache.get(key, ())) <= max_weight:
-            beta, b = self._base[key]
-            wb = self.path_weight(beta)
-            low = self._class_table(beta)
-            out: list[list[PathClass]] = [[] for _ in range(max_weight + 1)]
-            for zx, y0, y1 in _columns([(self.lam * c[0] - self.rho[0],
-                                         self.lam * c[1] - self.rho[1],
-                                         self.lam * lc + max_weight - wb)
-                                        for c, lc in low.items()]):
-                for zy in range(y0, y1 + 1):
-                    w0 = wb + self.rho[0] * zx + self.rho[1] * zy
-                    e0 = max(-(lc + c[0] * zx + c[1] * zy)
-                             for c, lc in low.items())
-                    hom = vadd(b.hom, (zx, zy))
-                    for e in range(e0, (max_weight - w0) // self.lam + 1):
-                        out[w0 + self.lam * e].append(
-                            PathClass(i, j, hom, b.deg + e))
-            self._pieces_cache[key] = out
-        return self._pieces_cache[key][:max_weight + 1]
+        beta, b = self._base[(i, j)]
+        wb = self.path_weight(beta)
+        low = self._class_table(beta)
+        lam, (rx, ry) = self.lam, self.rho
+        out = []
+        for zx, y0, y1 in _columns([(lam * c[0] - rx, lam * c[1] - ry,
+                                     lam * lc + max_weight - wb)
+                                    for c, lc in low.items()]):
+            at_zx = [(-(lc + c[0] * zx), c[1]) for c, lc in low.items()]
+            for zy in range(y0, y1 + 1):
+                e0 = max([e - cy * zy for e, cy in at_zx])
+                w = wb + rx * zx + ry * zy + lam * e0
+                out.append((b.hom[0] + zx, b.hom[1] + zy, w, b.deg + e0,
+                            (max_weight - w) // lam + 1))
+        return out
+
+    def _pieces(self, i: int, j: int,
+                max_weight: int) -> list[list[PathClass]]:
+        """M_ij^+ up to max_weight: entry d lists the elements of weight d
+        in (hom, deg) order, from `_pair_columns`; not kept."""
+        out: list[list[PathClass]] = [[] for _ in range(max_weight + 1)]
+        for hx, hy, w, deg, n in self._pair_columns(i, j, max_weight):
+            for e in range(n):
+                out[w + self.lam * e].append(PathClass(i, j, (hx, hy),
+                                                       deg + e))
+        return out
 
     # -- F-term rewriting -------------------------------------------------
 
@@ -294,30 +298,26 @@ class ToricData:
 
     # -- consistency ------------------------------------------------------
 
-    def _radix(self, points: Iterable[PathClass]) -> int:
-        """The radix R of the keys of `points`, the lattice points of the
-        graded pieces of every vertex pair up to a degree.
+    def _radix(self, b: int) -> int:
+        """The radix R of the keys of the lattice points of every graded
+        piece up to a degree, B = b being their largest |hx| or |hy|.
 
-        A point m is keyed ((deg*R + hx)*R + hy)*nv^2 + head*nv + tail
-        (`_keys`), and prepending an arrow x of class (in_pi0, ox, oy) to a
-        path adds D[x] = ((in_pi0*R + ox)*R + oy)*nv^2 + tail(x) - head(x)
+        A point m is keyed ((deg*R + hx)*R + hy)*nv^2 + head*nv + tail,
+        and prepending an arrow x of class (in_pi0, ox, oy) to a path adds
+        D[x] = ((in_pi0*R + ox)*R + oy)*nv^2 + tail(x) - head(x)
         (`_deltas`).  The kernels look up m - x for an arrow, a relation
         side or the face cycle x starting at m's tail, whose delta is the
         sum of its arrows' deltas (R^2*nv^2 for the face cycle, which is
-        null-homologous and meets the reference matching once).  Let B be
-        the largest |hx| or |hy| of a point, and E the largest offset
-        component of an arrow, a relation side or the face cycle.  Then
-        R = 2(B + E) + 1 keeps the hom of every such m - x, in M^+ or
-        not, a pair of balanced digits, |hx - ox| <= B + E = (R - 1)/2,
-        and its low part head(m)*nv + head(x) in [0, nv^2).  So a key is
-        read back digit by digit, deg being the unbounded top digit, and
-        distinct coordinates have distinct keys.
+        null-homologous and meets the reference matching once).  With E
+        the largest offset component of such an x, R = 2(B + E) + 1 keeps
+        the hom of every m - x, in M^+ or not, a pair of balanced digits,
+        |hx - ox| <= (R - 1)/2, and its low part head(m)*nv + head(x) in
+        [0, nv^2).  So a key reads back digit by digit (`decode_key`), deg
+        the unbounded top digit: distinct coordinates, distinct keys.
         """
-        b = max(map(abs, chain.from_iterable(map(attrgetter("hom"),
-                                                 points))), default=0)
-        offsets = [a.offset for a in self.q.arrows] + [
-            self.path_class(plus).hom for plus, _ in self.rels.values()]
-        e = max(abs(c) for x in offsets for c in x)
+        e = max(abs(c) for x in chain((a.offset for a in self.q.arrows),
+                                      (c.hom for c in self._rel_cls))
+                for c in x)
         return 2 * (b + e) + 1
 
     def _deltas(self, r: int) -> list[int]:
@@ -326,24 +326,32 @@ class ToricData:
         return [(((a.id in self.pi0) * r + a.offset[0]) * r + a.offset[1])
                 * nv2 + a.tail - a.head for a in self.q.arrows]
 
-    def _points(self, max_degree: int) -> tuple[int, list[Sequence[int]]]:
+    def _points(self, max_degree: int) -> tuple[int, list[list[int]]]:
         """The radix R of `_radix` and, per weight d up to max_degree, the
-        keys (`_keys`) at radix R of the lattice points of weight d of the
-        pieces M_ij^+, pair by pair in order of (i, j).  Kept per degree
-        bound, so the kernels of one bound key each point once."""
+        keys at radix R of the lattice points of weight d of the pieces
+        M_ij^+, pair by pair in order of (i, j), each in (hom, deg) order.
+        A column of `_pair_columns` is an arithmetic progression: each
+        step adds lam to the weight and R^2*nv^2 to the key.  Kept per
+        degree bound, so the kernels of one bound key each point once."""
         if max_degree not in self._points_cache:
             nv = self.q.n_vertices
-            by_weight: list[list[PathClass]] = [
-                [] for _ in range(max_degree + 1)]
-            for i in range(nv):
-                for j in range(nv):
-                    for d, pts in enumerate(self._pieces(i, j, max_degree)):
-                        by_weight[d] += pts
-            r = self._radix(chain.from_iterable(by_weight))
-            self._points_cache[max_degree] = (r, _keys(by_weight, r, nv))
+            nv2, lam = nv * nv, self.lam
+            listing = [(j * nv + i, self._pair_columns(i, j, max_degree))
+                       for i in range(nv) for j in range(nv)]
+            homs = [c[0] for _, cols in listing for c in cols]
+            homs += [c[1] for _, cols in listing for c in cols]
+            r = self._radix(max(map(abs, homs), default=0))
+            step = r * r * nv2
+            by_weight: list[list[int]] = [[] for _ in range(max_degree + 1)]
+            for low, cols in listing:
+                for hx, hy, w, deg, n in cols:
+                    k = ((deg * r + hx) * r + hy) * nv2 + low
+                    for e in range(n):
+                        by_weight[w + lam * e].append(k + step * e)
+            self._points_cache[max_degree] = (r, by_weight)
         return self._points_cache[max_degree]
 
-    def _fterm_classes(self, max_degree: int) -> _Reached:
+    def _fterm_classes(self, max_degree: int) -> dict[int, tuple]:
         """Per lattice point up to max_degree that some path reaches, keyed
         as in `_points`: its number of paths, its number of F-term classes,
         the offset of each first arrow a in its flat list of pairs, and the
@@ -356,40 +364,30 @@ class ToricData:
         sits at the offset of a plus c.  A rewrite a.u -> b.v glues (a,
         [u.w]) to (b, [v.w]) in a union-find for every F-class [w] of m -
         class(a.u); [u.w] is read from finished points by prepending the
-        arrows of u one at a time, adding each one's delta to the key.  A
-        rewrite further right changes only the tail, whose F-class is
-        already the pair's second entry.  Gluing is symmetric, so each
-        relation is read one way; a point with one pair is one class, and
-        gluing stops once all pairs are.  No path is listed.
+        arrows of u one at a time, adding each one's delta to the key; it
+        is 0 at a point of one class, so the walk waits for a point of
+        several.  A rewrite further right changes only the tail, whose
+        F-class is already the pair's second entry.  Gluing is symmetric,
+        so each relation is read one way; a point with one pair is one
+        class, and gluing stops once all pairs are.  No path is listed.
         """
         nv = self.q.n_vertices
         r, by_weight = self._points(max_degree)
         delta = self._deltas(r)
         steps = [[(a, delta[a]) for a in out] for out in self.q.out_arrows]
-        # per tail, each relation a.u = b.v as (delta, a, u reversed with
-        # deltas, b, v reversed with deltas)
+        # per tail, each relation a.u = b.v as (delta, ((a, u reversed with
+        # deltas), (b, v reversed with deltas)))
         glue: list[list[tuple]] = [[] for _ in range(nv)]
         for plus, minus in self.rels.values():
             glue[self.q.arrows[plus[0]].tail].append(
                 (sum(delta[x] for x in plus),
-                 plus[0], [(x, delta[x]) for x in plus[:0:-1]],
-                 minus[0], [(x, delta[x]) for x in minus[:0:-1]]))
-        empty = {i * (nv + 1) for i in range(nv)}
-        reached: _Reached = {}
-
-        def prepend(u: list[tuple[int, int]], p: int, c: int) -> int:
-            """The F-class of u.w, for w of F-class c at point p."""
-            for x, dx in u:
-                p += dx
-                _, _, base, flat = reached[p]
-                c = flat[base[x] + c]
-            return c
-
-        for keys in by_weight:
+                 tuple((p[0], [(x, delta[x]) for x in p[:0:-1]])
+                       for p in (plus, minus))))
+        # the empty paths, the only points of weight 0 that paths reach
+        reached = {i * (nv + 1): (1, 1, {}, ()) for i in range(nv)}
+        split = False           # whether some point has several classes
+        for keys in by_weight[1:]:
             for k in keys:
-                if k in empty:
-                    reached[k] = (1, 1, {}, ())
-                    continue
                 i = k % nv
                 base: dict[int, int] = {}
                 n = size = 0
@@ -406,24 +404,29 @@ class ToricData:
                     continue
                 parent = list(range(size))
                 ncls = size
-                for dp, a0, u, b0, v in glue[i]:
+                for dp, sides in glue[i]:
                     p = k - dp
                     for c in range(reached[p][1] if p in reached else 0):
-                        x = _find(parent, base[a0] + prepend(u, p, c))
-                        y = _find(parent, base[b0] + prepend(v, p, c))
+                        y = None    # x, y end as the two sides' roots
+                        for a, u in sides:
+                            q, cu = p, c
+                            if split:
+                                for x, dx in u:
+                                    q += dx
+                                    _, nq, bq, fq = reached[q]
+                                    cu = fq[bq[x] + cu] if nq > 1 else 0
+                            x, y = y, _find(parent, base[a] + cu)
                         if x != y:
                             parent[x] = y
                             ncls -= 1
                     if ncls == 1:
                         break
-                if ncls == 1:
-                    flat = (0,) * size
-                else:
-                    roots: dict[int, int] = {}
-                    flat = tuple([roots.setdefault(_find(parent, x),
-                                                   len(roots))
-                                  for x in range(size)])
-                reached[k] = (n, ncls, base, flat)
+                split |= ncls > 1
+                roots: dict[int, int] = {}
+                reached[k] = (n, ncls, base, (0,) * size if ncls == 1 else
+                              tuple([roots.setdefault(_find(parent, x),
+                                                      len(roots))
+                                     for x in range(size)]))
         return reached
 
     def algebraic_consistency(self, max_degree: int) -> AlgebraReport:
@@ -436,33 +439,34 @@ class ToricData:
         which counts the paths and F-term classes of each point from those
         of lighter points and lists no path.  Every path class lies in
         M^+, since a matching's value on a path counts the path's arrows
-        in it.  The report is kept for `cy3_check`.
+        in it.  Points and hits are counted per piece from the keys, which
+        give a failing point's class.  The report is kept for `cy3_check`.
         """
-        failures: list[AlgebraFailure] = []
-        stats = []
         nv = self.q.n_vertices
+        nv2, size = nv * nv, max_degree + 1
         reached = self._fterm_classes(max_degree)
-        # each weight's keys, taken piece by piece in the order of _points
-        keys = [iter(ks) for ks in self._points(max_degree)[1]]
-        for i in range(nv):
-            for j in range(nv):
-                for d, pts in enumerate(self._pieces(i, j, max_degree)):
-                    ncls = 0
-                    # no zip for an empty piece: most are, at high degree
-                    for m, k in zip(pts, keys[d]) if pts else ():
-                        r = reached.get(k)
-                        if r is None:
-                            failures.append(AlgebraFailure(
-                                "surjectivity", m, d,
-                                "lattice point with no representative path"))
-                            continue
-                        ncls += 1
-                        if r[1] > 1:
-                            failures.append(AlgebraFailure(
-                                "injectivity", m, d,
-                                f"{r[0]} paths split into several "
-                                "F-term classes"))
-                    stats.append((i, j, d, len(pts), ncls))
+        r, by_weight = self._points(max_degree)
+        # per piece, at (head*nv + tail)*size + d: its points, and its hits
+        count, hit = [0] * (nv2 * size), [0] * (nv2 * size)
+        found = []
+        for d, keys in enumerate(by_weight):
+            for k in keys:
+                at = k % nv2 * size + d
+                count[at] += 1
+                got = reached.get(k)
+                hit[at] += got is not None
+                if got is None or got[1] > 1:
+                    found.append((k % nv, k // nv % nv, d, k, got))
+        # in order of (i, j, d); sorted() keeps the order within a piece
+        failures = [AlgebraFailure(
+            "injectivity" if got else "surjectivity",
+            PathClass(*decode_key(k, r, nv)), d,
+            f"{got[0]} paths split into several F-term classes" if got
+            else "lattice point with no representative path")
+            for _, _, d, k, got in sorted(found, key=lambda f: f[:3])]
+        stats = [(i, j, d, count[at], hit[at]) for i in range(nv)
+                 for j in range(nv) for d in range(size)
+                 for at in [(j * nv + i) * size + d]]
         report = AlgebraReport(not failures, max_degree, failures, stats)
         self._reports[max_degree] = report
         return report
@@ -488,11 +492,12 @@ class ToricData:
         -1 on each, of rank 1 as every quiver vertex lies on a face cycle.
         A signed incidence matrix of a graph with n vertices and c
         components (isolated ones included) has rank n - c, a loop being a
-        zero row, and F2 o F3 = 0 iff each column is b+ as often as b-.  So
-        exactness is read from counts, with no matrix.  Points are keyed by
-        one int (`_points`), so t - b, t - p_a^+ and t - w are subtractions
-        of deltas.  Reuses the algebraic consistency report of the same
-        degree bound if any.
+        zero row, and F2 o F3 = 0 iff each column is b+ as often as b-,
+        over all in-arrows of i.  So exactness is read from counts, with no
+        matrix.  Points are keyed by one int (`_points`), so t - b, t - p_a^+
+        and t - w are subtractions of deltas; column b is b's place in the
+        out-arrows of i.  Reuses the algebraic consistency report of the
+        same degree bound if any.
         """
         pre = self._reports.get(max_degree)
         if pre is None:
@@ -506,17 +511,21 @@ class ToricData:
         r, by_weight = self._points(max_degree)
         in_plus = set(chain.from_iterable(by_weight))
         # into[j][d]: the keys of the points of weight d with head j
-        into: list[list[list[int]]] = [[[] for _ in by_weight]
-                                       for _ in range(nv)]
+        into = [[[] for _ in by_weight] for _ in range(nv)]
         for d, ts in enumerate(by_weight):
             for t in ts:
                 into[t // nv % nv][d].append(t)
         delta = self._deltas(r)
-        outs = [[(b, delta[b]) for b in out] for out in self.q.out_arrows]
-        # per in-arrow a, the delta of p_a^+ and the first arrows of p_a^+-
+        outs = [[delta[b] for b in out] for out in self.q.out_arrows]
+        col = {b: n for out in self.q.out_arrows for n, b in enumerate(out)}
+        # per in-arrow a, the delta of p_a^+ and the columns of the first
+        # arrows of p_a^+-
         ins = [[(sum(delta[x] for x in self.rels[a][0]),
-                 self.rels[a][0][0], self.rels[a][1][0]) for a in arrows]
-               for arrows in self.q.in_arrows]
+                 col[self.rels[a][0][0]], col[self.rels[a][1][0]])
+                for a in arrows] for arrows in self.q.in_arrows]
+        # per tail, whether each column is b+ as often as b-
+        balanced = [sorted(x for _, x, _ in edges)
+                    == sorted(y for _, _, y in edges) for edges in ins]
         # the face cycle: null-homologous (Quiver checks every face) and
         # meeting the reference matching once
         d_w = r * r * nv * nv
@@ -526,29 +535,21 @@ class ToricData:
                 composite_zero = True
                 for t in into[j][d]:
                     i = t % nv
-                    col_of: dict[int, int] = {}
-                    for b, db in outs[i]:
+                    parent = list(range(len(outs[i])))
+                    for db in outs[i]:
                         if t - db in in_plus:
-                            col_of[b] = len(col_of)
-                    parent = list(range(len(col_of)))
-                    # per column, how often it is b+ less how often b-
-                    excess = [0] * len(col_of)
-                    for dp, b_plus, b_minus in ins[i]:
+                            dim1 += 1
+                    for dp, x, y in ins[i]:
                         if t - dp in in_plus:
-                            x, y = col_of[b_plus], col_of[b_minus]
-                            excess[x] += 1
-                            excess[y] -= 1
                             dim2 += 1
-                            # each union of two components adds 1 to
-                            # the rank
+                            # a union of two components adds 1 to the rank
                             x, y = _find(parent, x), _find(parent, y)
                             if x != y:
                                 parent[x] = y
                                 r2 += 1
                     if t - d_w in in_plus:
                         dim3 += 1
-                        composite_zero &= not any(excess)
-                    dim1 += len(col_of)
+                        composite_zero &= balanced[i]
                 if not composite_zero:
                     failures.append((j, d, "composite not zero"))
                 if r2 + dim3 != dim2:
@@ -569,26 +570,25 @@ class ToricData:
         generator and s zero or a point (induction on weight), so m - g =
         s + m2 is a point lighter than m, as is g; m = g + (m - g) is the
         converse."""
-        pieces = self._pieces(0, 0, max_weight)[1:]
-        index = {(m.hom, m.deg) for piece in pieces for m in piece}
+        points = list(chain.from_iterable(self._pieces(0, 0, max_weight)[1:]))
+        index = {(m.hom, m.deg) for m in points}
         gens: list[PathClass] = []
-        for piece in pieces:
-            for m in piece:
-                if not any((vsub(m.hom, g.hom), m.deg - g.deg) in index
-                           for g in gens):
-                    gens.append(m)
+        for m in points:
+            if not any((vsub(m.hom, g.hom), m.deg - g.deg) in index
+                       for g in gens):
+                gens.append(m)
         return gens
 
 
-def _keys(pieces: Sequence[Sequence[PathClass]], r: int, nv: int
-          ) -> list[Sequence[int]]:
-    """The keys of the lattice points of each piece at radix r
-    (`ToricData._radix`) in a quiver of nv vertices."""
-    nv2 = nv * nv
-    # most pieces are empty at high degree; they share one empty tuple, as
-    # a list apiece costs allocation and garbage collection
-    return [[((m.deg * r + m.hom[0]) * r + m.hom[1]) * nv2 + m.head * nv
-             + m.tail for m in piece] if piece else () for piece in pieces]
+def decode_key(k: int, r: int, nv: int) -> tuple[int, int, Vec, int]:
+    """(tail, head, hom, deg) of a key at radix r (`ToricData._radix`) in a
+    quiver of nv vertices; hx and hy are balanced digits, in [-h, h] for
+    h = (r - 1)/2, so each is the remainder of the rest plus h, less h."""
+    high, low = divmod(k, nv * nv)
+    h = (r - 1) // 2
+    high, hy = divmod(high + h, r)
+    high, hx = divmod(high + h, r)
+    return (low % nv, low // nv, (hx - h, hy - h), high)
 
 
 def _find(parent: list[int], x: int) -> int:

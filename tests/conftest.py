@@ -287,6 +287,62 @@ def fterm_classes_oracle(td, max_degree):
     return reached
 
 
+def point_key(m, r, nv):
+    """The key of the lattice point m at radix r in a quiver of nv
+    vertices."""
+    return (((m.deg * r + m.hom[0]) * r + m.hom[1]) * nv * nv
+            + m.head * nv + m.tail)
+
+
+def points_oracle(td, max_degree):
+    """Oracle for `ToricData._points`: the radix and, per weight, the keys
+    of the lattice points, from the `PathClass`es of `_pieces`, with the
+    offset bound read from every relation side again, as the kernels keyed
+    the points before they read the column ranges."""
+    nv = td.q.n_vertices
+    by_weight = [[] for _ in range(max_degree + 1)]
+    for i in range(nv):
+        for j in range(nv):
+            for d, pts in enumerate(td._pieces(i, j, max_degree)):
+                by_weight[d] += pts
+    b = max((abs(c) for pts in by_weight for m in pts for c in m.hom),
+            default=0)
+    offsets = [a.offset for a in td.q.arrows] + [
+        td.path_class(plus).hom for plus, _ in td.rels.values()]
+    r = 2 * (b + max(abs(c) for x in offsets for c in x)) + 1
+    return r, [[point_key(m, r, nv) for m in pts] for pts in by_weight]
+
+
+def consistency_report_oracle(td, max_degree):
+    """Oracle for `ToricData.algebraic_consistency` over the same F-term
+    kernel: the report read piece by piece from the `PathClass`es of
+    `_pieces` and the keys of `points_oracle`, as the rung read it before
+    it counted the points per piece from their keys."""
+    failures = []
+    stats = []
+    nv = td.q.n_vertices
+    reached = td._fterm_classes(max_degree)
+    keys = [iter(ks) for ks in points_oracle(td, max_degree)[1]]
+    for i in range(nv):
+        for j in range(nv):
+            for d, pts in enumerate(td._pieces(i, j, max_degree)):
+                ncls = 0
+                for m, k in zip(pts, keys[d]):
+                    r = reached.get(k)
+                    if r is None:
+                        failures.append(algebra.AlgebraFailure(
+                            "surjectivity", m, d,
+                            "lattice point with no representative path"))
+                        continue
+                    ncls += 1
+                    if r[1] > 1:
+                        failures.append(algebra.AlgebraFailure(
+                            "injectivity", m, d,
+                            f"{r[0]} paths split into several "
+                            "F-term classes"))
+                stats.append((i, j, d, len(pts), ncls))
+    return algebra.AlgebraReport(not failures, max_degree, failures, stats)
+
 
 def face_records_oracle(g):
     """Oracle for the dart records of `TorusGraph`: dart -> (face, lift of

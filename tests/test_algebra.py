@@ -11,10 +11,11 @@ from collections import Counter, deque
 import pytest
 
 from conftest import (CONSISTENT, NONDEGENERATE, bounding_box_lp,
-                      cy3_summands_oracle, fterm_classes_oracle)
+                      consistency_report_oracle, cy3_summands_oracle,
+                      fterm_classes_oracle, point_key, points_oracle)
 from dimertools import algebra
 from dimertools.algebra import (AlgebraFailure, AlgebraReport, Cy3Report,
-                                PathClass, ToricData)
+                                PathClass, ToricData, decode_key)
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.rationallp import solve_lp
 from dimertools.surface import DimerError, fterm_relations, load_file
@@ -360,20 +361,20 @@ def test_broken_invariants_raise(flags):
 
 
 def test_cy3_lists_each_pair_once(monkeypatch):
-    """One cy3_check lists the graded pieces of each vertex pair once, and
-    none after algebraic_consistency at the same degree bound, whose keys
-    of the lattice points it reads."""
+    """One cy3_check lists the columns of the lattice points of each vertex
+    pair once, and none after algebraic_consistency at the same degree
+    bound, whose keys of the lattice points it reads."""
     td, fresh = toric("memeg"), toric("memeg")
     assert td.algebraic_consistency(4).ok
     fresh._reports[4] = td._reports[4]
     calls = []
-    original = ToricData._pieces
+    original = ToricData._pair_columns
 
     def counting(self, i, j, max_weight):
         calls.append((i, j, max_weight))
         return original(self, i, j, max_weight)
 
-    monkeypatch.setattr(ToricData, "_pieces", counting)
+    monkeypatch.setattr(ToricData, "_pair_columns", counting)
     assert fresh.cy3_check(4).ok
     nv = td.q.n_vertices
     assert sorted(calls) == [(i, j, 4) for i in range(nv) for j in range(nv)]
@@ -549,36 +550,71 @@ def test_cy3_matches_summand_oracle():
     assert "composite not zero" in {reason for _, _, reason in rep.failures}
 
 
-def point_key(m, r, nv):
-    """The key of one lattice point at radix r."""
-    return algebra._keys([[m]], r, nv)[0][0]
+def test_points_and_report_match_piece_oracle():
+    """On every model of `all_models` that builds ToricData, bar square-4,
+    at degree 4, lam and 2 lam up to 40, the keys listed from the column
+    ranges are those of the `PathClass`es of the graded pieces, at the same
+    radix and in the same order, and the report counted per piece from the
+    keys is the one read piece by piece: verdict, piece statistics, and
+    every failure's kind, class, degree and detail, in order."""
+    pairs = failing = 0
+    for name, g in all_models().items():
+        if name == "square-4":
+            continue
+        try:
+            td = ToricData(g)
+        except DimerError:
+            continue
+        for d in sorted({d for d in (4, td.lam, 2 * td.lam) if d <= 40}):
+            assert td._points(d) == points_oracle(td, d), (name, d)
+            rep = td.algebraic_consistency(d)
+            assert rep == consistency_report_oracle(td, d), (name, d)
+            pairs += 1
+            failing += not rep.ok
+    assert pairs == 790
+    assert failing == 115
 
 
-def decode_key(k, r, nv):
-    """(tail, head, hom, deg) read back from a key digit by digit, hx and
-    hy as balanced digits of radix r."""
-    high, low = divmod(k, nv * nv)
-    hom = []
-    for _ in range(2):
-        high, digit = divmod(high, r)
-        if digit > (r - 1) // 2:
-            high, digit = high + 1, digit - r
-        hom.insert(0, digit)
-    return (low % nv, low // nv, tuple(hom), high)
+def test_kernels_build_no_path_class(monkeypatch):
+    """Once ToricData is built, the consistency and CY3 kernels build a
+    `PathClass` only for a failure record: none on memeg at 2 lam, one per
+    failure on xyloops, which fails algebraic consistency there."""
+    made = []
+
+    def counting(*args):
+        made.append(args)
+        return PathClass(*args)
+
+    for name, ok in (("memeg", True), ("xyloops", False)):
+        td = toric(name)
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "PathClass", counting)
+            made.clear()
+            rep = td.algebraic_consistency(2 * td.lam)
+            assert rep.ok == ok, name
+            if ok:
+                assert td.cy3_check(2 * td.lam).ok
+            else:
+                with pytest.raises(DimerError, match="bases undefined"):
+                    td.cy3_check(2 * td.lam)
+        assert len(made) == len(rep.failures), name
+    assert made and made == [(f.cls.tail, f.cls.head, f.cls.hom, f.cls.deg)
+                             for f in rep.failures]
 
 
 def test_keys_distinct_on_neighbours():
-    """At radix `_radix`, the keys of the lattice points up to 2 lam and
-    of their neighbours one arrow, relation side or face cycle away on
-    either side read back to their coordinates, so they are distinct, the
-    points of extreme hom included, on every fixture that builds
-    ToricData; and adding a delta to a key gives the neighbour's key."""
+    """At the radix of `_points`, the keys of the lattice points up to
+    2 lam and of their neighbours one arrow, relation side or face cycle
+    away on either side read back to their coordinates (`decode_key`), so
+    they are distinct, the points of extreme hom included, on every
+    fixture that builds ToricData; and adding a delta to a key gives the
+    neighbour's key."""
     for name in NONDEGENERATE:
         td = toric(name)
         nv, d = td.q.n_vertices, 2 * td.lam
         points = [m for i in range(nv) for j in range(nv)
                   for piece in td._pieces(i, j, d) for m in piece]
-        r = td._radix(points)
+        r = td._points(d)[0]
         delta = td._deltas(r)
         # each step as (tail, head, hom, deg, delta)
         steps = [(a.tail, a.head, a.offset, a.id in td.pi0, delta[a.id])
