@@ -112,11 +112,11 @@ class ToricData:
         self.g = g
         self.q = q if q is not None else Quiver(g)
         self.matchings = enumerate_matchings(g, self.q)
-        w = default_r_symmetry(self.matchings, self.q).integral()
+        # arrow a's weight counts the matchings holding a, so every weight
+        # is an integer, and a positive one: default_r_symmetry refuses 0
+        w = default_r_symmetry(self.matchings, self.q)
         self.wts = [int(x) for x in w.weights]
         self.lam = int(w.degree)
-        if any(x <= 0 for x in self.wts):
-            raise DimerError("grading weights must be strictly positive")
         if self.matchings[0].cls != (0, 0):
             raise DimerError("first perfect matching is not the reference "
                              "matching of class (0, 0)")
@@ -138,13 +138,11 @@ class ToricData:
         self._build_base_paths()
         self._points_cache: dict[int, tuple[int, list[list[int]]]] = {}
         self._reports: dict[int, AlgebraReport] = {}
-        # the F-term relation p_a^+ = p_a^- of each arrow a, and the class
-        # of its two sides
+        # the F-term relation p_a^+ = p_a^- of each arrow a
         self.rels = {a: (plus, minus)
                      for a, plus, minus in fterm_relations(self.q)}
-        self._rel_cls = [self.path_class(p) for p, _ in self.rels.values()]
-        for (a, (_, minus)), c in zip(self.rels.items(), self._rel_cls):
-            if c != self.path_class(minus):
+        for a, (plus, minus) in self.rels.items():
+            if self.path_class(plus) != self.path_class(minus):
                 raise DimerError(f"F-term relation of arrow {a} joins paths "
                                  "of different classes")
 
@@ -309,15 +307,15 @@ class ToricData:
         side or the face cycle x starting at m's tail, whose delta is the
         sum of its arrows' deltas (R^2*nv^2 for the face cycle, which is
         null-homologous and meets the reference matching once).  With E
-        the largest offset component of such an x, R = 2(B + E) + 1 keeps
+        the largest offset component of an arrow, R = 2(B + E) + 1 keeps
         the hom of every m - x, in M^+ or not, a pair of balanced digits,
         |hx - ox| <= (R - 1)/2, and its low part head(m)*nv + head(x) in
         [0, nv^2).  So a key reads back digit by digit (`decode_key`), deg
         the unbounded top digit: distinct coordinates, distinct keys.
+        E bounds a relation side too: p_a^+ and p_a^- each close a face,
+        which is null-homologous, with a, so their offset is minus a's.
         """
-        e = max(abs(c) for x in chain((a.offset for a in self.q.arrows),
-                                      (c.hom for c in self._rel_cls))
-                for c in x)
+        e = max(abs(c) for a in self.q.arrows for c in a.offset)
         return 2 * (b + e) + 1
 
     def _deltas(self, r: int) -> list[int]:

@@ -21,22 +21,40 @@ from .surface import (DimerError, ParseError, TopologyError, dualize, dump,
 
 
 class Reporter:
-    def __init__(self, fmt: str, stream=None):
+    """A subcommand's output: to the file `out`, opened on the first
+    write, or to standard output when there is no `out`."""
+
+    def __init__(self, fmt: str, out: Optional[str] = None):
         self.fmt = fmt
-        self.stream = stream or sys.stdout
+        self.out = out
+        self.file = None
+
+    def write(self, text: str) -> None:
+        if self.out and self.file is None:
+            self.file = open(self.out, "w", encoding="utf-8")
+        (self.file or sys.stdout).write(text)
+
+    def close(self) -> None:
+        if self.file is not None:
+            self.file.close()
 
     def emit(self, record: dict) -> None:
         if self.fmt == "json-lines":
-            print(json.dumps({"v": 1, **record}, separators=(",", ":")),
-                  file=self.stream)
+            line = json.dumps({"v": 1, **record}, separators=(",", ":"))
         elif record.get("kind") == "rung":
             verdict = "PASS" if record["ok"] else "FAIL"
-            print(f'RUNG {record["name"]} {verdict} {record["summary"]}',
-                  file=self.stream)
+            line = f'RUNG {record["name"]} {verdict} {record["summary"]}'
         else:
             bits = [str(record["kind"]).upper()]
             bits += [f"{k}={record[k]}" for k in record if k != "kind"]
-            print(" ".join(bits), file=self.stream)
+            line = " ".join(bits)
+        self.write(line + "\n")
+
+    def rung(self, name: str, ok: bool, summary: str) -> bool:
+        """Emit the record of one rung of the ladder; returns ok."""
+        self.emit({"kind": "rung", "name": name, "ok": ok,
+                   "summary": summary})
+        return ok
 
 
 def _load(path: str):
@@ -61,16 +79,13 @@ def cmd_report(args, rep: Reporter) -> int:
         g = _load(args.input)
         q = dualize(g)
     except (OSError, DimerError) as e:
-        rep.emit({"kind": "rung", "name": "load", "ok": False,
-                  "summary": str(e)})
+        rep.rung("load", False, str(e))
         return 2
-    rep.emit({"kind": "rung", "name": "load", "ok": True,
-              "summary": f"{len(g.colors)} vertices {len(g.edges)} edges"})
+    rep.rung("load", True, f"{len(g.colors)} vertices {len(g.edges)} edges")
 
-    ok = symmetry.euler_check(q)
-    rep.emit({"kind": "rung", "name": "euler", "ok": ok,
-              "summary": f"|Q0|-|Q1|+|Q2|={q.n_vertices - q.n_arrows + len(q.faces)}"})
-    if not ok:
+    euler = q.n_vertices - q.n_arrows + len(q.faces)
+    if not rep.rung("euler", symmetry.euler_check(q),
+                    f"|Q0|-|Q1|+|Q2|={euler}"):
         return 1
 
     hall = matchings.hall_check(g)
@@ -78,62 +93,50 @@ def cmd_report(args, rep: Reporter) -> int:
         f"imbalance {hall.imbalance}" if hall.imbalance else
         f"violating set {sorted(hall.witness[0])} -> "
         f"{sorted(hall.witness[1])}")
-    rep.emit({"kind": "rung", "name": "hall", "ok": hall.ok,
-              "summary": summary})
-    if not hall.ok:
+    if not rep.rung("hall", hall.ok, summary):
         return 1
 
     nd = matchings.nondegeneracy_check(g)
     summary = "every edge lies in a matching" if nd.ok else \
         f"dead edges {nd.dead_edges}"
-    rep.emit({"kind": "rung", "name": "nondegeneracy", "ok": nd.ok,
-              "summary": summary})
-    if not nd.ok:
+    if not rep.rung("nondegeneracy", nd.ok, summary):
         return 1
 
     # raises DimerError unless the default R-symmetry is strictly positive
     td = algebra.ToricData(g, q)
-    rep.emit({"kind": "rung", "name": "r-symmetry", "ok": True,
-              "summary": f"degree {td.lam} from {len(td.matchings)} "
-              "matchings"})
+    rep.rung("r-symmetry", True,
+             f"degree {td.lam} from {len(td.matchings)} matchings")
 
     paths = zigzag.zigzag_paths(q)
     af = symmetry.find_anomaly_free(q, paths=paths)
-    rep.emit({"kind": "rung", "name": "anomaly-free", "ok": af is not None,
-              "summary": "anomaly-free R-symmetry found" if af else
-              "vertex equations infeasible"})
-    if af is None:
+    summary = "anomaly-free R-symmetry found" if af else \
+        "vertex equations infeasible"
+    if not rep.rung("anomaly-free", af is not None, summary):
         return 1
 
     geo = zigzag.geometric_check(paths)
     kinds = dict(Counter(type(f).__name__ for f in geo.failures))
     summary = f"{len(paths)} zig-zag paths behave like lines" \
         if geo.verdict else f"failures {kinds}"
-    rep.emit({"kind": "rung", "name": "geometric", "ok": geo.verdict,
-              "summary": summary})
-    if not geo.verdict:
+    if not rep.rung("geometric", geo.verdict, summary):
         return 1
 
     po = zigzag.properly_ordered(q, paths)
-    rep.emit({"kind": "rung", "name": "properly-ordered", "ok": po,
-              "summary": "face crossings in angular order" if po else
-              "order or area mismatch"})
-    if not po:
+    summary = "face crossings in angular order" if po else \
+        "order or area mismatch"
+    if not rep.rung("properly-ordered", po, summary):
         return 1
 
     ar = td.algebraic_consistency(args.max_degree)
-    rep.emit({"kind": "rung", "name": "algebraic", "ok": ar.ok,
-              "summary": f"degree<={args.max_degree} "
-              f"{len(ar.piece_stats)} graded pieces "
-              f"{len(ar.failures)} failures"})
-    if not ar.ok:
+    summary = (f"degree<={args.max_degree} {len(ar.piece_stats)} graded "
+               f"pieces {len(ar.failures)} failures")
+    if not rep.rung("algebraic", ar.ok, summary):
         return 1
 
     cy = td.cy3_check(args.max_degree)
-    rep.emit({"kind": "rung", "name": "cy3", "ok": cy.ok,
-              "summary": f"degree<={args.max_degree} one-sided complex "
-              f"{'exact' if cy.ok else 'not exact'}"})
-    return 0 if cy.ok else 1
+    summary = (f"degree<={args.max_degree} one-sided complex "
+               f"{'exact' if cy.ok else 'not exact'}")
+    return 0 if rep.rung("cy3", cy.ok, summary) else 1
 
 
 def cmd_matchings(args, rep: Reporter) -> int:
@@ -230,13 +233,7 @@ def cmd_gen_square(args, rep: Reporter) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
-    g = polygen.pattern_to_dimer(pattern)
-    text = dump(g)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    rep.write(dump(polygen.pattern_to_dimer(pattern)))
     return 0
 
 
@@ -266,11 +263,7 @@ def cmd_svg(args, rep: Reporter) -> int:
     except ValueError as e:
         print(str(e), file=sys.stderr)
         return 2
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text + "\n")
+    rep.write(text + "\n")
     return 0
 
 
@@ -340,11 +333,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if getattr(args, "max_degree", 0) < 0:
         print("--max-degree must be nonnegative", file=sys.stderr)
         return 2
-    stream = None
+    rep = Reporter(args.format, args.out)
     try:
-        if args.out and args.func not in (cmd_gen_square, cmd_svg):
-            stream = open(args.out, "w", encoding="utf-8")
-        return args.func(args, Reporter(args.format, stream))
+        code = args.func(args, rep)
+        if code == 0:
+            rep.write("")       # creates --out for an empty success too
+        return code
     except (OSError, ParseError, TopologyError) as e:
         print(str(e), file=sys.stderr)
         return 2
@@ -352,8 +346,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         print(str(e), file=sys.stderr)
         return 1
     finally:
-        if stream:
-            stream.close()
+        rep.close()
 
 
 if __name__ == "__main__":

@@ -556,7 +556,9 @@ def test_points_and_report_match_piece_oracle():
     ranges are those of the `PathClass`es of the graded pieces, at the same
     radix and in the same order, and the report counted per piece from the
     keys is the one read piece by piece: verdict, piece statistics, and
-    every failure's kind, class, degree and detail, in order."""
+    every failure's kind, class, degree and detail, in order.  Each F-term
+    relation side closes a face with its arrow a, so its hom is minus a's
+    offset, which is why `_radix` bounds over arrow offsets only."""
     pairs = failing = 0
     for name, g in all_models().items():
         if name == "square-4":
@@ -565,6 +567,10 @@ def test_points_and_report_match_piece_oracle():
             td = ToricData(g)
         except DimerError:
             continue
+        for a, sides in td.rels.items():
+            minus_a = tuple(-c for c in td.q.arrows[a].offset)
+            for side in sides:
+                assert td.path_class(side).hom == minus_a, (name, a)
         for d in sorted({d for d in (4, td.lam, 2 * td.lam) if d <= 40}):
             assert td._points(d) == points_oracle(td, d), (name, d)
             rep = td.algebraic_consistency(d)

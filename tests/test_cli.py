@@ -262,6 +262,54 @@ def test_out_cannot_be_opened(capsys, tmp_path, command):
     assert not out_file.parent.exists()
 
 
+def test_own_failure_precedes_out_error(capsys, tmp_path):
+    """--out is opened only on the first write, so a command that fails
+    before it writes reports its own failure, not the unopenable path."""
+    out_file = tmp_path / "missing" / "x.txt"
+    assert main(["extremal", str(fixture_path("examplestp")),
+                 "--out", str(out_file)]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == "model is not geometrically consistent\n"
+    assert not out_file.parent.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["gen-square", "2"],
+    ["svg", fixture_path("hexagonal"), "--layers",
+     "tiling,quiver,matching,zigzag"],
+    ["report", fixture_path("conifold"), "--format", "json-lines"],
+])
+def test_out_file_is_stdout(capsys, tmp_path, argv):
+    """--out receives exactly what stdout would, byte for byte."""
+    code, out = run(capsys, *argv)
+    assert code == 0
+    out_file = tmp_path / "out"
+    assert main([str(a) for a in argv] + ["--out", str(out_file)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out_file.read_bytes() == out.encode("utf-8")
+
+
+def test_out_opened_on_first_write(capsys, tmp_path):
+    """--out is opened on the first write: a command that fails before
+    writing leaves an existing file as it was and creates no new one; one
+    that succeeds creates it even when it writes nothing."""
+    out_file = tmp_path / "pic.svg"
+    out_file.write_text("keep\n")
+    assert main(["svg", str(fixture_path("hexagonal")), "--layers", "bogus",
+                 "--out", str(out_file)]) == 2
+    assert out_file.read_text() == "keep\n"
+    new_file = tmp_path / "matchings.txt"
+    assert main(["matchings", str(tmp_path / "missing.dimer"),
+                 "--out", str(new_file)]) == 2
+    assert not new_file.exists()
+    out, err = capsys.readouterr()
+    assert out == "" and "No such file or directory" in err
+    # a success that writes nothing still creates the file, empty
+    assert main(["matchings", str(fixture_path("three_rhombi")),
+                 "--out", str(new_file)]) == 0
+    assert new_file.read_text() == ""
+
+
 # hexagonal with every edge offset set to 0 0, and with x-offsets scaled
 # by 2 and y-offsets by 3: both load, but their cycle classes generate a
 # sublattice of Z^2 of rank 1 and of index 6, so the dual quiver cannot be
