@@ -14,10 +14,9 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .matchings import (PerfectMatching, edge_mask, pm_class,
-                        reference_matching)
+from .matchings import PerfectMatching, edge_mask, pm_class
 from .surface import DimerError, Quiver, Vec, vadd
 from .zigzag import (ZigZagPath, angular_sort, boundary_flows, crossing_paths,
                      wedge)
@@ -50,12 +49,6 @@ class LocalFan:
     tags: dict[Cone, int]       # cone -> boundary arrow shared by its reps
 
 
-@dataclass
-class ExtremalMatching:
-    cone: Cone
-    matching: PerfectMatching
-
-
 def local_fan(q: Quiver, paths: Sequence[ZigZagPath], fid: int) -> LocalFan:
     """The fan of classes of paths crossing a face, each cone tagged by the
     boundary arrow whose zig and zag paths are its two representatives."""
@@ -86,12 +79,10 @@ def global_fan(paths: Sequence[ZigZagPath]) -> Fan2D:
 
 
 def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone,
-                      *, reference: Optional[frozenset[int]] = None
-                      ) -> ExtremalMatching:
+                      reference: frozenset[int]) -> PerfectMatching:
     """The perfect matching P of a cone of the global fan, its class
-    taken against the reference matching of `enumerate_matchings`, the
-    support `reference` if given, else searched for by
-    `reference_matching`.
+    taken against `reference`, the support that `reference_matching`
+    finds once per model.
 
     Every arrow is the zag of one path and the zig of another; in both its
     faces it tags the local cone running counterclockwise from the class
@@ -115,11 +106,8 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone,
     for f in q.faces:
         if sum(a in support for a in f.boundary) != 1:
             raise DimerError("cone tags do not form a perfect matching")
-    if reference is None:
-        reference = reference_matching(q.graph)
-    pm = PerfectMatching.from_support(support, pm_class(support, reference,
-                                                        q))
-    return ExtremalMatching(sigma, pm)
+    return PerfectMatching.from_support(support,
+                                        pm_class(support, reference, q))
 
 
 def boundary_system(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
@@ -172,16 +160,17 @@ def resonate(q: Quiver, m: PerfectMatching, eta: ZigZagPath, direction: str
     return PerfectMatching(out.bits, vadd(m.cls, pm_class(out, m, q)))
 
 
-def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
-                       ) -> list[PerfectMatching]:
+def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec,
+                       reference: frozenset[int]) -> list[PerfectMatching]:
     """All perfect matchings vanishing on S(gamma): the subset resonations
-    of the extremal matching of the cone clockwise-bounded by gamma."""
+    of the extremal matching of the cone clockwise-bounded by gamma, its
+    class taken against `reference`."""
     fan = global_fan(paths)
     if gamma not in fan.rays:
         raise DimerError(f"{gamma} is not a ray of the zig-zag fan")
     i = fan.rays.index(gamma)
     sigma = (gamma, fan.rays[(i + 1) % len(fan.rays)])
-    base = extremal_matching(q, paths, sigma).matching
+    base = extremal_matching(q, paths, sigma, reference)
     reps = [p for p in paths if p.cls == gamma]
     out = []
     for k in range(len(reps) + 1):

@@ -367,9 +367,6 @@ class PMPolygon:
         return any(_on_segment(p, v[i], v[(i + 1) % len(v)])
                    for i in range(len(v)))
 
-    def multiplicity(self, p: Vec) -> int:
-        return self.points.get(p, 0)
-
 
 def polygon(matchings: Sequence[PerfectMatching]) -> PMPolygon:
     if not matchings:

@@ -39,7 +39,6 @@ class CurvePattern:
     n_crossings: int
     segments: list[Segment]
     curves: list[tuple[int, ...]]      # cyclic segment id lists
-    unrepaired: bool = False
 
     def __post_init__(self) -> None:
         for k, s in enumerate(self.segments):
@@ -310,8 +309,8 @@ def pattern_to_dimer(pattern: CurvePattern) -> TorusGraph:
 
 def merging_move(pattern: CurvePattern, crossing: int) -> CurvePattern:
     """Merge the two curves through a crossing where they meet exactly
-    once; the crossing disappears and the classes add.  The result is
-    flagged unrepaired and may fail validation."""
+    once; the crossing disappears and the classes add.  The result may
+    fail validation."""
     incoming = {}
     for s in pattern.segments:
         if s.to_crossing == crossing:
@@ -375,8 +374,7 @@ def merging_move(pattern: CurvePattern, crossing: int) -> CurvePattern:
         renumber[cid] = len(curves)
         curves.append(tuple(new_id[sid] for sid in segs))
     segments = [replace(s, curve=renumber[s.curve]) for s in segments]
-    return CurvePattern(pattern.n_crossings - 1, segments, curves,
-                        unrepaired=True)
+    return CurvePattern(pattern.n_crossings - 1, segments, curves)
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,8 @@ from .surface import BLACK, Quiver, TorusGraph, dualize
 from .zigzag import ZigZagPath
 
 LAYERS = ("tiling", "quiver", "matching", "zigzag")
+TILES = (3, 1)      # fundamental domains drawn across and up
+SCALE = 120.0       # pixels per fundamental domain
 
 
 def harmonic_layout(g: TorusGraph) -> list[tuple[float, float]]:
@@ -62,9 +64,8 @@ def _face_centers(g: TorusGraph, pos) -> dict[int, tuple[float, float]]:
 def emit_svg(g: TorusGraph, layers: Sequence[str] = ("tiling",),
              matching: Optional[PerfectMatching] = None,
              path: Optional[ZigZagPath] = None,
-             tiles: tuple[int, int] = (3, 1), scale: float = 120.0,
              q: Optional[Quiver] = None) -> str:
-    """Render the model over a tiles[0] x tiles[1] array of fundamental
+    """Render the model over a TILES[0] x TILES[1] array of fundamental
     domains.  Unknown layer names raise ValueError; the matching and
     zigzag layers need their respective arguments.  The quiver layer
     draws `q`, or the dual of `g` when no quiver is passed."""
@@ -76,13 +77,13 @@ def emit_svg(g: TorusGraph, layers: Sequence[str] = ("tiling",),
     if "zigzag" in layers and path is None:
         raise ValueError("zigzag layer requires a path")
     pos = harmonic_layout(g)
-    nx, ny = tiles
+    nx, ny = TILES
     pad = 0.15
-    height = (ny + 2 * pad) * scale
+    height = (ny + 2 * pad) * SCALE
 
     def xy(p, tx, ty):
-        return ((p[0] + tx + pad) * scale,
-                height - (p[1] + ty + pad) * scale)
+        return ((p[0] + tx + pad) * SCALE,
+                height - (p[1] + ty + pad) * SCALE)
 
     def line(p, p2, tx, ty, extra=""):
         x1, y1 = xy(p, tx, ty)
@@ -90,7 +91,7 @@ def emit_svg(g: TorusGraph, layers: Sequence[str] = ("tiling",),
         return (f'<line x1="{x1:.2f}" y1="{y1:.2f}" x2="{x2:.2f}" '
                 f'y2="{y2:.2f}"{extra}/>')
 
-    width = (nx + 2 * pad) * scale
+    width = (nx + 2 * pad) * SCALE
     out = [f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.0f}" '
            f'height="{height:.0f}" viewBox="0 0 {width:.2f} {height:.2f}">',
            '<defs><marker id="arr" viewBox="0 0 10 10" refX="9" refY="5" '

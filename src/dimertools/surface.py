@@ -12,9 +12,8 @@ the white endpoint's copy relative to the black endpoint's copy.
 from __future__ import annotations
 
 import math
-import re
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Iterable, Optional, Sequence
 

@@ -15,7 +15,7 @@ from dimertools.fans import (boundary_system, external_matchings,
                              resonate)
 from dimertools.matchings import (bvn_decompose, enumerate_matchings,
                                   hall_check, nondegeneracy_check, polygon,
-                                  polygon_normal_form)
+                                  polygon_normal_form, reference_matching)
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.surface import dualize, load_file
 from dimertools.symmetry import find_anomaly_free
@@ -155,12 +155,12 @@ def test_criterion_06_memeg():
         lf = local_fan(q, paths, f.id)
         assert len(lf.fan.rays) == len(f.boundary)
         assert len(f.boundary) in (3, 4)
-    ext = extremal_matching(q, paths, ((0, -1), (1, 0)))
+    ref = reference_matching(g)
+    ext = extremal_matching(q, paths, ((0, -1), (1, 0)), ref)
     eta_pos = next(p for p in paths if p.cls == (1, 0))
     eta_neg = next(p for p in paths if p.cls == (0, -1))
-    assert ext.matching.support == \
-        frozenset(eta_pos.zigs) | frozenset(eta_neg.zags)
-    exts = external_matchings(q, paths, (0, 1))
+    assert ext.support == frozenset(eta_pos.zigs) | frozenset(eta_neg.zags)
+    exts = external_matchings(q, paths, (0, 1), ref)
     hist = sorted(Counter(m.cls for m in exts).items())
     assert [k for _, k in hist] == [1, 2, 1]
     report(6, "memeg: 5 paths, 4-ray fan, known extremal matching, "
@@ -176,9 +176,10 @@ def test_criterion_07_fan_suite():
         poly = polygon(ms)
         fan = global_fan(paths)
         systems = {ray: boundary_system(q, paths, ray) for ray in fan.rays}
+        ref = reference_matching(g)
         extremals = {}
         for sigma in fan.cones:
-            m = extremal_matching(q, paths, sigma).matching
+            m = extremal_matching(q, paths, sigma, ref)
             extremals[sigma] = m
             assert pairing(m, systems[sigma[0]]) == 0
             assert pairing(m, systems[sigma[1]]) == 0

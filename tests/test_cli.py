@@ -397,12 +397,11 @@ def test_report_builds_zigzag_paths_once(capsys, monkeypatch):
 def test_extremal_searches_reference_once(capsys, monkeypatch, tmp_path):
     """`extremal` finds the reference matching once for all cones, here
     the 4 of gen-square 4."""
-    from dimertools import fans, matchings
+    from dimertools import matchings
     model = tmp_path / "sq.dimer"
     assert main(["gen-square", "4", "--out", str(model)]) == 0
     calls = []
-    counting_calls(monkeypatch, calls, "reference_matching",
-                   (matchings, fans))
+    counting_calls(monkeypatch, calls, "reference_matching", (matchings,))
     code, out = run(capsys, "extremal", model)
     assert code == 0 and out.count("CONE") == 4
     assert calls == ["reference_matching"]

@@ -2,16 +2,16 @@
 
 import random
 import re
+import sys
 from collections import Counter
 from functools import lru_cache
 
 import pytest
 
 from conftest import ALL_FIXTURES, CONSISTENT, fixture_path
-from dimertools.fans import (ExtremalMatching, Fan2D, LocalFan,
-                             boundary_system, external_matchings,
-                             extremal_matching, global_fan, local_fan,
-                             pairing, resonate)
+from dimertools.fans import (Fan2D, LocalFan, boundary_system,
+                             external_matchings, extremal_matching,
+                             global_fan, local_fan, pairing, resonate)
 from dimertools.matchings import (PerfectMatching, enumerate_matchings,
                                   pm_class, polygon, reference_matching)
 from dimertools.polygen import merging_move, pattern_to_dimer, square_pattern
@@ -131,9 +131,8 @@ def extremal_matching_oracle(q, paths, sigma):
     for f in q.faces:
         if sum(a in support for a in f.boundary) != 1:
             raise DimerError("cone tags do not form a perfect matching")
-    pm = PerfectMatching.from_support(support, pm_class(
+    return PerfectMatching.from_support(support, pm_class(
         support, reference_matching(q.graph), q))
-    return ExtremalMatching(sigma, pm)
 
 
 def outcome(f, *args):
@@ -153,12 +152,13 @@ def test_fan_cones():
     with pytest.raises(DimerError):
         Fan2D(((1, 0), (-1, 0)))        # degenerate half-plane cone
     q, paths, _ = zigzag("hexagonal")
+    ref = reference_matching(q.graph)
     assert global_fan(paths).rays == ((1, 0), (-1, 1), (0, -1))
     with pytest.raises(DimerError, match=re.escape("(0, 1)")):
-        external_matchings(q, paths, (0, 1))
+        external_matchings(q, paths, (0, 1), ref)
     for sigma in (((1, 0), (0, 1)), ((0, 1), (1, 0)), ((1, 0), (0, -1))):
         with pytest.raises(DimerError, match=re.escape(str(sigma))):
-            extremal_matching(q, paths, sigma)
+            extremal_matching(q, paths, sigma, ref)
 
 
 def test_extremal_names_geometric_rung():
@@ -167,11 +167,37 @@ def test_extremal_names_geometric_rung():
     geometric rung, not as an inconsistent model."""
     q, paths, consistent = zigzag("examplestp")
     assert not consistent
+    ref = reference_matching(q.graph)
     for sigma in global_fan(paths).cones:
         with pytest.raises(DimerError, match=re.escape(
                 "arrow 8 do not turn counterclockwise (not geometrically "
                 "consistent)")):
-            extremal_matching(q, paths, sigma)
+            extremal_matching(q, paths, sigma, ref)
+
+
+def test_fan_matchings_run_no_reference_search(load_quiver, monkeypatch):
+    """Given a reference found beforehand, the matchings of every cone and
+    every ray come out the same while `reference_matching` raises in each
+    module that imports it: no function of `fans` searches for it."""
+    def refuse(g):
+        raise AssertionError("reference_matching called")
+
+    for name in CONSISTENT:
+        g, q = load_quiver(name)
+        paths = zigzag_paths(q)
+        ref = reference_matching(g)
+        fan = global_fan(paths)
+
+        def fan_matchings():
+            return ([extremal_matching(q, paths, s, ref) for s in fan.cones],
+                    [external_matchings(q, paths, r, ref) for r in fan.rays])
+        want = fan_matchings()
+        with monkeypatch.context() as mp:
+            for mod_name, module in list(sys.modules.items()):
+                if (mod_name.startswith("dimertools")
+                        and hasattr(module, "reference_matching")):
+                    mp.setattr(module, "reference_matching", refuse)
+            assert fan_matchings() == want, name
 
 
 def test_local_fans(load_quiver):
@@ -219,8 +245,9 @@ def test_extremal_matches_oracle():
         fan = outcome(global_fan, paths)
         if fan == "raises":
             continue
+        ref = reference_matching(q.graph)
         for sigma in fan.cones:
-            got = outcome(extremal_matching, q, paths, sigma)
+            got = outcome(extremal_matching, q, paths, sigma, ref)
             want = outcome(extremal_matching_oracle, q, paths, sigma)
             if consistent:
                 assert got == want != "raises", (name, sigma)
@@ -248,17 +275,17 @@ def test_extremal_vertices_bijective():
         poly = polygon(ms)
         cls_of = {m.support: m.cls for m in ms}
         fan = global_fan(paths)
+        ref = reference_matching(g)
         picked = {}
         for sigma in fan.cones:
-            ext = extremal_matching(q, paths, sigma)
-            support = ext.matching.support
-            assert cls_of[support] == ext.matching.cls
+            m = extremal_matching(q, paths, sigma, ref)
+            assert cls_of[m.support] == m.cls
             for p in paths:
                 if p.cls == sigma[1]:
-                    assert set(p.zigs) <= support, (name, sigma)
+                    assert set(p.zigs) <= m.support, (name, sigma)
                 if p.cls == sigma[0]:
-                    assert set(p.zags) <= support, (name, sigma)
-            picked[sigma] = ext.matching
+                    assert set(p.zags) <= m.support, (name, sigma)
+            picked[sigma] = m
         classes = [m.cls for m in picked.values()]
         assert sorted(classes) == sorted(set(classes))
         assert sorted(classes) == sorted(poly.vertices)
@@ -276,8 +303,9 @@ def test_boundary_system_pairing(load_quiver):
         ms = enumerate_matchings(g, q)
         fan = global_fan(paths)
         systems = {ray: boundary_system(q, paths, ray) for ray in fan.rays}
+        ref = reference_matching(g)
         for sigma in fan.cones:
-            m = extremal_matching(q, paths, sigma).matching
+            m = extremal_matching(q, paths, sigma, ref)
             for ray in fan.rays:
                 p = pairing(m, systems[ray])
                 if ray in sigma:
@@ -294,15 +322,16 @@ def test_adjacent_cone_resonance(load_quiver):
     """Resonating through every representative of a shared ray carries one
     cone's extremal matching to the other's."""
     for name in CONSISTENT:
-        _, q = load_quiver(name)
+        g, q = load_quiver(name)
         paths = zigzag_paths(q)
+        ref = reference_matching(g)
         fan = global_fan(paths)
         n = len(fan.rays)
         for i, gamma in enumerate(fan.rays):
             cw = (gamma, fan.rays[(i + 1) % n])      # gamma clockwise ray
             ccw = (fan.rays[(i - 1) % n], gamma)     # gamma ccw ray
-            start = extremal_matching(q, paths, cw).matching
-            target = extremal_matching(q, paths, ccw).matching
+            start = extremal_matching(q, paths, cw, ref)
+            target = extremal_matching(q, paths, ccw, ref)
             m = start
             for eta in (p for p in paths if p.cls == gamma):
                 m = resonate(q, m, eta, "zag->zig")
@@ -328,9 +357,10 @@ def test_external_multiplicities():
     from math import comb
     for name in WITH_SQUARES:
         g, q, paths, ms = enumerated(name)
+        ref = reference_matching(g)
         for gamma in global_fan(paths).rays:
             r = sum(1 for p in paths if p.cls == gamma)
-            ext = external_matchings(q, paths, gamma)
+            ext = external_matchings(q, paths, gamma, ref)
             assert len(ext) == 2 ** r
             s = boundary_system(q, paths, gamma)
             vanishing = {m.support: m.cls for m in ms if pairing(m, s) == 0}

@@ -1,6 +1,6 @@
 """Package-wide properties: the README example runs, no module of
-`dimertools` guards anything with `assert`, and none but the renderer
-computes with floats."""
+`dimertools` guards anything with `assert`, none but the renderer
+computes with floats, and none imports a name it does not use."""
 
 import ast
 import os
@@ -61,4 +61,30 @@ def test_no_floats_in_package():
         tree = ast.parse(path.read_text(encoding="utf-8"))
         found += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                   if is_float(n)]
+    assert found == []
+
+
+def test_no_unused_imports_in_package():
+    """Every name a module of `dimertools` imports at module level is used
+    in it.  `__init__.py` re-exports, and `algebra.solve_lp` and `cli.load`
+    stay for the benchmark's tracer, which wraps them by name."""
+    kept = {("algebra.py", "solve_lp"), ("cli.py", "load")}
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = {}
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                for a in node.names:
+                    imported[(a.asname or a.name).split(".")[0]] = node.lineno
+            elif (isinstance(node, ast.ImportFrom)
+                  and node.module != "__future__"):
+                for a in node.names:
+                    imported[a.asname or a.name] = node.lineno
+        used = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        found += [f"{path.name}:{line} {name}"
+                  for name, line in imported.items()
+                  if name not in used and (path.name, name) not in kept]
     assert found == []

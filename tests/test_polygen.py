@@ -149,7 +149,6 @@ def test_load_rejects_misnumbered_ids(flags):
 def test_merging_move():
     p = square_pattern(1)
     m = merging_move(p, 1)
-    assert m.unrepaired
     assert m.n_crossings == p.n_crossings - 1
     assert len(m.curves) == len(p.curves) - 1
     # classes of the merged pair add; total class stays zero
