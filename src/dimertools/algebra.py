@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import chain
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .matchings import edge_mask, enumerate_matchings
 # not called here; perfbench/spans.py traces `algebra.solve_lp` by name
@@ -32,8 +31,8 @@ from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
                       vadd, vsub)
 from .symmetry import default_r_symmetry
 
-@dataclass(frozen=True)
-class PathClass:
+
+class PathClass(NamedTuple):
     """Coordinates of a path (or lattice element) in M: endpoints, homology
     offset, and pairing with the reference matching."""
     tail: int
@@ -42,24 +41,21 @@ class PathClass:
     deg: int
 
 
-@dataclass
-class AlgebraFailure:
+class AlgebraFailure(NamedTuple):
     kind: str                     # "surjectivity" | "injectivity"
     cls: PathClass
     d: int
     detail: str
 
 
-@dataclass
-class AlgebraReport:
+class AlgebraReport(NamedTuple):
     ok: bool
     max_degree: int
     failures: list[AlgebraFailure]
     piece_stats: list[tuple[int, int, int, int, int]]  # i,j,d,#lattice,#cls
 
 
-@dataclass
-class Cy3Report:
+class Cy3Report(NamedTuple):
     ok: bool
     max_degree: int
     failures: list[tuple[int, int, str]]          # (vertex, degree, reason)

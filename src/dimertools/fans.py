@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .matchings import PerfectMatching, edge_mask, pm_class
 from .surface import DimerError, Quiver, Vec, vadd
@@ -41,8 +41,7 @@ class Fan2D:
         return [(self.rays[i], self.rays[(i + 1) % n]) for i in range(n)]
 
 
-@dataclass
-class LocalFan:
+class LocalFan(NamedTuple):
     face: int
     fan: Fan2D
     reps: dict[Vec, int]        # ray -> path id crossing the face

@@ -14,8 +14,8 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass, field
-from typing import Container, Iterable, Optional, Sequence
+from dataclasses import dataclass
+from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .surface import BLACK, DimerError, Quiver, TorusGraph, Vec
 
@@ -172,8 +172,7 @@ def reference_matching(g: TorusGraph) -> Optional[frozenset[int]]:
 # ---------------------------------------------------------------------------
 # Hall condition and non-degeneracy
 
-@dataclass(frozen=True)
-class HallReport:
+class HallReport(NamedTuple):
     ok: bool
     imbalance: Optional[tuple[int, int]] = None      # (#black, #white)
     witness: Optional[tuple[frozenset[int], frozenset[int]]] = None
@@ -256,10 +255,9 @@ def hall_check(g: TorusGraph) -> HallReport:
     return HallReport(False, witness=(frozenset(a), frozenset(nbrs)))
 
 
-@dataclass(frozen=True)
-class NondegeneracyReport:
+class NondegeneracyReport(NamedTuple):
     ok: bool
-    edge_in_some_matching: dict[int, bool] = field(default_factory=dict)
+    edge_in_some_matching: dict[int, bool]
 
     @property
     def dead_edges(self) -> list[int]:
@@ -352,8 +350,7 @@ def _on_segment(p: Vec, a: Vec, b: Vec) -> bool:
             and min(a[1], b[1]) <= p[1] <= max(a[1], b[1]))
 
 
-@dataclass
-class PMPolygon:
+class PMPolygon(NamedTuple):
     points: dict[Vec, int]                       # class -> multiplicity
     vertices: list[Vec]                          # ccw extremal points
 

@@ -11,15 +11,15 @@ geometrically consistent model whose matching polygon is a square.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from math import gcd
+from typing import NamedTuple
 
 from .surface import DimerError, Edge, ParseError, TorusGraph, Vec, vadd, vsub
 from .zigzag import ZigZagPath, geometric_check
 
 
-@dataclass(frozen=True)
-class Segment:
+class Segment(NamedTuple):
     id: int
     curve: int
     from_crossing: int
@@ -162,8 +162,7 @@ def square_pattern(n: int) -> CurvePattern:
 # ---------------------------------------------------------------------------
 # Cells of the arrangement
 
-@dataclass
-class Cell:
+class Cell(NamedTuple):
     id: int
     kind: str                           # "black" | "white" | "quiver" | "bad"
     corners: list[tuple[int, Vec]]      # (crossing, lift displacement)
@@ -221,8 +220,7 @@ def trace_cells(pattern: CurvePattern) -> list[Cell]:
 # ---------------------------------------------------------------------------
 # Validation
 
-@dataclass
-class PatternReport:
+class PatternReport(NamedTuple):
     ok: bool
     failures: list[str]
 
@@ -348,12 +346,12 @@ def merging_move(pattern: CurvePattern, crossing: int) -> CurvePattern:
             continue
         s2 = keep.get(s.id, s)
         if s2.curve == cb:
-            s2 = replace(s2, curve=ca)
+            s2 = s2._replace(curve=ca)
         new_id[s.id] = len(segments)
         c_from = s2.from_crossing - (s2.from_crossing > crossing)
         c_to = s2.to_crossing - (s2.to_crossing > crossing)
-        segments.append(replace(s2, id=len(segments), from_crossing=c_from,
-                                to_crossing=c_to))
+        segments.append(s2._replace(id=len(segments), from_crossing=c_from,
+                                    to_crossing=c_to))
     # splice the two cyclic orders at the crossing: rotate each so the
     # incoming segment sits last, then interleave past the dropped pair
     def rotated_to_end(seq: list[int], sid: int) -> list[int]:
@@ -373,7 +371,7 @@ def merging_move(pattern: CurvePattern, crossing: int) -> CurvePattern:
             continue
         renumber[cid] = len(curves)
         curves.append(tuple(new_id[sid] for sid in segs))
-    segments = [replace(s, curve=renumber[s.curve]) for s in segments]
+    segments = [s._replace(curve=renumber[s.curve]) for s in segments]
     return CurvePattern(pattern.n_crossings - 1, segments, curves)
 
 

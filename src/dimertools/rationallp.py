@@ -10,10 +10,9 @@ rule picks the entering column and guarantees termination.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .surface import DimerError
 
@@ -21,8 +20,7 @@ from .surface import DimerError
 Row = tuple[list[int], int]
 
 
-@dataclass
-class LPResult:
+class LPResult(NamedTuple):
     status: str                      # "optimal" | "infeasible" | "unbounded"
     objective: Optional[Fraction] = None
     solution: Optional[list[Fraction]] = None

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 Vec = tuple[int, int]
@@ -48,8 +47,7 @@ def vneg(a: Vec) -> Vec:
     return (-a[0], -a[1])
 
 
-@dataclass(frozen=True)
-class Edge:
+class Edge(NamedTuple):
     id: int
     black: int
     white: int
@@ -286,17 +284,14 @@ def dump(g: TorusGraph) -> str:
 # ---------------------------------------------------------------------------
 # Dual quiver
 
-@dataclass(frozen=True)
-class Arrow:
+class Arrow(NamedTuple):
     id: int
     tail: int
     head: int
-    dual_edge: int
     offset: Vec
 
 
-@dataclass(frozen=True)
-class QuiverFace:
+class QuiverFace(NamedTuple):
     id: int
     color: str
     boundary: tuple[int, ...]  # cyclic list of arrow ids
@@ -334,7 +329,7 @@ class Quiver:
             d_head = (e.black, g.succ[d_tail])
             offset = vsub(g.lift[d_tail], g.lift[d_head])
             arrows.append(Arrow(e.id, g.face_of[d_tail], g.face_of[d_head],
-                                e.id, offset))
+                                offset))
         self.arrows = arrows
         self.out_arrows: list[list[int]] = [[] for _ in range(self.n_vertices)]
         self.in_arrows: list[list[int]] = [[] for _ in range(self.n_vertices)]
@@ -479,8 +474,7 @@ def face_walk(nxt: dict[int, int], after: int, until: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 # Superpotential and F-term relations
 
-@dataclass(frozen=True)
-class Superpotential:
+class Superpotential(NamedTuple):
     terms: tuple[tuple[int, tuple[int, ...]], ...]  # (sign, cyclic arrows)
 
 

@@ -22,10 +22,9 @@ iff the optimum is strictly positive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .matchings import PerfectMatching
 from .rationallp import solve_lp
@@ -33,13 +32,9 @@ from .surface import DimerError, Quiver
 from .zigzag import ZigZagPath, angular_sort, crossing_paths, zigzag_paths
 
 
-@dataclass(frozen=True)
-class WeightFunction:
+class WeightFunction(NamedTuple):
     weights: tuple[Fraction, ...]    # indexed by arrow id
     degree: Fraction
-
-    def __getitem__(self, arrow: int) -> Fraction:
-        return self.weights[arrow]
 
     def integral(self) -> "WeightFunction":
         """Clear denominators to the least integral multiple."""

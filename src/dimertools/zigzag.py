@@ -10,16 +10,14 @@ counting argument instead of explicit cover windows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 from functools import cmp_to_key
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 from .surface import BLACK, DimerError, Quiver, Vec, face_walk, vadd, vsub
 
 
-@dataclass(frozen=True)
-class ZigZagPath:
+class ZigZagPath(NamedTuple):
     id: int
     arrows: tuple[int, ...]      # even index = zig, odd = zag
     offsets: tuple[Vec, ...]     # cumulative, offsets[i] before arrows[i]
@@ -93,32 +91,27 @@ def crossing_paths(paths: Sequence[ZigZagPath]
 # ---------------------------------------------------------------------------
 # Failure records
 
-@dataclass(frozen=True)
-class SelfIntersection:
+class SelfIntersection(NamedTuple):
     path: int
     i: int
     j: int
 
 
-@dataclass(frozen=True)
-class ZeroClass:
+class ZeroClass(NamedTuple):
     path: int
 
 
-@dataclass(frozen=True)
-class NonPrimitiveClass:
+class NonPrimitiveClass(NamedTuple):
     path: int
 
 
-@dataclass(frozen=True)
-class ParallelShare:
+class ParallelShare(NamedTuple):
     path_a: int
     path_b: int
     arrow: int
 
 
-@dataclass(frozen=True)
-class CosetCount:
+class CosetCount(NamedTuple):
     path_a: int
     path_b: int
     coset: Vec
@@ -129,8 +122,7 @@ Failure = Union[SelfIntersection, ZeroClass, NonPrimitiveClass,
                 ParallelShare, CosetCount]
 
 
-@dataclass
-class GeomReport:
+class GeomReport(NamedTuple):
     verdict: bool
     failures: list[Failure]
 

@@ -101,6 +101,11 @@ def test_weight_is_grading():
         assert td.weight(cls) == sum(td.wts[a] for a in path)
 
 
+def test_path_class_text():
+    assert (str(PathClass(0, 1, (1, -1), 2))
+            == "PathClass(tail=0, head=1, hom=(1, -1), deg=2)")
+
+
 def test_face_cycle_class():
     """Every face boundary represents the same closed class of weight
     lambda, evaluating to one on each matching."""

@@ -1,6 +1,7 @@
 """Package-wide properties: the README example runs, no module of
 `dimertools` guards anything with `assert`, none but the renderer
-computes with floats, and none imports a name it does not use."""
+computes with floats, none imports a name it does not use, and records
+are `NamedTuple`s but for three dataclasses."""
 
 import ast
 import os
@@ -88,3 +89,23 @@ def test_no_unused_imports_in_package():
                   for name, line in imported.items()
                   if name not in used and (path.name, name) not in kept]
     assert found == []
+
+
+def test_dataclasses_only_where_needed():
+    """Records are `typing.NamedTuple`s: a `@dataclass` generates and
+    `exec`s its methods' source on every import, several times the cost of
+    a `NamedTuple`.  `Fan2D` and `CurvePattern` validate in
+    `__post_init__`, and `PerfectMatching` has a `__contains__` and its
+    field reads are the faster, so these three stay dataclasses."""
+    def is_dataclass(d):
+        f = d.func if isinstance(d, ast.Call) else d
+        return (isinstance(f, ast.Name) and f.id == "dataclass"
+                or isinstance(f, ast.Attribute) and f.attr == "dataclass")
+
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        found |= {n.name for n in ast.walk(tree)
+                  if isinstance(n, ast.ClassDef)
+                  and any(map(is_dataclass, n.decorator_list))}
+    assert found == {"Fan2D", "CurvePattern", "PerfectMatching"}

@@ -8,11 +8,12 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import CONSISTENT, NONDEGENERATE
 from dimertools.surface import BLACK, DimerError
-from dimertools.zigzag import (CosetCount, ParallelShare, SelfIntersection,
-                               ZeroClass, angular_sort, boundary_flows,
-                               coset_reduce, coset_representatives,
-                               geometric_check, normal_polygon_twice_area,
-                               properly_ordered, wedge, zigzag_paths)
+from dimertools.zigzag import (CosetCount, NonPrimitiveClass, ParallelShare,
+                               SelfIntersection, ZeroClass, angular_sort,
+                               boundary_flows, coset_reduce,
+                               coset_representatives, geometric_check,
+                               normal_polygon_twice_area, properly_ordered,
+                               wedge, zigzag_paths)
 
 CLASSES = {
     "hexagonal": [(-1, 1), (0, -1), (1, 0)],
@@ -80,6 +81,20 @@ def test_degenerate_failures(load_quiver):
         assert not geo.verdict
         kinds = {type(f) for f in geo.failures}
         assert kinds & {SelfIntersection, ZeroClass}
+
+
+@pytest.mark.parametrize("failure, text", [
+    (SelfIntersection(1, 2, 3), "SelfIntersection(path=1, i=2, j=3)"),
+    (ZeroClass(4), "ZeroClass(path=4)"),
+    (NonPrimitiveClass(5), "NonPrimitiveClass(path=5)"),
+    (ParallelShare(1, 2, 3), "ParallelShare(path_a=1, path_b=2, arrow=3)"),
+    (CosetCount(0, 1, (1, 0), 2),
+     "CosetCount(path_a=0, path_b=1, coset=(1, 0), count=2)"),
+])
+def test_failure_text(failure, text):
+    """`zigzag` prints `str(f)` as a failure's detail.  The kinds are told
+    apart by type alone: as tuples, equal fields make equal failures."""
+    assert str(failure) == text
 
 
 def test_properly_ordered(load_quiver):
