@@ -20,11 +20,13 @@ progressions, and no `PathClass` is built but for a failure record.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .matchings import edge_mask, enumerate_matchings
+from .matchings import byte_planes, edge_mask, enumerate_matchings
 # not called here; perfbench/spans.py traces `algebra.solve_lp` by name
 from .rationallp import solve_lp  # noqa: F401
 from .surface import (DimerError, Quiver, TorusGraph, Vec, fterm_relations,
@@ -101,7 +103,11 @@ class ToricData:
     Built from the torus graph; holds the quiver, the matchings, the
     grading and concrete base paths anchoring the M_ij coordinates.  The
     grading is always the default R-symmetry, the sum of all perfect
-    matchings, so its degree `lam` is the number of matchings.
+    matchings, so its degree `lam` is the number of matchings.  For the
+    class tables of the base paths it holds the matchings' byte planes
+    (`byte_planes`), one int per arrow whose byte k is 1 iff the k-th
+    matching in class order holds the arrow, and each class's range of
+    bytes.
     """
 
     def __init__(self, g: TorusGraph, q: Optional[Quiver] = None) -> None:
@@ -117,10 +123,14 @@ class ToricData:
             raise DimerError("first perfect matching is not the reference "
                              "matching of class (0, 0)")
         self.pi0 = self.matchings[0].support
-        # the matchings' bits per class, read by _class_table
-        self._bits_by_cls: dict[Vec, list[int]] = {}
-        for m in self.matchings:
-            self._bits_by_cls.setdefault(m.cls, []).append(m.bits)
+        # read by _class_table: the matchings sorted by class, each class's
+        # range in that order, and per arrow its byte plane over it
+        by_cls = sorted(self.matchings, key=attrgetter("cls"))
+        classes = list(map(attrgetter("cls"), by_cls))
+        self._ranges = [(c, bisect_left(classes, c), bisect_right(classes, c))
+                        for c in dict.fromkeys(classes)]
+        self._planes = byte_planes(list(map(attrgetter("bits"), by_cls)),
+                                   self.q.n_arrows)
         # closed-class functionals: weight and matching evaluations factor
         # through (hom, deg) via the basis walks
         gx, gy = self.q.gamma_x, self.q.gamma_y
@@ -191,12 +201,27 @@ class ToricData:
 
     def _class_table(self, beta: Sequence[int]) -> dict[Vec, int]:
         """Class c -> the least number of arrows of beta in a matching of
-        class c, by popcount; beta must not repeat an arrow."""
-        mask = edge_mask(beta)
-        if mask.bit_count() != len(beta):
+        class c; beta must not repeat an arrow, nor have more than 255.
+
+        The byte planes of beta's arrows add up to one byte per matching,
+        its count, since no byte exceeds |beta| <= 255 and none carries;
+        a class's least byte is the least v that `bytes.find` finds in the
+        class's range.  Base paths are breadth-first, so shorter than
+        |Q0|."""
+        if len(beta) > 255:
+            raise DimerError(f"base path of {len(beta)} arrows: a class "
+                             "table counts at most 255 per matching")
+        if edge_mask(beta).bit_count() != len(beta):
             raise DimerError(f"base path {list(beta)} repeats an arrow")
-        return {c: min(map(int.bit_count, map(mask.__and__, bits)))
-                for c, bits in self._bits_by_cls.items()}
+        counts = sum(map(self._planes.__getitem__, beta)).to_bytes(
+            len(self.matchings), "little")
+        out = {}
+        for c, lo, hi in self._ranges:
+            v = 0
+            while counts.find(v, lo, hi) < 0:
+                v += 1
+            out[c] = v
+        return out
 
     def _pair_columns(self, i: int, j: int, max_weight: int
                       ) -> list[tuple[int, int, int, int, int]]:

@@ -7,14 +7,21 @@ measured against a fixed reference matching, the least support in edge-id
 order, using the homology basis walks of the quiver.
 `enumerate_matchings` meets in the middle over covered-vertex bitmasks
 with each partial matching packed into one int (order key, edge bits, x
-and y class counts), so that joining a prefix with a suffix is one add.
+and y class counts), so that joining a prefix with a suffix is one add,
+and builds the records from the packed ints by `map`, with no Python loop
+per matching.  `byte_planes` transposes a list of bitmasks into one int
+per bit, one byte per mask, so that a count over all matchings is a
+popcount or a sum of such ints.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from collections import Counter
-from dataclasses import dataclass
+from itertools import repeat
+from operator import and_, rshift
 from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .surface import BLACK, DimerError, Quiver, TorusGraph, Vec
@@ -25,8 +32,7 @@ def edge_mask(edges: Iterable[int]) -> int:
     return sum(1 << e for e in set(edges))
 
 
-@dataclass(frozen=True, slots=True)
-class PerfectMatching:
+class PerfectMatching(NamedTuple):
     bits: int                    # bit e set iff edge (== dual arrow) e is in
     cls: Vec = (0, 0)            # relative cohomology class
 
@@ -42,6 +48,30 @@ class PerfectMatching:
 
     def __contains__(self, edge: int) -> bool:
         return self.bits >> edge & 1 == 1
+
+
+def byte_planes(masks: Sequence[int], n: int) -> list[int]:
+    """Per id e < n, the int whose byte k is 1 if bit e of masks[k] is
+    set and 0 if not; every mask must be below 2^n.
+
+    The masks go 64 bits at a time (whole, when n <= 64) into an
+    `array("Q")`, whose bytes, little-endian, hold byte c of mask k at
+    8k + c.  Every eighth byte from c, read as one int, is the column of
+    byte c: its byte k is byte c of mask k, so id 8c + i of the word is
+    bit i of each of its bytes.  Only the columns below n are read, and
+    no Python loop runs per mask."""
+    ones = int.from_bytes(b"\1" * len(masks), "little")
+    planes: list[int] = []
+    for w in range(0, n, 64):
+        word = array("Q", masks if n <= 64 else map(
+            and_, map(rshift, masks, repeat(w)), repeat((1 << 64) - 1)))
+        if sys.byteorder == "big":
+            word.byteswap()
+        raw = word.tobytes()
+        for c in range(min(8, (n - w + 7) // 8)):
+            col = int.from_bytes(raw[c::8], "little")
+            planes += [col >> i & ones for i in range(min(8, n - w - 8 * c))]
+    return planes
 
 
 def _suffixes(nbrs: list[list[tuple[int, int]]], mask: int,
@@ -112,7 +142,9 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     carries into the next.  One descending sort orders by key, which is
     the lexicographic order of the sorted edge ids, as all supports have
     the same size; so the first entry is the least support, and a class
-    is the counts minus the first entry's.
+    is the counts minus the first entry's.  The records are built by `map`
+    over the sorted ints, one class tuple per class, with no Python
+    loop per matching.
     """
     if q is None:
         q = Quiver(g)
@@ -129,19 +161,12 @@ def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
     vals = _join([[edges[e] for e in rot] for rot in g.rotation],
                  len(g.black_vertices) // 2)
     vals.sort(reverse=True)
-    edge_bits, cls_bits = (1 << n) - 1, (1 << low) - 1
-    bx, by = divmod(vals[0] & cls_bits if vals else 0, 1 << f)
-    classes = {c: ((c >> f) - bx, (c & (1 << f) - 1) - by)
-               for c in {v & cls_bits for v in vals}}
-    new, set_bits = object.__new__, PerfectMatching.bits.__set__
-    set_cls = PerfectMatching.cls.__set__
-    out = []
-    for v in vals:
-        m = new(PerfectMatching)
-        set_bits(m, v >> low & edge_bits)
-        set_cls(m, classes[v & cls_bits])
-        out.append(m)
-    return out
+    keys = list(map(and_, vals, repeat((1 << low) - 1)))
+    bx, by = divmod(keys[0] if keys else 0, 1 << f)
+    classes = {c: ((c >> f) - bx, (c & (1 << f) - 1) - by) for c in set(keys)}
+    bits = map(and_, map(rshift, vals, repeat(low)), repeat((1 << n) - 1))
+    return list(map(tuple.__new__, repeat(PerfectMatching),
+                    zip(bits, map(classes.__getitem__, keys))))
 
 
 def reference_matching(g: TorusGraph) -> Optional[frozenset[int]]:

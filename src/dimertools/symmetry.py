@@ -24,9 +24,10 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
+from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
-from .matchings import PerfectMatching
+from .matchings import PerfectMatching, byte_planes
 from .rationallp import solve_lp
 from .surface import DimerError, Quiver
 from .zigzag import ZigZagPath, angular_sort, crossing_paths, zigzag_paths
@@ -51,22 +52,15 @@ def euler_check(q: Quiver) -> bool:
     return q.n_vertices - q.n_arrows + len(q.faces) == 0
 
 
-# _BIT[i][x] is bit i of the byte x
-_BIT = tuple(bytes(x >> i & 1 for x in range(256)) for i in range(8))
-
-
 def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
                        ) -> WeightFunction:
     """The sum of all perfect matchings, an integral R-symmetry whenever the
-    model is non-degenerate.  Each matching's bits are nb little-endian
-    bytes of one blob, so arrow a's count is the number of bytes with bit
-    a % 8 set in column a // 8, the blob's every nb-th byte from a // 8."""
-    nb = (q.n_arrows + 7) // 8
-    blob = b"".join([m.bits.to_bytes(nb, "little") for m in matchings])
-    cols = [blob[c::nb] for c in range(nb)]
-    wf = WeightFunction(tuple(
-        Fraction(cols[a >> 3].translate(_BIT[a & 7]).count(1))
-        for a in range(q.n_arrows)), Fraction(len(matchings)))
+    model is non-degenerate.  Arrow a's weight is the popcount of its byte
+    plane (`byte_planes`), the number of matchings holding a."""
+    planes = byte_planes(list(map(attrgetter("bits"), matchings)),
+                         q.n_arrows)
+    wf = WeightFunction(tuple(Fraction(p.bit_count()) for p in planes),
+                        Fraction(len(matchings)))
     if not matchings or 0 in wf.weights:
         raise DimerError("no R-symmetry from matchings: model is degenerate")
     if not wf.check(q):

@@ -8,7 +8,7 @@ import pytest
 import dimertools
 from dimertools import algebra
 from dimertools.matchings import (NondegeneracyReport, PerfectMatching,
-                                  _covers, pm_class)
+                                  _covers, edge_mask, pm_class)
 from dimertools.rationallp import solve_lp
 from dimertools.surface import (DimerError, Quiver, dualize, load_file,
                                 vadd)
@@ -130,6 +130,22 @@ def matching_counts_oracle(matchings, n_arrows):
             planes.append(carry)
     return [sum((p >> a & 1) << i for i, p in enumerate(planes))
             for a in range(n_arrows)]
+
+
+def class_table_oracle(matchings):
+    """Oracle for `ToricData._class_table`: the table as a function of the
+    base path beta, class c -> the least popcount of beta's mask and the
+    bits of a matching of class c, as the table was read before it summed
+    byte planes."""
+    bits_by_cls = {}
+    for m in matchings:
+        bits_by_cls.setdefault(m.cls, []).append(m.bits)
+
+    def table(beta):
+        mask = edge_mask(beta)
+        return {c: min(map(int.bit_count, map(mask.__and__, bits)))
+                for c, bits in bits_by_cls.items()}
+    return table
 
 
 def _apply(mat, p):

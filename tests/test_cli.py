@@ -159,6 +159,35 @@ def test_gen_square_pipes_into_report(capsys, tmp_path):
     assert out.count("PASS") == 10
 
 
+# `report --format json-lines` on gen-square 4, captured before the class
+# table was summed from byte planes: every rung passes
+SQUARE_4_REPORT = [
+    ("load", "32 vertices 64 edges"),
+    ("euler", "|Q0|-|Q1|+|Q2|=0"),
+    ("hall", "every black subset has enough neighbours"),
+    ("nondegeneracy", "every edge lies in a matching"),
+    ("r-symmetry", "degree 26752 from 26752 matchings"),
+    ("anomaly-free", "anomaly-free R-symmetry found"),
+    ("geometric", "16 zig-zag paths behave like lines"),
+    ("properly-ordered", "face crossings in angular order"),
+    ("algebraic", "degree<=4 5120 graded pieces 0 failures"),
+    ("cy3", "degree<=4 one-sided complex exact"),
+]
+
+
+def test_report_on_gen_square_4(capsys, tmp_path):
+    """Every rung of `report` on the largest model that the suite can
+    afford, 26,752 matchings and 1,024 vertex pairs, prints the records
+    pinned above."""
+    model = tmp_path / "sq4.dimer"
+    assert main(["gen-square", "4", "--out", str(model)]) == 0
+    code, out = run(capsys, "report", model, "--format", "json-lines")
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        {"v": 1, "kind": "rung", "name": name, "ok": True, "summary": summary}
+        for name, summary in SQUARE_4_REPORT]
+
+
 def test_svg_output(capsys, tmp_path):
     out_file = tmp_path / "pic.svg"
     assert main(["svg", str(fixture_path("hexagonal")),

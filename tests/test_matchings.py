@@ -1,6 +1,5 @@
 """Perfect matchings, the matching polygon, BvN decomposition."""
 
-import dataclasses
 import gc
 import os
 import random
@@ -261,19 +260,23 @@ def test_perfect_matching_has_no_dict():
     assert not hasattr(m, "__dict__")
 
 
-def test_enumerated_matchings_are_frozen_dataclasses():
-    """A matching that enumeration builds through the slot descriptors
-    equals and hashes like the one the constructor builds, refuses
-    assignment and has no __dict__."""
+def test_enumerated_matchings_are_records():
+    """A matching that enumeration builds with `tuple.__new__` equals and
+    hashes like the one the constructor builds, has no __dict__, refuses
+    assignment, and `e in m` is the bit test of edge e, not a search of
+    the tuple's fields."""
     g = load_file(fixture_path("memeg"))
     for m in enumerate_matchings(g):
         made = PerfectMatching(m.bits, m.cls)
         assert m == made and hash(m) == hash(made)
+        assert type(m) is PerfectMatching
         assert not hasattr(m, "__dict__")
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             m.bits = 0
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             m.cls = (0, 0)
+        assert [e in m for e in range(len(g.edges) + 2)] == [
+            m.bits >> e & 1 == 1 for e in range(len(g.edges) + 2)]
 
 
 def test_enumerated_classes_match_pm_class():

@@ -95,8 +95,8 @@ def test_dataclasses_only_where_needed():
     """Records are `typing.NamedTuple`s: a `@dataclass` generates and
     `exec`s its methods' source on every import, several times the cost of
     a `NamedTuple`.  `Fan2D` and `CurvePattern` validate in
-    `__post_init__`, and `PerfectMatching` has a `__contains__` and its
-    field reads are the faster, so these three stay dataclasses."""
+    `__post_init__`, so these two stay dataclasses.  `PerfectMatching` is
+    a `NamedTuple` too, so that enumeration builds its records by `map`."""
     def is_dataclass(d):
         f = d.func if isinstance(d, ast.Call) else d
         return (isinstance(f, ast.Name) and f.id == "dataclass"
@@ -108,4 +108,4 @@ def test_dataclasses_only_where_needed():
         found |= {n.name for n in ast.walk(tree)
                   if isinstance(n, ast.ClassDef)
                   and any(map(is_dataclass, n.decorator_list))}
-    assert found == {"Fan2D", "CurvePattern", "PerfectMatching"}
+    assert found == {"Fan2D", "CurvePattern"}

@@ -13,7 +13,7 @@ from conftest import (CONSISTENT, FIXTURES, NONDEGENERATE,
 from dimertools import symmetry
 from dimertools.matchings import enumerate_matchings
 from dimertools.polygen import pattern_to_dimer, square_pattern
-from dimertools.surface import DimerError, dualize
+from dimertools.surface import DimerError, dualize, split_vertex
 from dimertools.symmetry import (WeightFunction, default_r_symmetry,
                                  euler_check, find_anomaly_free,
                                  find_rhombic)
@@ -54,6 +54,31 @@ def test_default_r_symmetry_counts_oracle_matchings(load_quiver):
         assert r.weights == tuple(counts[a] for a in range(q.n_arrows))
         assert r.degree == len(oracle)
     assert max(counts.values()).bit_length() == 13
+
+
+def test_default_r_symmetry_counts_each_arrow(load_quiver):
+    """The weight of arrow a is the number of matchings that hold it, on
+    every model of `all_models` (gen-square 1-4 among them) and on a
+    vertex split of gen-square 4, whose 66 arrows fill two 64-bit words;
+    with no matching at all the R-symmetry is refused as degenerate."""
+    models = dict(all_models())
+    models["square-4-split"] = split_vertex(models["square-4"], 0, 0)
+    for name, g in models.items():
+        try:
+            q = dualize(g)
+        except DimerError:
+            continue
+        ms = enumerate_matchings(g, q)
+        counts = tuple(sum(a in m for m in ms) for a in range(q.n_arrows))
+        if not ms or 0 in counts:
+            with pytest.raises(DimerError, match="degenerate"):
+                default_r_symmetry(ms, q)
+        else:
+            assert default_r_symmetry(ms, q).weights == counts, name
+    assert q.n_arrows == 66
+    _, q = load_quiver("three_rhombi")
+    with pytest.raises(DimerError, match="degenerate"):
+        default_r_symmetry([], q)
 
 
 def test_default_r_symmetry_degenerate(load_quiver):
