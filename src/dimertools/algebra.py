@@ -103,7 +103,9 @@ class ToricData:
     Built from the torus graph; holds the quiver, the matchings, the
     grading and concrete base paths anchoring the M_ij coordinates.  The
     grading is always the default R-symmetry, the sum of all perfect
-    matchings, so its degree `lam` is the number of matchings.  For the
+    matchings, so its degree `lam` is the number of matchings, and on a
+    closed path of class z and degree deg it is lam*deg + rho.z, `rho`
+    being the sum of the matchings' classes.  For the
     class tables of the base paths it holds the matchings' byte planes
     (`byte_planes`), one int per arrow whose byte k is 1 iff the k-th
     matching in class order holds the arrow, and each class's range of
@@ -131,13 +133,10 @@ class ToricData:
                         for c in dict.fromkeys(classes)]
         self._planes = byte_planes(list(map(attrgetter("bits"), by_cls)),
                                    self.q.n_arrows)
-        # closed-class functionals: weight and matching evaluations factor
-        # through (hom, deg) via the basis walks
-        gx, gy = self.q.gamma_x, self.q.gamma_y
-        dgx = sum(a in self.pi0 for a in gx)
-        dgy = sum(a in self.pi0 for a in gy)
-        self.rho = (sum(self.wts[a] for a in gx) - self.lam * dgx,
-                    sum(self.wts[a] for a in gy) - self.lam * dgy)
+        # the weight's closed-class part: on a closed path of class z and
+        # degree deg each matching of class c counts deg + c.z, so the
+        # weight is lam*deg + rho.z with rho the sum of the classes
+        self.rho = (sum(c[0] for c in classes), sum(c[1] for c in classes))
         # base path beta_ij per vertex pair, with its class
         self._base: dict[tuple[int, int],
                          tuple[tuple[int, ...], PathClass]] = {}

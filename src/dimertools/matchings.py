@@ -4,10 +4,11 @@ A perfect matching is stored as an int bitmask, bit e set iff edge e is in
 it; through the dual quiver it doubles as a 0/1 cochain on arrows whose
 coboundary is 1 on every quiver face.  Relative cohomology classes are
 measured against a fixed reference matching, the least support in edge-id
-order, using the homology basis walks of the quiver.
+order: the class of m is the quarter turn (-hy, hx) of h, the sum of m's
+edge offsets less the reference's (see `pm_class`).
 `enumerate_matchings` meets in the middle over covered-vertex bitmasks
 with each partial matching packed into one int (order key, edge bits, x
-and y class counts), so that joining a prefix with a suffix is one add,
+and y class sums), so that joining a prefix with a suffix is one add,
 and builds the records from the packed ints by `map`, with no Python loop
 per matching.  `byte_planes` transposes a list of bitmasks into one int
 per bit, one byte per mask, so that a count over all matchings is a
@@ -121,43 +122,57 @@ def _join(nbrs: list[list[tuple[int, int]]], middle: int) -> list[int]:
 
 
 def pm_class(pi: Container[int], pi0: Container[int], q: Quiver) -> Vec:
-    """Pairing of the cocycle pi - pi0 with the homology basis walks."""
-    def pair(walk: Sequence[int]) -> int:
-        return sum((a in pi) - (a in pi0) for a in walk)
-    return (pair(q.gamma_x), pair(q.gamma_y))
+    """The class of pi against pi0: the pairing of the cocycle pi - pi0
+    with closed arrow walks of class (1, 0) and (0, 1).
+
+    Orient pi's edges black to white and pi0's white to black.  Every
+    vertex is entered and left once, so this is a 1-cycle of the dimer, of
+    class h, the sum of pi's edge offsets less pi0's.  An arrow crosses its
+    edge with the black end on the left, so a closed walk of class c pairs
+    with the cocycle to the intersection number h ^ c = hx*cy - hy*cx,
+    which is (-hy, hx) at the two basis classes."""
+    hx = hy = 0
+    for e in q.graph.edges:
+        k = (e.id in pi) - (e.id in pi0)
+        hx += k * e.offset[0]
+        hy += k * e.offset[1]
+    return (-hy, hx)
 
 
 def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
                         ) -> list[PerfectMatching]:
     """Complete duplicate-free matching list, classes against the first,
-    which is `reference_matching(g)`.
+    which is `reference_matching(g)`; `q` is not read, and stays for
+    callers that pass it.
 
     Each matching is built by matching the lowest uncovered vertex, in
     rotation order, so the covered-vertex mask decides every later choice
     and `_join` meets in the middle.  A partial matching is one int of four
     fields, from the top: its order key, the OR of 2^(|E|-1-e) over its
-    edges e; its edge bits; and its edges' multiplicities in gamma_x and in
-    gamma_y, each in F bits with 2^(F-1) > |gamma_x| + |gamma_y|.  A prefix
-    and a suffix share no edge and the counts stay below 2^F, so no field
-    carries into the next.  One descending sort orders by key, which is
-    the lexicographic order of the sorted edge ids, as all supports have
-    the same size; so the first entry is the least support, and a class
-    is the counts minus the first entry's.  The records are built by `map`
-    over the sorted ints, one class tuple per class, with no Python
-    loop per matching.
+    edges e; its edge bits; and the sums over its edges of -y and of x
+    offset, each less the least such value at the edge's black vertex, in
+    F bits with 2^(F-1) above the sum of these values over all edges.  A
+    prefix and a suffix share no edge and the sums stay below 2^F, so no
+    field carries into the next.  One descending sort orders by key, which
+    is the lexicographic order of the sorted edge ids, as all supports have
+    the same size; so the first entry is the least support.  Every matching
+    holds one edge per black vertex, so the biases cancel and a class, the
+    `pm_class` (-hy, hx), is the sums minus the first entry's.  The records
+    are built by `map` over the sorted ints, one class tuple per class,
+    with no Python loop per matching.
     """
-    if q is None:
-        q = Quiver(g)
-    f = (len(q.gamma_x) + len(q.gamma_y)).bit_length() + 1
+    turned = [(-ed.offset[1], ed.offset[0]) for ed in g.edges]
+    least: dict[int, Vec] = {}
+    for ed, (tx, ty) in zip(g.edges, turned):
+        lx, ly = least.get(ed.black, (tx, ty))
+        least[ed.black] = (min(lx, tx), min(ly, ty))
+    fields = [(tx - least[ed.black][0], ty - least[ed.black][1])
+              for ed, (tx, ty) in zip(g.edges, turned)]
+    f = sum(map(sum, fields)).bit_length() + 1
     n, low = len(g.edges), 2 * f
-    counts = [0] * n
-    for a in q.gamma_x:
-        counts[a] += 1 << f
-    for a in q.gamma_y:
-        counts[a] += 1
     edges = [(1 << ed.black | 1 << ed.white,
-              1 << (2 * n - 1 - e + low) | 1 << (e + low) | counts[e])
-             for e, ed in enumerate(g.edges)]
+              1 << (2 * n - 1 - e + low) | 1 << (e + low) | fx << f | fy)
+             for e, (ed, (fx, fy)) in enumerate(zip(g.edges, fields))]
     vals = _join([[edges[e] for e in rot] for rot in g.rotation],
                  len(g.black_vertices) // 2)
     vals.sort(reverse=True)

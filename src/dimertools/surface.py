@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from itertools import combinations
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 Vec = tuple[int, int]
@@ -309,7 +309,7 @@ class Quiver:
     def __init__(self, graph: TorusGraph):
         self.graph = graph
         self._build()
-        self._find_homology_basis()
+        self._check_cycle_lattice()
         self._check()
 
     def _build(self) -> None:
@@ -353,16 +353,14 @@ class Quiver:
             nxt.update(zip(cycle, cycle[1:] + cycle[:1]))
         self.faces = faces
 
-    def _find_homology_basis(self) -> None:
-        """Closed arrow walks with offset sums (1,0) and (0,1).
+    def _check_cycle_lattice(self) -> None:
+        """Raise unless the classes of closed walks generate Z^2.
 
         Potentials on a spanning tree give each arrow's fundamental cycle a
         class, and these generate the classes of closed walks.  Every arrow
         lies on a face cycle, of class zero, so its inverse is homologous to
-        the rest of that directed cycle: both basis classes have directed
-        closed walks exactly when the 2x2 minors of these classes have gcd
-        1.  That is checked first, and it is what makes the unbounded search
-        of `_closed_walks` end.
+        the rest of that directed cycle: every class has a directed closed
+        walk exactly when the 2x2 minors of these classes have gcd 1.
         """
         pot: dict[int, Vec] = {0: (0, 0)}
         queue = deque([0])
@@ -385,34 +383,6 @@ class Quiver:
             raise TopologyError(f"cycle classes generate a sublattice of "
                                 f"{size} in Z^2: some class has no closed "
                                 "walk")
-        self.gamma_x, self.gamma_y = self._closed_walks(((1, 0), (0, 1)))
-
-    def _closed_walks(self, targets: Sequence[Vec]) -> list[list[int]]:
-        """A shortest closed walk at vertex 0 with offset sum t, for each t
-        in `targets`, by one breadth-first search of the covering graph
-        Q0 x Z^2 that stops once it has reached every (0, t)."""
-        start = (0, (0, 0))
-        prev: dict[tuple[int, Vec], Optional[tuple]] = {start: None}
-        todo = {(0, t) for t in targets}
-        queue = deque([start])
-        while todo:
-            node = queue.popleft()
-            v, off = node
-            for a in self.out_arrows[v]:
-                arr = self.arrows[a]
-                nxt = (arr.head, vadd(off, arr.offset))
-                if nxt not in prev:
-                    prev[nxt] = (node, a)
-                    queue.append(nxt)
-                    todo.discard(nxt)
-        walks = []
-        for t in targets:
-            node, walk = (0, t), []
-            while prev[node] is not None:
-                node, a = prev[node]
-                walk.append(a)
-            walks.append(walk[::-1])
-        return walks
 
     def _check(self) -> None:
         ids = {a.id for a in self.arrows}
@@ -421,26 +391,15 @@ class Quiver:
         if set(self.next_white) != ids:
             raise TopologyError("some arrow is in no white face")
         for f in self.faces:
-            total = self._cycle_class(f.boundary, f"face {f.id} boundary")
+            cyc = f.boundary
+            if any(self.arrows[a].head != self.arrows[b].tail
+                   for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+                raise TopologyError(f"face {f.id} boundary does not compose")
+            total = self.walk_class(cyc)
             if total != (0, 0):
                 raise TopologyError(f"face {f.id} offset sum {total}")
         if self.n_vertices - len(self.arrows) + len(self.faces) != 0:
             raise TopologyError("quiver Euler characteristic is not 0")
-        for walk, cls in ((self.gamma_x, (1, 0)), (self.gamma_y, (0, 1))):
-            total = self._cycle_class(walk, f"walk for class {cls}")
-            if total != cls:
-                raise TopologyError(f"walk for class {cls} has class {total}")
-
-    def _cycle_class(self, cyc: Sequence[int], what: str) -> Vec:
-        """Offset sum of a cyclic arrow sequence; raises unless each arrow's
-        head is the next arrow's tail."""
-        total = (0, 0)
-        for i, aid in enumerate(cyc):
-            a = self.arrows[aid]
-            if a.head != self.arrows[cyc[(i + 1) % len(cyc)]].tail:
-                raise TopologyError(f"{what} does not compose")
-            total = vadd(total, a.offset)
-        return total
 
     # -- helpers used throughout ---------------------------------------------
 

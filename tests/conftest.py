@@ -384,10 +384,11 @@ def face_records_oracle(g):
 
 
 def closed_walk_oracle(q, target):
-    """Oracle for `Quiver._closed_walks`: a shortest closed walk at vertex
-    0 with offset sum `target`, by a breadth-first search of Q0 x Z^2 in a
-    window that doubles until the walk is found; the window holds the lifts
-    within `radius` (max norm) of the start or of the end."""
+    """A shortest closed walk at vertex 0 with offset sum `target`, for
+    the paper's definition of a matching's class by pairing with the
+    homology basis walks: a breadth-first search of Q0 x Z^2 in a window
+    that doubles until the walk is found; the window holds the lifts within
+    `radius` (max norm) of the start or of the end."""
     start, goal = (0, (0, 0)), (0, target)
     radius = 2
     while True:

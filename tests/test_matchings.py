@@ -11,19 +11,22 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from conftest import (ALL_FIXTURES, FIXTURES, NONDEGENERATE,
-                      _extend_matchings_oracle, enumerate_matchings_oracle,
+                      _extend_matchings_oracle, closed_walk_oracle,
+                      enumerate_matchings_oracle,
                       fixture_path, matching_counts_oracle,
                       nondegeneracy_oracle, polygon_normal_form_oracle)
 from dimertools import matchings
+from dimertools.cli import main
 from dimertools.matchings import (PerfectMatching, bvn_decompose,
                                   coboundary, enumerate_matchings,
                                   hall_check, nondegeneracy_check, pm_class,
                                   polygon, polygon_normal_form,
                                   reference_matching)
 from dimertools.polygen import merging_move, pattern_to_dimer, square_pattern
-from dimertools.surface import DimerError, dualize, load_file
+from dimertools.surface import (BLACK, WHITE, DimerError, TorusGraph,
+                                dualize, dump, load_file)
 from dimertools.symmetry import default_r_symmetry
-from test_fans import all_models, enumerated
+from test_fans import all_models, enumerated, zigzag
 
 MATCHING_COUNTS = {"hexagonal": 3, "conifold": 4, "memeg": 6,
                    "examplestp": 9, "xyloops": 6}
@@ -279,10 +282,70 @@ def test_enumerated_matchings_are_records():
             m.bits >> e & 1 == 1 for e in range(len(g.edges) + 2)]
 
 
+def test_classes_match_walk_pairing():
+    """A matching's class is by definition the pairing of the cocycle
+    m - pi0 with closed walks of class (1, 0) and (0, 1), here those of
+    `closed_walk_oracle`.  It equals `pm_class`, read from the edge
+    offsets, and the enumerated class, for every matching of every model
+    of `all_models` that has one."""
+    checked = 0
+    for name in all_models():
+        if zigzag(name) is None:
+            continue
+        _, q, _, ms = enumerated(name)
+        if not ms:
+            continue
+        walks = [closed_walk_oracle(q, t) for t in ((1, 0), (0, 1))]
+        pi0 = ms[0].bits
+        for m in ms:
+            pairing = tuple(sum((m.bits >> a & 1) - (pi0 >> a & 1)
+                                for a in walk) for walk in walks)
+            assert m.cls == pairing == pm_class(m, ms[0], q), name
+        checked += 1
+    assert checked == 374
+
+
+def reoffset(g, v, t):
+    """g with the lift of vertex v moved: t added to the offsets of its
+    edges if v is black, subtracted if v is white."""
+    sign = 1 if g.colors[v] == BLACK else -1
+    edges = [e._replace(offset=(e.offset[0] + sign * t[0],
+                                e.offset[1] + sign * t[1]))
+             if v in (e.black, e.white) else e for e in g.edges]
+    return TorusGraph(g.colors, edges, g.rotation)
+
+
+@pytest.mark.parametrize("name", ["memeg", "square-3"])
+def test_classes_ignore_vertex_lifts(name, tmp_path, capsys):
+    """Moving one vertex's lift by t = (5, -3) moves every matching's
+    offset sum by the same t, so every class, the order of the matchings
+    and the `polygon` output stay.  At a white vertex this widens the
+    packed class fields; at a black vertex the per-black-vertex bias
+    absorbs it.  `enumerate_matchings` reads the offsets and no quiver."""
+    g = all_models()[name]
+    want = enumerate_matchings(g)
+
+    def polygon_output(model):
+        path = tmp_path / "model.dimer"
+        path.write_text(dump(model))
+        outs = []
+        for fmt in ("text", "json-lines"):
+            assert main(["polygon", str(path), "--format", fmt]) == 0
+            outs.append(capsys.readouterr())
+        return outs
+
+    shown = polygon_output(g)
+    for color in (BLACK, WHITE):
+        moved = reoffset(g, g.colors.index(color), (5, -3))
+        assert moved.edges != g.edges
+        assert enumerate_matchings(moved) == want, color
+        assert polygon_output(moved) == shown, color
+
+
 def test_enumerated_classes_match_pm_class():
-    """Every enumerated class is the pairing of the matching with the
-    homology walks against the reference, on every model of `all_models`:
-    no field of the packed partial matchings carries into the next."""
+    """Every enumerated class is `pm_class` of the matching against
+    `reference_matching`, on every model of `all_models`: no field of the
+    packed partial matchings carries into the next."""
     for name, g in all_models().items():
         _, q, _, ms = enumerated(name)
         pi0 = reference_matching(g)

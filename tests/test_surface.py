@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from conftest import (ALL_FIXTURES, FIXTURES, NONDEGENERATE,
-                      closed_walk_oracle, face_records_oracle, fixture_path)
+                      face_records_oracle, fixture_path)
 from dimertools.matchings import enumerate_matchings, polygon, \
     polygon_normal_form
 from dimertools.surface import (BLACK, WHITE, Edge, ParseError,
@@ -74,27 +74,16 @@ def test_face_offsets_vanish(load_quiver):
             assert q.walk_class(f.boundary) == (0, 0)
 
 
-def test_homology_basis(load_quiver):
-    for name in NONDEGENERATE:
-        _, q = load_quiver(name)
-        assert q.walk_class(q.gamma_x) == (1, 0)
-        assert q.walk_class(q.gamma_y) == (0, 1)
-
-
-def test_records_and_basis_match_oracles():
+def test_face_records_match_oracle():
     """On every model of `all_models` that dualizes, the per-dart (face,
-    lift) records of the one face tracing and both walks of the one
-    covering-graph search equal the oracles': the faces traced again with
-    `list.index` successors, and one windowed search per class."""
+    lift) records of the one face tracing equal the oracle's: the faces
+    traced again with `list.index` successors."""
     checked = 0
     for name, g in all_models().items():
         if zigzag(name) is None:
             continue
-        q = zigzag(name)[0]
         got = {d: (g.face_of[d], g.lift[d]) for d in g.face_of}
         assert got == face_records_oracle(g), name
-        assert q.gamma_x == closed_walk_oracle(q, (1, 0)), name
-        assert q.gamma_y == closed_walk_oracle(q, (0, 1)), name
         checked += 1
     assert checked == 376
 
@@ -108,8 +97,8 @@ def scaled(g, sx, sy):
 
 def test_cycle_classes_must_generate_z2(load_fixture):
     """Every fixture that loads dualizes; scaling the offsets by 2 and 3
-    leaves a sublattice of index 6, which is refused before any walk is
-    searched for, and so are other proper sublattices."""
+    leaves a sublattice of index 6, which is refused, and so are other
+    proper sublattices."""
     for name in ALL_FIXTURES:
         if name != "cube":
             dualize(load_fixture(name))
@@ -121,14 +110,23 @@ def test_cycle_classes_must_generate_z2(load_fixture):
     dualize(scaled(g, -1, 1))               # a reflection keeps index 1
 
 
-# Builds a quiver whose walk for class (1, 0) has class (0, 1) and prints
-# what the construction check does.
-WRONG_WALK = """
-from dimertools.surface import DimerError, Quiver, load_file
+# Builds a quiver with one arrow offset moved by (1, 0), so that the
+# boundary of face 0 no longer closes, and prints what the construction
+# check does.
+WRONG_OFFSET = """
+from dimertools.surface import DimerError, Quiver, load_file, vadd
 from conftest import fixture_path
 
-find = Quiver._closed_walks
-Quiver._closed_walks = lambda self, targets: find(self, targets[::-1])
+build = Quiver._build
+
+
+def perturbed(self):
+    build(self)
+    self.arrows[0] = self.arrows[0]._replace(
+        offset=vadd(self.arrows[0].offset, (1, 0)))
+
+
+Quiver._build = perturbed
 try:
     Quiver(load_file(fixture_path("conifold")))
     print("built")
@@ -143,10 +141,10 @@ def test_quiver_check_raises_without_asserts(flags):
     under `python -O`, which strips asserts."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         (str(FIXTURES.parents[1]), os.path.dirname(__file__))))
-    out = subprocess.run([sys.executable, *flags, "-c", WRONG_WALK],
+    out = subprocess.run([sys.executable, *flags, "-c", WRONG_OFFSET],
                          env=env, capture_output=True, text=True,
                          check=True).stdout.splitlines()
-    assert out == ["TopologyError walk for class (1, 0) has class (0, 1)"]
+    assert out == ["TopologyError face 0 offset sum (1, 0)"]
 
 
 def test_superpotential_terms(load_quiver):
