@@ -113,7 +113,6 @@ class ToricData:
     """
 
     def __init__(self, g: TorusGraph, q: Optional[Quiver] = None) -> None:
-        self.g = g
         self.q = q if q is not None else Quiver(g)
         self.matchings = enumerate_matchings(g, self.q)
         # arrow a's weight counts the matchings holding a, so every weight

@@ -106,7 +106,7 @@ def extremal_matching(q: Quiver, paths: Sequence[ZigZagPath], sigma: Cone,
         if sum(a in support for a in f.boundary) != 1:
             raise DimerError("cone tags do not form a perfect matching")
     return PerfectMatching.from_support(support,
-                                        pm_class(support, reference, q))
+                                        pm_class(support, reference, q.graph))
 
 
 def boundary_system(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec
@@ -156,7 +156,7 @@ def resonate(q: Quiver, m: PerfectMatching, eta: ZigZagPath, direction: str
     if m.bits & drop_bits != drop_bits:
         raise DimerError("cannot resonate")
     out = PerfectMatching(m.bits & ~drop_bits | edge_mask(add))
-    return PerfectMatching(out.bits, vadd(m.cls, pm_class(out, m, q)))
+    return PerfectMatching(out.bits, vadd(m.cls, pm_class(out, m, q.graph)))
 
 
 def external_matchings(q: Quiver, paths: Sequence[ZigZagPath], gamma: Vec,

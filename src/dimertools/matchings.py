@@ -25,7 +25,7 @@ from itertools import repeat
 from operator import and_, rshift
 from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
-from .surface import BLACK, DimerError, Quiver, TorusGraph, Vec
+from .surface import BLACK, DimerError, TorusGraph, Vec
 
 
 def edge_mask(edges: Iterable[int]) -> int:
@@ -121,7 +121,7 @@ def _join(nbrs: list[list[tuple[int, int]]], middle: int) -> list[int]:
     return vals
 
 
-def pm_class(pi: Container[int], pi0: Container[int], q: Quiver) -> Vec:
+def pm_class(pi: Container[int], pi0: Container[int], g: TorusGraph) -> Vec:
     """The class of pi against pi0: the pairing of the cocycle pi - pi0
     with closed arrow walks of class (1, 0) and (0, 1).
 
@@ -132,14 +132,14 @@ def pm_class(pi: Container[int], pi0: Container[int], q: Quiver) -> Vec:
     with the cocycle to the intersection number h ^ c = hx*cy - hy*cx,
     which is (-hy, hx) at the two basis classes."""
     hx = hy = 0
-    for e in q.graph.edges:
+    for e in g.edges:
         k = (e.id in pi) - (e.id in pi0)
         hx += k * e.offset[0]
         hy += k * e.offset[1]
     return (-hy, hx)
 
 
-def enumerate_matchings(g: TorusGraph, q: Optional[Quiver] = None
+def enumerate_matchings(g: TorusGraph, q: object = None
                         ) -> list[PerfectMatching]:
     """Complete duplicate-free matching list, classes against the first,
     which is `reference_matching(g)`; `q` is not read, and stays for
@@ -480,8 +480,8 @@ def coboundary(g: TorusGraph, vec: dict[int, int]) -> dict[int, int]:
             for v in range(len(g.colors))}
 
 
-def bvn_decompose(g: TorusGraph, vec: dict[int, int],
-                  q: Optional[Quiver] = None) -> list[PerfectMatching]:
+def bvn_decompose(g: TorusGraph, vec: dict[int, int]
+                  ) -> list[PerfectMatching]:
     """Write a nonnegative integer cochain with constant coboundary k as a
     sum of k perfect matchings: find a matching inside the support with
     the Hall kernel, subtract, repeat.  Constant coboundary makes the
@@ -497,8 +497,6 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
     if len(ks) != 1:
         raise DimerError(f"coboundary is not constant: {sorted(ks)}")
     k = ks.pop()
-    if q is None:
-        q = Quiver(g)
     pi0 = reference_matching(g)
     if pi0 is None and k > 0:
         raise DimerError("model has no perfect matchings")
@@ -516,7 +514,7 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int],
         m = frozenset(edge_of[(b, match[b])] for b in blacks)
         for e in m:
             work[e] -= 1
-        out.append(PerfectMatching.from_support(m, pm_class(m, pi0, q)))
+        out.append(PerfectMatching.from_support(m, pm_class(m, pi0, g)))
     if any(work.values()):
         raise DimerError(f"leftover after {k} matchings")
     return out

@@ -1,12 +1,14 @@
 """Curve patterns on the torus and dimer models generated from them.
 
 A pattern is an arrangement of oriented closed curves with transversal
-double crossings.  Good patterns (alternating crossing signs along every
-curve, straight-line intersection behaviour) induce a cell decomposition
-whose clockwise, anticlockwise and alternating cells become white dimer
+double crossings, built by `_from_curves` from each curve's segments in
+order.  Good patterns (alternating crossing signs along every curve,
+straight-line intersection behaviour) induce a cell decomposition whose
+clockwise, anticlockwise and alternating cells become white dimer
 vertices, black dimer vertices and quiver vertices; the dimer edges are
-the diagonals at the crossings.  A square grid of axis curves produces a
-geometrically consistent model whose matching polygon is a square.
+the diagonals at the crossings.  Two families of straight lines on a
+square grid produce a geometrically consistent model whose matching
+polygon is a square; the merging move splices two curves into one.
 """
 
 from __future__ import annotations
@@ -109,54 +111,49 @@ class CurvePattern:
 
 
 # ---------------------------------------------------------------------------
-# Construction: square grids
+# Construction from curves
+
+# the step of a curve leaving a crossing at port p (east, north, west,
+# south); it enters the next crossing at port p + 2
+_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
+
+
+def _from_curves(n_crossings: int, curves: list[list]) -> CurvePattern:
+    """The pattern of curves given as their segments in order, each as
+    (from_crossing, from_port, to_crossing, to_port, offset); the segments
+    are numbered curve by curve."""
+    segments: list[Segment] = []
+    ids: list[tuple[int, ...]] = []
+    for cid, steps in enumerate(curves):
+        ids.append(tuple(range(len(segments), len(segments) + len(steps))))
+        segments += [Segment(sid, cid, *s) for sid, s in zip(ids[-1], steps)]
+    return CurvePattern(n_crossings, segments, ids)
+
 
 def square_pattern(n: int) -> CurvePattern:
-    """2n vertical and 2n horizontal curves on a (2n)x(2n) grid of
-    crossings; columns alternate up/down, rows right/left.
+    """2n vertical and 2n horizontal straight curves on a (2n)x(2n) grid
+    of crossings, the vertical ones first; columns alternate up/down, rows
+    right/left, and crossing (x, y) has id 2n*x + y.
 
     Ports: 0 = east, 1 = north, 2 = west, 3 = south.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
     size = 2 * n
-
-    def cross(x: int, y: int) -> int:
-        return (x % size) * size + (y % size)
-
-    segments: list[Segment] = []
-    curves: list[tuple[int, ...]] = []
-
-    def add(curve: int, x: int, y: int, x2: int, y2: int,
-            p_from: int, p_to: int) -> int:
-        dx = (x2 - (x2 % size)) // size
-        dy = (y2 - (y2 % size)) // size
-        sid = len(segments)
-        segments.append(Segment(sid, curve, cross(x, y), p_from,
-                                cross(x2, y2), p_to, (dx, dy)))
-        return sid
-
-    for x in range(size):          # vertical curves
-        cid = len(curves)
-        up = x % 2 == 0
-        seq = []
-        ys = range(size) if up else range(size - 1, -1, -1)
-        for y in ys:
-            y2 = y + 1 if up else y - 1
-            seq.append(add(cid, x, y, x, y2,
-                           1 if up else 3, 3 if up else 1))
-        curves.append(tuple(seq))
-    for y in range(size):          # horizontal curves
-        cid = len(curves)
-        right = y % 2 == 0
-        seq = []
-        xs = range(size) if right else range(size - 1, -1, -1)
-        for x in xs:
-            x2 = x + 1 if right else x - 1
-            seq.append(add(cid, x, y, x2, y,
-                           0 if right else 2, 2 if right else 0))
-        curves.append(tuple(seq))
-    return CurvePattern(size * size, segments, curves)
+    curves = []
+    for k in range(2 * size):       # the vertical lines, then the horizontal
+        p = (k < size) + 2 * (k % 2)
+        dx, dy = _STEPS[p]
+        t = (size - 1) * (k % 2)    # odd lines run backwards
+        x, y = (k, t) if k < size else (t, k - size)
+        steps = []
+        for _ in range(size):
+            x2, y2 = x + dx, y + dy
+            steps.append((x * size + y, p, x2 % size * size + y2 % size,
+                          (p + 2) % 4, (x2 // size, y2 // size)))
+            x, y = x2 % size, y2 % size
+        curves.append(steps)
+    return _from_curves(size * size, curves)
 
 
 # ---------------------------------------------------------------------------
@@ -307,8 +304,9 @@ def pattern_to_dimer(pattern: CurvePattern) -> TorusGraph:
 
 def merging_move(pattern: CurvePattern, crossing: int) -> CurvePattern:
     """Merge the two curves through a crossing where they meet exactly
-    once; the crossing disappears and the classes add.  The result may
-    fail validation."""
+    once; the crossing disappears and the classes add.  The merged curve
+    takes the place of the one entering at the lower port, and the result,
+    which may fail validation, numbers its segments curve by curve."""
     incoming = {}
     for s in pattern.segments:
         if s.to_crossing == crossing:
@@ -324,55 +322,25 @@ def merging_move(pattern: CurvePattern, crossing: int) -> CurvePattern:
     if common != {crossing}:
         raise DimerError("curves cross more than once; cannot merge")
 
-    def successor(s: Segment) -> int:
-        segs = pattern.curves[s.curve]
-        return segs[(segs.index(s.id) + 1) % len(segs)]
+    def renumbered(sid: int) -> tuple:
+        s = pattern.segments[sid]
+        return (s.from_crossing - (s.from_crossing > crossing), s.from_port,
+                s.to_crossing - (s.to_crossing > crossing), s.to_port,
+                s.offset)
 
-    # reconnect: a's incoming continues along b's outgoing and vice versa
-    out_a = pattern.segments[successor(sa)]
-    out_b = pattern.segments[successor(sb)]
-    merged_ab = Segment(sa.id, ca, sa.from_crossing, sa.from_port,
-                        out_b.to_crossing, out_b.to_port,
-                        vadd(sa.offset, out_b.offset))
-    merged_ba = Segment(sb.id, ca, sb.from_crossing, sb.from_port,
-                        out_a.to_crossing, out_a.to_port,
-                        vadd(sb.offset, out_a.offset))
-    drop = {out_a.id, out_b.id}
-    keep = {sa.id: merged_ab, sb.id: merged_ba}
-    new_id = {}
-    segments = []
-    for s in pattern.segments:
-        if s.id in drop:
-            continue
-        s2 = keep.get(s.id, s)
-        if s2.curve == cb:
-            s2 = s2._replace(curve=ca)
-        new_id[s.id] = len(segments)
-        c_from = s2.from_crossing - (s2.from_crossing > crossing)
-        c_to = s2.to_crossing - (s2.to_crossing > crossing)
-        segments.append(s2._replace(id=len(segments), from_crossing=c_from,
-                                    to_crossing=c_to))
-    # splice the two cyclic orders at the crossing: rotate each so the
-    # incoming segment sits last, then interleave past the dropped pair
-    def rotated_to_end(seq: list[int], sid: int) -> list[int]:
-        i = seq.index(sid)
-        return seq[i + 1:] + seq[:i + 1]
+    def join(s: tuple, t: tuple) -> tuple:
+        return (s[0], s[1], t[2], t[3], vadd(s[4], t[4]))
 
-    seq_a = rotated_to_end(list(pattern.curves[ca]), sa.id)
-    seq_b = rotated_to_end(list(pattern.curves[cb]), sb.id)
-    # seq_x = [out_x, ..., sx]; the merged segments keep ids sa.id, sb.id
-    spliced = [sa.id] + seq_b[1:-1] + [sb.id] + seq_a[1:-1]
-    curves = []
-    renumber = {}
-    for cid, segs in enumerate(pattern.curves):
-        if cid == ca:
-            segs = spliced
-        elif cid == cb:
-            continue
-        renumber[cid] = len(curves)
-        curves.append(tuple(new_id[sid] for sid in segs))
-    segments = [s._replace(curve=renumber[s.curve]) for s in segments]
-    return CurvePattern(pattern.n_crossings - 1, segments, curves)
+    curves = [list(map(renumbered, segs)) for segs in pattern.curves]
+    # rotate the two curves so that each one's segment into the crossing
+    # comes last, then splice: a's incoming segment runs on along b's
+    # outgoing one, and b's incoming along a's outgoing
+    ka = pattern.curves[ca].index(sa.id) + 1
+    kb = pattern.curves[cb].index(sb.id) + 1
+    a, b = curves[ca][ka:] + curves[ca][:ka], curves[cb][kb:] + curves[cb][:kb]
+    curves[ca] = [join(a[-1], b[0])] + b[1:-1] + [join(b[-1], a[0])] + a[1:-1]
+    del curves[cb]
+    return _from_curves(pattern.n_crossings - 1, curves)
 
 
 # ---------------------------------------------------------------------------

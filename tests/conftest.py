@@ -10,8 +10,7 @@ from dimertools import algebra
 from dimertools.matchings import (NondegeneracyReport, PerfectMatching,
                                   _covers, edge_mask, pm_class)
 from dimertools.rationallp import solve_lp
-from dimertools.surface import (DimerError, Quiver, dualize, load_file,
-                                vadd)
+from dimertools.surface import DimerError, dualize, load_file, vadd
 
 FIXTURES = pathlib.Path(dimertools.__file__).parent / "fixtures"
 
@@ -86,7 +85,7 @@ def _extend_matchings_oracle(g, v0, covered, chosen, results):
         covered[v0] = covered[w] = False
 
 
-def enumerate_matchings_oracle(g, q=None):
+def enumerate_matchings_oracle(g):
     """Oracle for `matchings.enumerate_matchings`: every support by a
     recursion over the rotations, sorted by its sorted edge ids, with
     classes taken against the first."""
@@ -95,10 +94,8 @@ def enumerate_matchings_oracle(g, q=None):
     supports.sort(key=lambda s: sorted(s))
     if not supports:
         return []
-    if q is None:
-        q = Quiver(g)
     pi0 = supports[0]
-    return [PerfectMatching.from_support(s, pm_class(s, pi0, q))
+    return [PerfectMatching.from_support(s, pm_class(s, pi0, g))
             for s in supports]
 
 

@@ -214,7 +214,7 @@ def test_criterion_08_bvn_suite():
             for m in chosen:
                 for e in m.support:
                     vec[e] += 1
-            parts = bvn_decompose(g, vec, q)
+            parts = bvn_decompose(g, vec)
             assert len(parts) == k
             back = {e.id: 0 for e in g.edges}
             for m in parts:

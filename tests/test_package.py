@@ -91,6 +91,17 @@ def test_no_unused_imports_in_package():
     assert found == []
 
 
+def test_matchings_names_no_quiver():
+    """Matching classes come from the dimer graph's edge offsets, so
+    `matchings.py` neither imports nor names `Quiver`."""
+    tree = ast.parse((PACKAGE / "matchings.py").read_text(encoding="utf-8"))
+    names = ({n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+             | {n.name for n in ast.walk(tree) if isinstance(n, ast.alias)}
+             | {n.attr for n in ast.walk(tree)
+                if isinstance(n, ast.Attribute)})
+    assert "Quiver" not in names
+
+
 def test_dataclasses_only_where_needed():
     """Records are `typing.NamedTuple`s: a `@dataclass` generates and
     `exec`s its methods' source on every import, several times the cost of

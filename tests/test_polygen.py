@@ -1,5 +1,6 @@
 """Curve patterns, the square-grid generator, and the merging move."""
 
+import hashlib
 import os
 import subprocess
 import sys
@@ -9,13 +10,14 @@ from fractions import Fraction
 import pytest
 
 from conftest import FIXTURES
+from dimertools.cli import main
 from dimertools.matchings import (enumerate_matchings, nondegeneracy_check,
                                   polygon, polygon_normal_form)
 from dimertools.polygen import (CurvePattern, dump_pattern, load_pattern,
                                 merging_move, pattern_to_dimer,
                                 square_pattern, trace_cells,
                                 validate_pattern)
-from dimertools.surface import DimerError, ParseError, dualize
+from dimertools.surface import DimerError, ParseError, dualize, vadd
 from dimertools.symmetry import find_anomaly_free, find_rhombic
 from dimertools.zigzag import geometric_check, properly_ordered, \
     zigzag_paths
@@ -32,6 +34,31 @@ def test_square_pattern_structure():
         assert kinds == {"black": n * n, "white": n * n,
                          "quiver": 2 * n * n}
         assert validate_pattern(p).ok
+
+
+# sha256 of `gen-square n` stdout and of dump_pattern(square_pattern(n))
+SQUARE_SHA256 = {
+    1: ("2bd00d67d8a7c4b60444f7af58e337eca9575531d45e62a993bf728debc1a213",
+        "dcbd5f8ab512a8df825ffe0d89d5f0a08272bfb7cf932d2bedec5aa2655d7c30"),
+    2: ("249f14686c12f331f75f9b144d425283e6caac137ea22ceb51cd0cb408c43e0e",
+        "3ad26e21da6a3cb8798c1d560d972c43acd8e86460f4405e91dcd347167db8ed"),
+    3: ("9e26a68cd6d4580e85e1b9e426da206e5da84d83f7f3f62974b61ee693e3e2d2",
+        "cf31e63d4c1a24266574a6a5d0a7a740a898ed94dc96ffb2b03d88dfe3d09176"),
+    4: ("3d55a0d2092ebdc9d25ac1c2b3ab53699c9d655bae20e483a33c4659d8b14b1c",
+        "86712851d53671593150afaa845a3cd364212207fbf5ac803ed74ac6025b3cdc"),
+}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_square_bytes_pinned(n, capsys):
+    """The generated model and the square pattern keep their bytes: the
+    crossing, segment and curve numbering of the grid is part of the
+    output."""
+    assert main(["gen-square", str(n)]) == 0
+    model = capsys.readouterr().out
+    digests = tuple(hashlib.sha256(text.encode()).hexdigest()
+                    for text in (model, dump_pattern(square_pattern(n))))
+    assert digests == SQUARE_SHA256[n]
 
 
 def test_square_pattern_rejects_zero():
@@ -155,6 +182,28 @@ def test_merging_move():
     merged = sorted(m.curve_class(c) for c in range(len(m.curves)))
     assert (1, 0) in merged and (0, -1) in merged and (-1, 1) in merged
     assert validate_pattern(m).ok
+
+
+def test_merging_move_splices_curves():
+    """Merging square_pattern(n), n = 1-3, at any crossing drops that
+    crossing, puts the two curves' class sum in the place of the curve
+    entering at the lower port, and numbers the segments curve by
+    curve."""
+    for n in (1, 2, 3):
+        p = square_pattern(n)
+        classes = [p.curve_class(c) for c in range(len(p.curves))]
+        for c in range(p.n_crossings):
+            (_, ca), (_, cb) = sorted((s.to_port, s.curve)
+                                      for s in p.segments
+                                      if s.to_crossing == c)
+            want = list(classes)
+            want[ca] = vadd(classes[ca], classes[cb])
+            del want[cb]
+            m = merging_move(p, c)
+            assert m.n_crossings == p.n_crossings - 1
+            assert [m.curve_class(k) for k in range(len(m.curves))] == want
+            assert [sid for segs in m.curves for sid in segs] == \
+                list(range(len(m.segments)))
 
 
 def test_merged_unit_square_gives_triangle():

@@ -48,7 +48,7 @@ def test_default_r_symmetry_counts_oracle_matchings(load_quiver):
         g = pattern_to_dimer(square_pattern(n))
         models.append((g, dualize(g)))
     for g, q in models:
-        oracle = enumerate_matchings_oracle(g, q)
+        oracle = enumerate_matchings_oracle(g)
         counts = Counter(a for m in oracle for a in m.support)
         r = default_r_symmetry(enumerate_matchings(g, q), q)
         assert r.weights == tuple(counts[a] for a in range(q.n_arrows))
