@@ -6,15 +6,15 @@ constant on F-term classes and embed the path algebra into a lattice
 algebra; algebraic consistency asks that the embedding hits every lattice
 point exactly once.  It is checked per lattice point, in order of weight:
 the paths and F-term classes of a point are counted from those of lighter
-points, and no path is listed.  The Calabi-Yau complex is checked per
-lattice point too: its differentials keep the class, so it splits into
-one summand per point: a graph on the out-arrows of the point's tail,
-with one edge per F-term relation, whose ranks are read from components.
-Both kernels key a lattice point by one int, its coordinates as digits of
-a radix large enough for every lookup, and an arrow, a relation side or
-the face cycle acts on keys by adding or subtracting its delta.  Keys
-are listed from columns of fixed homology offset, as arithmetic
-progressions, and no `PathClass` is built but for a failure record.
+points, and no path is listed.  The Calabi-Yau complex splits into one
+summand per lattice point.  The sizes of its terms are sums of lattice
+counts, and a summand's rank depends only on its tail and on which
+relations fit below the point, so it is kept per vertex.  Both kernels
+key a lattice point by one int, its coordinates as digits of a radix
+large enough for every lookup, and an arrow, a relation side or the face
+cycle acts on keys by adding or subtracting its delta.  Keys are listed
+from columns of fixed homology offset, as arithmetic progressions, and
+no `PathClass` is built but for a failure record.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ import math
 from bisect import bisect_left, bisect_right
 from collections import deque
 from itertools import chain
-from operator import attrgetter
+from operator import add, attrgetter
 from typing import NamedTuple, Optional, Sequence
 
 from .matchings import byte_planes, edge_mask, enumerate_matchings
@@ -142,6 +142,7 @@ class ToricData:
         self._build_base_paths()
         self._points_cache: dict[int, tuple[int, list[list[int]]]] = {}
         self._reports: dict[int, AlgebraReport] = {}
+        self._ranks: list[dict[int, int]] = [{} for _ in self.q.out_arrows]
         # the F-term relation p_a^+ = p_a^- of each arrow a
         self.rels = {a: (plus, minus)
                      for a, plus, minus in fterm_relations(self.q)}
@@ -222,10 +223,10 @@ class ToricData:
         return out
 
     def _pair_columns(self, i: int, j: int, max_weight: int
-                      ) -> list[tuple[int, int, int, int, int]]:
-        """M_ij^+ up to max_weight as columns (hx, hy, w, deg, n) in order
-        of hom: the n >= 1 points (hx, hy, deg + e), 0 <= e < n, of weight
-        w + lam*e.
+                      ) -> list[tuple[int, int, int, int, list]]:
+        """M_ij^+ up to max_weight as columns (hx, y0, y1, wx, at) in order
+        of hx: the points (hx, hy, deg), y0 <= hy <= y1, deg >= max(x - cy*hy
+        for x, cy in at), of weight wx + ry*hy + lam*deg <= max_weight.
 
         In z = hom - hom(beta) and e = deg - deg(beta) a matching of class c
         pairs to its value on beta plus e + c.z, so the matchings of class c
@@ -238,28 +239,26 @@ class ToricData:
         beta, b = self._base[(i, j)]
         wb = self.path_weight(beta)
         low = self._class_table(beta)
-        lam, (rx, ry) = self.lam, self.rho
-        out = []
-        for zx, y0, y1 in _columns([(lam * c[0] - rx, lam * c[1] - ry,
-                                     lam * lc + max_weight - wb)
-                                    for c, lc in low.items()]):
-            at_zx = [(-(lc + c[0] * zx), c[1]) for c, lc in low.items()]
-            for zy in range(y0, y1 + 1):
-                e0 = max([e - cy * zy for e, cy in at_zx])
-                w = wb + rx * zx + ry * zy + lam * e0
-                out.append((b.hom[0] + zx, b.hom[1] + zy, w, b.deg + e0,
-                            (max_weight - w) // lam + 1))
-        return out
+        lam, (rx, ry), (bx, by) = self.lam, self.rho, b.hom
+        return [(bx + zx, by + y0, by + y1, wb + rx * zx - ry * by
+                 - lam * b.deg, [(b.deg - lc - cx * zx + cy * by, cy)
+                                 for (cx, cy), lc in low.items()])
+                for zx, y0, y1 in _columns([(lam * cx - rx, lam * cy - ry,
+                                             lam * lc + max_weight - wb)
+                                            for (cx, cy), lc in low.items()])]
 
     def _pieces(self, i: int, j: int,
                 max_weight: int) -> list[list[PathClass]]:
         """M_ij^+ up to max_weight: entry d lists the elements of weight d
         in (hom, deg) order, from `_pair_columns`; not kept."""
         out: list[list[PathClass]] = [[] for _ in range(max_weight + 1)]
-        for hx, hy, w, deg, n in self._pair_columns(i, j, max_weight):
-            for e in range(n):
-                out[w + self.lam * e].append(PathClass(i, j, (hx, hy),
-                                                       deg + e))
+        for hx, y0, y1, wx, at in self._pair_columns(i, j, max_weight):
+            for hy in range(y0, y1 + 1):
+                deg = max([x - cy * hy for x, cy in at])
+                w = wx + self.rho[1] * hy + self.lam * deg
+                while w <= max_weight:
+                    out[w].append(PathClass(i, j, (hx, hy), deg))
+                    w, deg = w + self.lam, deg + 1
         return out
 
     # -- F-term rewriting -------------------------------------------------
@@ -347,24 +346,27 @@ class ToricData:
         """The radix R of `_radix` and, per weight d up to max_degree, the
         keys at radix R of the lattice points of weight d of the pieces
         M_ij^+, pair by pair in order of (i, j), each in (hom, deg) order.
-        A column of `_pair_columns` is an arithmetic progression: each
-        step adds lam to the weight and R^2*nv^2 to the key.  Kept per
-        degree bound, so the kernels of one bound key each point once."""
+        The hom bound is read from the columns of `_pair_columns`, whose
+        points of one hom step by lam in weight and R^2*nv^2 in key.  Kept
+        per degree bound, so the kernels of one bound key each point once."""
         if max_degree not in self._points_cache:
             nv = self.q.n_vertices
-            nv2, lam = nv * nv, self.lam
-            listing = [(j * nv + i, self._pair_columns(i, j, max_degree))
-                       for i in range(nv) for j in range(nv)]
-            homs = [c[0] for _, cols in listing for c in cols]
-            homs += [c[1] for _, cols in listing for c in cols]
-            r = self._radix(max(map(abs, homs), default=0))
+            nv2, lam, ry = nv * nv, self.lam, self.rho[1]
+            pairs = [(j * nv + i, self._pair_columns(i, j, max_degree))
+                     for i in range(nv) for j in range(nv)]
+            r = self._radix(max((abs(v) for _, cols in pairs for c in cols
+                                 for v in c[:3]), default=0))
             step = r * r * nv2
             by_weight: list[list[int]] = [[] for _ in range(max_degree + 1)]
-            for low, cols in listing:
-                for hx, hy, w, deg, n in cols:
-                    k = ((deg * r + hx) * r + hy) * nv2 + low
-                    for e in range(n):
-                        by_weight[w + lam * e].append(k + step * e)
+            for low, cols in pairs:
+                for hx, y0, y1, wx, at in cols:
+                    for hy in range(y0, y1 + 1):
+                        deg = max([x - cy * hy for x, cy in at])
+                        w = wx + ry * hy + lam * deg
+                        k = ((deg * r + hx) * r + hy) * nv2 + low
+                        while w <= max_degree:
+                            by_weight[w].append(k)
+                            w, k = w + lam, k + step
             self._points_cache[max_degree] = (r, by_weight)
         return self._points_cache[max_degree]
 
@@ -392,14 +394,18 @@ class ToricData:
         r, by_weight = self._points(max_degree)
         delta = self._deltas(r)
         steps = [[(a, delta[a]) for a in out] for out in self.q.out_arrows]
-        # per tail, each relation a.u = b.v as (delta, ((a, u reversed with
-        # deltas), (b, v reversed with deltas)))
+        # per tail, each relation a.u = b.v as (delta of a.u, a, u, b, v)
         glue: list[list[tuple]] = [[] for _ in range(nv)]
         for plus, minus in self.rels.values():
+            u, v = ([(x, delta[x]) for x in p[:0:-1]] for p in (plus, minus))
             glue[self.q.arrows[plus[0]].tail].append(
-                (sum(delta[x] for x in plus),
-                 tuple((p[0], [(x, delta[x]) for x in p[:0:-1]])
-                       for p in (plus, minus))))
+                (sum(delta[x] for x in plus), plus[0], u, minus[0], v))
+        def walk(q: int, c: int, u: list[tuple[int, int]]) -> int:
+            for x, dx in u:         # [u.w] from [w] = c at q
+                q += dx
+                _, nq, bq, fq = reached[q]
+                c = fq[bq[x] + c] if nq > 1 else 0
+            return c
         # the empty paths, the only points of weight 0 that paths reach
         reached = {i * (nv + 1): (1, 1, {}, ()) for i in range(nv)}
         split = False           # whether some point has several classes
@@ -421,18 +427,16 @@ class ToricData:
                     continue
                 parent = list(range(size))
                 ncls = size
-                for dp, sides in glue[i]:
+                for dp, a, u, b, v in glue[i]:
                     p = k - dp
-                    for c in range(reached[p][1] if p in reached else 0):
-                        y = None    # x, y end as the two sides' roots
-                        for a, u in sides:
-                            q, cu = p, c
-                            if split:
-                                for x, dx in u:
-                                    q += dx
-                                    _, nq, bq, fq = reached[q]
-                                    cu = fq[bq[x] + cu] if nq > 1 else 0
-                            x, y = y, _find(parent, base[a] + cu)
+                    got = reached.get(p)
+                    for c in range(got[1] if got else 0):
+                        x = base[a] + (walk(p, c, u) if split else c)
+                        y = base[b] + (walk(p, c, v) if split else c)
+                        while parent[x] != x:
+                            parent[x] = x = parent[parent[x]]
+                        while parent[y] != y:
+                            parent[y] = y = parent[parent[y]]
                         if x != y:
                             parent[x] = y
                             ncls -= 1
@@ -499,22 +503,22 @@ class ToricData:
         second and of the face cycle w in the third.  The differentials
         split off the first arrow of the partner paths of each relation and
         keep the class, so the complex is a sum of one summand per point t
-        of M_ij^+ of weight d, over all i; dims and ranks add up per
-        (j, d).  A summand is a graph.  Its vertices, the columns of d2,
-        are the out-arrows b of i with t - b in M^+.  Each in-arrow a of i
-        with t - p_a^+ in M^+ is an edge, the row e_b+ - e_b- of d2 between
-        the first arrows b+- of p_a^+-, both columns as t - b+- lies in
-        (t - p_a^+) + M^+.  d3 has one row if t - w is in M^+, and then
-        every in-arrow a is an edge, as t - p_a^+ = (t - w) + a; the row is
-        -1 on each, of rank 1 as every quiver vertex lies on a face cycle.
-        A signed incidence matrix of a graph with n vertices and c
-        components (isolated ones included) has rank n - c, a loop being a
-        zero row, and F2 o F3 = 0 iff each column is b+ as often as b-,
-        over all in-arrows of i.  So exactness is read from counts, with no
-        matrix.  Points are keyed by one int (`_points`), so t - b, t - p_a^+
-        and t - w are subtractions of deltas; column b is b's place in the
-        out-arrows of i.  Reuses the algebraic consistency report of the
-        same degree bound if any.
+        of M_ij^+ of weight d, over all i; dims and ranks add up per (j, d).
+        Prepending a path x raises each matching's value by 0 or more, so
+        t - x is in M^+ iff t = x.s with s in M^+; keys are unique, so each
+        pair (x, s) is one (t, x).  With L[i][j][d] the points of M_ij^+ of
+        weight d, dim1 sums L[head b][j][d - w_b] over arrows b, and dim3
+        L[i][j][d - lam] over i.  A summand is a graph: its vertices, the
+        columns of d2, are the out-arrows b of i with t - b in M^+, and
+        each in-arrow a of i with t - p_a^+ in M^+ is an edge, the row
+        e_b+ - e_b- between the first arrows b+- of p_a^+-, both columns as
+        t - b+- lies in (t - p_a^+) + M^+.  Its rank, the number of unions
+        its edges make (a loop is a zero row), depends only on i and the
+        mask of edges (`_relation_rank`).  d3 is a row if t - w is in M^+;
+        then every in-arrow a is an edge, as t - p_a^+ = (t - w) + a, the
+        row is -1 on each, of rank 1 as every quiver vertex lies on a face
+        cycle, and F2 o F3 = 0 iff each column is b+ as often as b-, over
+        all in-arrows of i.  Reuses the consistency report if any.
         """
         pre = self._reports.get(max_degree)
         if pre is None:
@@ -522,57 +526,62 @@ class ToricData:
         if not pre.ok:
             raise DimerError("algebraic consistency fails up to degree "
                              f"{max_degree}: Calabi-Yau bases undefined")
-        failures: list[tuple[int, int, str]] = []
-        stats = []
-        nv = self.q.n_vertices
+        nv, lam, size = self.q.n_vertices, self.lam, max_degree + 1
         r, by_weight = self._points(max_degree)
         in_plus = set(chain.from_iterable(by_weight))
-        # into[j][d]: the keys of the points of weight d with head j
-        into = [[[] for _ in by_weight] for _ in range(nv)]
-        for d, ts in enumerate(by_weight):
-            for t in ts:
-                into[t // nv % nv][d].append(t)
         delta = self._deltas(r)
-        outs = [[delta[b] for b in out] for out in self.q.out_arrows]
-        col = {b: n for out in self.q.out_arrows for n, b in enumerate(out)}
-        # per in-arrow a, the delta of p_a^+ and the columns of the first
-        # arrows of p_a^+-
-        ins = [[(sum(delta[x] for x in self.rels[a][0]),
-                 col[self.rels[a][0][0]], col[self.rels[a][1][0]])
-                for a in arrows] for arrows in self.q.in_arrows]
-        # per tail, whether each column is b+ as often as b-
-        balanced = [sorted(x for _, x, _ in edges)
-                    == sorted(y for _, _, y in edges) for edges in ins]
-        # the face cycle: null-homologous (Quiver checks every face) and
-        # meeting the reference matching once
-        d_w = r * r * nv * nv
+        # per tail i, each in-arrow a's bit and the delta of p_a^+
+        ins = [[(1 << n, sum(delta[x] for x in self.rels[a][0]))
+                for n, a in enumerate(arrows)] for arrows in self.q.in_arrows]
+        # count[j*nv + i][d] = L[i][j][d]; dim2 and r2 at j*size + d
+        count = [[0] * size for _ in range(nv * nv)]
+        dim2, r2, ranks = [0] * (nv * size), [0] * (nv * size), self._ranks
+        for d, keys in enumerate(by_weight):
+            for t in keys:
+                low, i = t % (nv * nv), t % nv
+                count[low][d] += 1
+                mask = 0
+                for bit, dp in ins[i]:
+                    if t - dp in in_plus:
+                        mask |= bit
+                at = low // nv * size + d
+                dim2[at] += mask.bit_count()
+                rk = ranks[i].get(mask)
+                r2[at] += self._relation_rank(i, mask) if rk is None else rk
+        unbalanced = [i for i, arrows in enumerate(self.q.in_arrows)
+                      if sorted(self.rels[a][0][0] for a in arrows)
+                      != sorted(self.rels[a][1][0] for a in arrows)]
+        failures: list[tuple[int, int, str]] = []
+        stats = []
         for j in range(nv):
-            for d in range(max_degree + 1):
-                dim1 = dim2 = dim3 = r2 = 0
-                composite_zero = True
-                for t in into[j][d]:
-                    i = t % nv
-                    parent = list(range(len(outs[i])))
-                    for db in outs[i]:
-                        if t - db in in_plus:
-                            dim1 += 1
-                    for dp, x, y in ins[i]:
-                        if t - dp in in_plus:
-                            dim2 += 1
-                            # a union of two components adds 1 to the rank
-                            x, y = _find(parent, x), _find(parent, y)
-                            if x != y:
-                                parent[x] = y
-                                r2 += 1
-                    if t - d_w in in_plus:
-                        dim3 += 1
-                        composite_zero &= balanced[i]
-                if not composite_zero:
+            # per d, dim1 sums L[head b][j][d - w_b], dim3 L[i][j][d - lam]
+            ls, dim1 = count[j * nv:j * nv + nv], [0] * size
+            dim3 = [0] * lam + [sum(c) for c in zip(*ls)]
+            for a, w in zip(self.q.arrows, self.wts):
+                dim1[w:] = map(add, dim1[w:], ls[a.head])
+            for d, (n1, n3) in enumerate(zip(dim1, dim3)):
+                at = j * size + d
+                if d >= lam and any(ls[i][d - lam] for i in unbalanced):
                     failures.append((j, d, "composite not zero"))
-                if r2 + dim3 != dim2:
+                if r2[at] + n3 != dim2[at]:
                     failures.append((j, d, "complex not exact at second term"))
-                stats.append((j, d, dim1, dim2, dim3, r2, dim3))
+                stats.append((j, d, n1, dim2[at], n3, r2[at], n3))
         return Cy3Report(not failures, max_degree, failures, stats)
+
+    def _relation_rank(self, i: int, mask: int) -> int:
+        """Rank of d2 on a summand of tail i with the n-th in-arrow of i an
+        edge iff bit n of mask is set; kept, at most 2^indeg(i) per vertex."""
+        if mask not in self._ranks[i]:
+            parent, rank = {b: b for b in self.q.out_arrows[i]}, 0
+            for n, a in enumerate(self.q.in_arrows[i]):
+                if mask >> n & 1:
+                    x = _find(parent, self.rels[a][0][0])
+                    y = _find(parent, self.rels[a][1][0])
+                    if x != y:
+                        parent[x] = y
+                        rank += 1
+            self._ranks[i][mask] = rank
+        return self._ranks[i][mask]
 
     # -- the center -------------------------------------------------------
 
@@ -608,7 +617,7 @@ def decode_key(k: int, r: int, nv: int) -> tuple[int, int, Vec, int]:
     return (low % nv, low // nv, (hx - h, hy - h), high)
 
 
-def _find(parent: list[int], x: int) -> int:
+def _find(parent: list[int] | dict[int, int], x: int) -> int:
     """Union-find root of x, halving the path on the way."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]
@@ -640,6 +649,7 @@ def _columns(cons: list[tuple[int, int, int]]
             return []
         raise DimerError("graded piece unbounded; grading not positive "
                          "definite on this model")
-    return [(zx, max(-((ax * zx + b) // ay) for ax, ay, b in lower),
+    cols = [(zx, max(-((ax * zx + b) // ay) for ax, ay, b in lower),
              min((ax * zx + b) // -ay for ax, ay, b in upper))
             for zx in range(lo, hi + 1)]
+    return [c for c in cols if c[1] <= c[2]]

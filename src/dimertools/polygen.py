@@ -332,13 +332,18 @@ def merging_move(pattern: CurvePattern, crossing: int) -> CurvePattern:
         return (s[0], s[1], t[2], t[3], vadd(s[4], t[4]))
 
     curves = [list(map(renumbered, segs)) for segs in pattern.curves]
-    # rotate the two curves so that each one's segment into the crossing
-    # comes last, then splice: a's incoming segment runs on along b's
-    # outgoing one, and b's incoming along a's outgoing
+    # rotate each curve so that its segment into the crossing comes last,
+    # then splice a's incoming segment to b's outgoing one and b's incoming
+    # to a's outgoing; if a is one segment, both splices make one segment
     ka = pattern.curves[ca].index(sa.id) + 1
     kb = pattern.curves[cb].index(sb.id) + 1
     a, b = curves[ca][ka:] + curves[ca][:ka], curves[cb][kb:] + curves[cb][:kb]
-    curves[ca] = [join(a[-1], b[0])] + b[1:-1] + [join(b[-1], a[0])] + a[1:-1]
+    a, b = (b, a) if len(b) == 1 else (a, b)
+    if len(b) == 1:
+        raise DimerError("both curves are one segment through the crossing")
+    curves[ca] = ([join(join(b[-1], a[0]), b[0])] + b[1:-1] if len(a) == 1
+                  else [join(a[-1], b[0])] + b[1:-1] + [join(b[-1], a[0])]
+                  + a[1:-1])
     del curves[cb]
     return _from_curves(pattern.n_crossings - 1, curves)
 

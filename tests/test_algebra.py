@@ -576,6 +576,106 @@ def test_cy3_matches_summand_oracle():
     assert "composite not zero" in {reason for _, _, reason in rep.failures}
 
 
+def lattice_counts(td, max_degree):
+    """L[(i, j, d)]: the lattice points of M_ij^+ of weight d, from the
+    keys of `_points` (tail i, head j)."""
+    nv = td.q.n_vertices
+    counts = Counter()
+    for d, keys in enumerate(td._points(max_degree)[1]):
+        for k in keys:
+            counts[(k % nv, k // nv % nv, d)] += 1
+    return counts
+
+
+def hilbert_mismatches(td):
+    """The (i, j, d), d <= 2 lam, at which the lattice counts break the
+    Calabi-Yau Hilbert series identity L(i,j,d) - L(i,j,d - lam)
+    - sum over arrows a into j of L(i, tail a, d - w_a) + sum over arrows a
+    out of j of L(i, head a, d - lam + w_a) = [i = j and d = 0]."""
+    nv, lam = td.q.n_vertices, td.lam
+    counts = lattice_counts(td, 2 * lam)
+    bad = []
+    for i in range(nv):
+        for j in range(nv):
+            for d in range(2 * lam + 1):
+                total = counts[(i, j, d)] - counts[(i, j, d - lam)]
+                for a in td.q.arrows:
+                    w = td.wts[a.id]
+                    if a.head == j:
+                        total -= counts[(i, a.tail, d - w)]
+                    if a.tail == j:
+                        total += counts[(i, a.head, d - lam + w)]
+                if total != (i == j and d == 0):
+                    bad.append((i, j, d))
+    return bad
+
+
+def test_lattice_counts_meet_hilbert_identity():
+    """The lattice counts the CY3 sizes are read from satisfy the counts
+    form of the Calabi-Yau Hilbert series identity up to 2 lam on the
+    consistent fixtures and gen-square 1-2, and break it on xyloops, which
+    fails algebraic consistency: an independent check of the counts."""
+    for name in ("conifold", "examplestp", "hexagonal", "memeg",
+                 "nonmin_conifold"):
+        assert hilbert_mismatches(toric(name)) == [], name
+    for n in (1, 2):
+        td = ToricData(pattern_to_dimer(square_pattern(n)))
+        assert hilbert_mismatches(td) == [], n
+    assert len(hilbert_mismatches(toric("xyloops"))) == 35
+
+
+def test_relation_rank_matches_matrix_rank():
+    """On every fixture that builds ToricData, for every vertex i and every
+    mask of the in-arrows of i, the kept rank is `_rank` of the rows
+    e_{col b+} - e_{col b-} of the masked relations, b+- the first arrows
+    of their sides and col the place among the out-arrows of i; a loop
+    is a zero row."""
+    masks = 0
+    for name in NONDEGENERATE:
+        td = toric(name)
+        for i in range(td.q.n_vertices):
+            out, ins = td.q.out_arrows[i], td.q.in_arrows[i]
+            for mask in range(1 << len(ins)):
+                rows = []
+                for n, a in enumerate(ins):
+                    if mask >> n & 1:
+                        row = [0] * len(out)
+                        plus, minus = td.rels[a]
+                        row[out.index(plus[0])] += 1
+                        row[out.index(minus[0])] -= 1
+                        rows.append(row)
+                want = algebra._rank(rows)
+                assert td._relation_rank(i, mask) == want, (name, i, mask)
+                assert td._ranks[i][mask] == want, (name, i, mask)
+                masks += 1
+    assert masks > 100
+
+
+def test_cy3_rank_work_does_not_grow_with_degree(monkeypatch):
+    """The ranks of the CY3 summands are kept per vertex and relation
+    mask, so the union-find calls of cy3_check on hexagonal are as many at
+    D = 10 as at D = 20 (12 each, against 990 and 7,980 when each summand
+    ran its own union-find), once the consistency report is built, while
+    the lattice points grow from 286 to 1,771."""
+    calls = []
+    original = algebra._find
+
+    def counting(parent, x):
+        calls.append(x)
+        return original(parent, x)
+
+    got = []
+    for d in (10, 20):
+        td = toric("hexagonal")
+        assert td.algebraic_consistency(d).ok
+        calls.clear()
+        with monkeypatch.context() as mp:
+            mp.setattr(algebra, "_find", counting)
+            assert td.cy3_check(d).ok
+        got.append(len(calls))
+    assert got[0] == got[1] > 0
+
+
 def test_points_and_report_match_piece_oracle():
     """On every model of `all_models` that builds ToricData, bar square-4,
     at degree 4, lam and 2 lam up to 40, the keys listed from the column

@@ -206,6 +206,50 @@ def test_merging_move_splices_curves():
                 list(range(len(m.segments)))
 
 
+# two crossings: curve 0 is one horizontal segment through crossing 0,
+# curve 1 runs vertically through both, curve 2 is one horizontal segment
+# through crossing 1
+ONE_SEGMENT_PATTERN = """PATTERN 1
+crossing 0
+crossing 1
+segment 0 0 0 0 0 2 1 0
+segment 1 1 0 1 1 3 0 0
+segment 2 1 1 1 0 3 0 1
+segment 3 2 1 0 1 2 1 0
+curve 0 0
+curve 1 1 2
+curve 2 3
+"""
+
+
+def test_merging_move_fuses_one_segment_curve():
+    """Where one of the two curves is a single segment s through the
+    crossing, the other curve's incoming segment, s and its outgoing
+    segment fuse into one; where both are, the move is refused."""
+    p = load_pattern(ONE_SEGMENT_PATTERN)
+    m = merging_move(p, 0)
+    assert m.n_crossings == 1
+    # 1 -> (0, 1) -> 0 fused with s: from crossing 0 (was 1) port 1 back to
+    # its port 3, offset (0, 1) + (1, 0) + (0, 0)
+    assert m.segments[:1] == [(0, 0, 0, 1, 0, 3, (1, 1))]
+    assert [m.curve_class(c) for c in range(len(m.curves))] == \
+        [(1, 1), (1, 0)]
+    assert m.curves == [(0,), (1,)]
+    # the one-segment curve enters at the higher port: curve 1 of the
+    # vertical mirror image is merged with the one-segment curve 0
+    mirror = load_pattern(ONE_SEGMENT_PATTERN.replace(
+        "segment 0 0 0 0 0 2 1 0", "segment 0 0 0 1 0 3 0 1").replace(
+        "segment 1 1 0 1 1 3 0 0", "segment 1 1 0 0 1 2 0 0").replace(
+        "segment 2 1 1 1 0 3 0 1", "segment 2 1 1 0 0 2 1 0").replace(
+        "segment 3 2 1 0 1 2 1 0", "segment 3 2 1 1 1 3 0 1"))
+    m = merging_move(mirror, 0)
+    assert m.segments[0] == (0, 0, 0, 0, 0, 2, (1, 1))
+    assert [m.curve_class(c) for c in range(len(m.curves))] == \
+        [(1, 1), (0, 1)]
+    for pattern in (p, mirror):
+        with pytest.raises(DimerError, match="both curves are one segment"):
+            merging_move(merging_move(pattern, 0), 0)
+
 def test_merged_unit_square_gives_triangle():
     p = square_pattern(1)
     m = merging_move(p, 1)
