@@ -115,11 +115,9 @@ class ToricData:
     def __init__(self, g: TorusGraph, q: Optional[Quiver] = None) -> None:
         self.q = q if q is not None else Quiver(g)
         self.matchings = enumerate_matchings(g, self.q)
-        # arrow a's weight counts the matchings holding a, so every weight
-        # is an integer, and a positive one: default_r_symmetry refuses 0
-        w = default_r_symmetry(self.matchings, self.q)
-        self.wts = [int(x) for x in w.weights]
-        self.lam = int(w.degree)
+        # int weights, each the number of matchings holding its arrow, and
+        # all positive: default_r_symmetry refuses 0
+        self.wts, self.lam = default_r_symmetry(self.matchings, self.q)
         if self.matchings[0].cls != (0, 0):
             raise DimerError("first perfect matching is not the reference "
                              "matching of class (0, 0)")

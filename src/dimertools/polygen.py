@@ -60,6 +60,8 @@ class CurvePattern:
             raise ParseError("every crossing needs all four ports used")
         in_curve: dict[int, int] = {}
         for cid, segs in enumerate(self.curves):
+            if not segs:
+                raise ParseError(f"curve {cid} has no segments")
             unknown = [sid for sid in segs
                        if not 0 <= sid < len(self.segments)]
             if unknown:

@@ -34,8 +34,8 @@ from .zigzag import ZigZagPath, angular_sort, crossing_paths, zigzag_paths
 
 
 class WeightFunction(NamedTuple):
-    weights: tuple[Fraction, ...]    # indexed by arrow id
-    degree: Fraction
+    weights: tuple[int | Fraction, ...]    # indexed by arrow id
+    degree: int | Fraction
 
     def integral(self) -> "WeightFunction":
         """Clear denominators to the least integral multiple."""
@@ -54,13 +54,13 @@ def euler_check(q: Quiver) -> bool:
 
 def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
                        ) -> WeightFunction:
-    """The sum of all perfect matchings, an integral R-symmetry whenever the
-    model is non-degenerate.  Arrow a's weight is the popcount of its byte
-    plane (`byte_planes`), the number of matchings holding a."""
+    """The sum of all perfect matchings, an R-symmetry with `int` weights
+    and degree whenever the model is non-degenerate.  Arrow a's weight is
+    the popcount of its byte plane (`byte_planes`), the number of matchings
+    holding a."""
     planes = byte_planes(list(map(attrgetter("bits"), matchings)),
                          q.n_arrows)
-    wf = WeightFunction(tuple(Fraction(p.bit_count()) for p in planes),
-                        Fraction(len(matchings)))
+    wf = WeightFunction(tuple(p.bit_count() for p in planes), len(matchings))
     if not matchings or 0 in wf.weights:
         raise DimerError("no R-symmetry from matchings: model is degenerate")
     if not wf.check(q):
@@ -104,10 +104,10 @@ def find_rhombic(q: Quiver) -> Optional[WeightFunction]:
 def _solve_weights(q: Quiver, rhombic: bool,
                    paths: Optional[Sequence[ZigZagPath]]
                    ) -> Optional[WeightFunction]:
-    bounds = [Fraction(2, len(f.boundary)) for f in q.faces]
+    sizes = [len(f.boundary) for f in q.faces]
+    bound = Fraction(2, max(sizes))
     if rhombic:
-        bounds += [1 - b for b in bounds]
-    bound = min(bounds)
+        bound = min(bound, 1 - Fraction(2, min(sizes)))
     if bound <= 0:
         return None
     wf = _angle_weights(q, rhombic, bound,

@@ -232,10 +232,12 @@ def test_pattern_check(capsys, tmp_path):
 @pytest.mark.parametrize("old,new,message", [
     ("curve 1 2 3\n", "curve 1 2 99\n", "unknown segment 99"),
     ("curve 3 6 7\n", "curve 3 6 7\ncurve 3 6 7\n", "given twice"),
+    ("curve 3 6 7\n", "curve 3 6 7\ncurve 4\n", "curve 4 has no segments"),
 ])
 def test_pattern_check_bad_curve_line(capsys, tmp_path, old, new, message):
-    """A curve line naming an unknown segment, or a curve id given twice,
-    is a parse error: exit 2 with a one-line message."""
+    """A curve line naming an unknown segment, a curve id given twice, or
+    a curve with no segments is a parse error: exit 2 with a one-line
+    message."""
     from dimertools.polygen import dump_pattern, load_pattern, square_pattern
     from dimertools.surface import ParseError
     text = dump_pattern(square_pattern(1))

@@ -143,6 +143,8 @@ def test_load_rejects_garbage():
     good = dump_pattern(square_pattern(1))
     with pytest.raises(ParseError):
         load_pattern(good + "weird 1 2 3\n")
+    with pytest.raises(ParseError, match="curve 4 has no segments"):
+        load_pattern(good + "curve 4\n")
 
 
 # loads a pattern with one id out of order; prints the outcome

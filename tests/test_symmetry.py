@@ -34,7 +34,7 @@ def test_default_r_symmetry(load_quiver):
         assert all(w > 0 for w in r.weights)
         assert r.degree == len(ms)
         assert r.check(q)
-        assert all(type(w) is Fraction for w in r.weights + (r.degree,))
+        assert all(type(w) is int for w in r.weights + (r.degree,))
         assert r.weights == tuple(sum(a in m.support for m in ms)
                                   for a in range(q.n_arrows))
 
