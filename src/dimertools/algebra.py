@@ -9,12 +9,13 @@ the paths and F-term classes of a point are counted from those of lighter
 points, and no path is listed.  The Calabi-Yau complex splits into one
 summand per lattice point.  The sizes of its terms are sums of lattice
 counts, and a summand's rank depends only on its tail and on which
-relations fit below the point, so it is kept per vertex.  Both kernels
-key a lattice point by one int, its coordinates as digits of a radix
-large enough for every lookup, and an arrow, a relation side or the face
-cycle acts on keys by adding or subtracting its delta.  Keys are listed
-from columns of fixed homology offset, as arithmetic progressions, and
-no `PathClass` is built but for a failure record.
+relations fit below the point, so it is kept per vertex; the same rank
+counts the F-term classes of most points.  Both kernels key a lattice
+point by one int, its coordinates as digits of a radix large enough for
+every lookup, and an arrow, a relation side or the face cycle acts on
+keys by adding or subtracting its delta.  Keys are listed from columns
+of fixed homology offset, as arithmetic progressions, and no `PathClass`
+is built but for a failure record.
 """
 
 from __future__ import annotations
@@ -387,17 +388,28 @@ class ToricData:
         F-class is already the pair's second entry.  Gluing is symmetric,
         so each relation is read one way; a point with one pair is one
         class, and gluing stops once all pairs are.  No path is listed.
+
+        Where each reached m - a has one class, the pairs are the (a, 0),
+        and a relation a.u = b.v with m - class(a.u) reached, which is
+        m - class(b.v), joins two of them, as u.w and v.w are paths: the
+        graph of `_relation_rank`, so the classes are the pairs less its
+        kept rank.  The union-find runs only where that leaves several
+        classes, or where a lighter point has several.
         """
         nv = self.q.n_vertices
         r, by_weight = self._points(max_degree)
         delta = self._deltas(r)
         steps = [[(a, delta[a]) for a in out] for out in self.q.out_arrows]
-        # per tail, each relation a.u = b.v as (delta of a.u, a, u, b, v)
-        glue: list[list[tuple]] = [[] for _ in range(nv)]
-        for plus, minus in self.rels.values():
-            u, v = ([(x, delta[x]) for x in p[:0:-1]] for p in (plus, minus))
-            glue[self.q.arrows[plus[0]].tail].append(
-                (sum(delta[x] for x in plus), plus[0], u, minus[0], v))
+        # per tail i, the relation a.u = b.v of each in-arrow of i, in the
+        # order of `_relation_rank`'s bits: (delta of a.u, a, u, b, v)
+        glue = [[(sum(delta[x] for x in plus), plus[0],
+                  [(x, delta[x]) for x in plus[:0:-1]], minus[0],
+                  [(x, delta[x]) for x in minus[:0:-1]])
+                 for plus, minus in map(self.rels.__getitem__, arrows)]
+                for arrows in self.q.in_arrows]
+        bits = [[(1 << n, rel[0]) for n, rel in enumerate(rels)]
+                for rels in glue]
+        ranks = self._ranks
         def walk(q: int, c: int, u: list[tuple[int, int]]) -> int:
             for x, dx in u:         # [u.w] from [w] = c at q
                 q += dx
@@ -423,18 +435,26 @@ class ToricData:
                     continue
                 if not size:
                     continue
+                if size == len(base):
+                    mask = 0
+                    for bit, dp in bits[i]:
+                        if k - dp in reached:
+                            mask |= bit
+                    rk = ranks[i].get(mask)
+                    if size - (self._relation_rank(i, mask) if rk is None
+                               else rk) == 1:
+                        reached[k] = (n, 1, base, (0,) * size)
+                        continue
                 parent = list(range(size))
                 ncls = size
                 for dp, a, u, b, v in glue[i]:
                     p = k - dp
                     got = reached.get(p)
                     for c in range(got[1] if got else 0):
-                        x = base[a] + (walk(p, c, u) if split else c)
-                        y = base[b] + (walk(p, c, v) if split else c)
-                        while parent[x] != x:
-                            parent[x] = x = parent[parent[x]]
-                        while parent[y] != y:
-                            parent[y] = y = parent[parent[y]]
+                        x = _find(parent, base[a] + (walk(p, c, u) if split
+                                                     else c))
+                        y = _find(parent, base[b] + (walk(p, c, v) if split
+                                                     else c))
                         if x != y:
                             parent[x] = y
                             ncls -= 1
@@ -456,10 +476,11 @@ class ToricData:
         class of an actual path.  Injectivity: all paths with one class
         form a single F-term class.  Both are read from `_fterm_classes`,
         which counts the paths and F-term classes of each point from those
-        of lighter points and lists no path.  Every path class lies in
-        M^+, since a matching's value on a path counts the path's arrows
-        in it.  Points and hits are counted per piece from the keys, which
-        give a failing point's class.  The report is kept for `cy3_check`.
+        of lighter points, mostly by the kept ranks of `_relation_rank`,
+        and lists no path.  Every path class lies in M^+, since a
+        matching's value on a path counts the path's arrows in it.  Points
+        and hits are counted per piece from the keys, which give a failing
+        point's class.  The report is kept for `cy3_check`.
         """
         nv = self.q.n_vertices
         nv2, size = nv * nv, max_degree + 1
@@ -554,7 +575,8 @@ class ToricData:
         for j in range(nv):
             # per d, dim1 sums L[head b][j][d - w_b], dim3 L[i][j][d - lam]
             ls, dim1 = count[j * nv:j * nv + nv], [0] * size
-            dim3 = [0] * lam + [sum(c) for c in zip(*ls)]
+            dim3 = [0] * min(lam, size) + [
+                sum(c) for c in zip(*ls)][:max(size - lam, 0)]
             for a, w in zip(self.q.arrows, self.wts):
                 dim1[w:] = map(add, dim1[w:], ls[a.head])
             for d, (n1, n3) in enumerate(zip(dim1, dim3)):
@@ -568,7 +590,9 @@ class ToricData:
 
     def _relation_rank(self, i: int, mask: int) -> int:
         """Rank of d2 on a summand of tail i with the n-th in-arrow of i an
-        edge iff bit n of mask is set; kept, at most 2^indeg(i) per vertex."""
+        edge iff bit n of mask is set; kept, at most 2^indeg(i) per vertex.
+        `_fterm_classes` reads it too, at points whose lighter points have
+        one class each, so the consistency pass warms it for `cy3_check`."""
         if mask not in self._ranks[i]:
             parent, rank = {b: b for b in self.q.out_arrows[i]}, 0
             for n, a in enumerate(self.q.in_arrows[i]):

@@ -527,6 +527,10 @@ def test_cy3_matches_oracle():
             td = ToricData(g)
             d = k * td.lam
             assert td.cy3_check(d) == cy3_oracle(td, d), (n, k)
+    # D = 4 below lam = 448 and 26,752: the third term is zero throughout
+    for n in (3, 4):
+        td = ToricData(pattern_to_dimer(square_pattern(n)))
+        assert td.cy3_check(4) == cy3_oracle(td, 4), n
 
 
 def test_cy3_matches_summand_oracle():
@@ -651,12 +655,9 @@ def test_relation_rank_matches_matrix_rank():
     assert masks > 100
 
 
-def test_cy3_rank_work_does_not_grow_with_degree(monkeypatch):
-    """The ranks of the CY3 summands are kept per vertex and relation
-    mask, so the union-find calls of cy3_check on hexagonal are as many at
-    D = 10 as at D = 20 (12 each, against 990 and 7,980 when each summand
-    ran its own union-find), once the consistency report is built, while
-    the lattice points grow from 286 to 1,771."""
+def counting_find(monkeypatch):
+    """Replace `algebra._find` by a wrapper; returns the list it appends
+    each call's argument to."""
     calls = []
     original = algebra._find
 
@@ -664,16 +665,67 @@ def test_cy3_rank_work_does_not_grow_with_degree(monkeypatch):
         calls.append(x)
         return original(parent, x)
 
+    monkeypatch.setattr(algebra, "_find", counting)
+    return calls
+
+
+def test_cy3_rank_work_does_not_grow_with_degree(monkeypatch):
+    """The ranks of the relation graphs are kept per vertex and relation
+    mask and shared by both kernels, so on a fresh hexagonal ToricData the
+    union-find calls of algebraic_consistency and cy3_check together are
+    as many at D = 10 as at D = 20 (12 each, against 990 and 7,980 when
+    each CY3 summand ran its own union-find), while the lattice points
+    grow from 286 to 1,771.  The consistency pass fills the memo, so
+    cy3_check alone makes none."""
+    calls = counting_find(monkeypatch)
     got = []
     for d in (10, 20):
         td = toric("hexagonal")
-        assert td.algebraic_consistency(d).ok
         calls.clear()
-        with monkeypatch.context() as mp:
-            mp.setattr(algebra, "_find", counting)
-            assert td.cy3_check(d).ok
-        got.append(len(calls))
+        assert td.algebraic_consistency(d).ok
+        total = len(calls)
+        assert td.cy3_check(d).ok
+        assert len(calls) == total, d
+        got.append(total)
     assert got[0] == got[1] > 0
+
+
+def test_fterm_classes_read_kept_ranks(monkeypatch):
+    """On every model of `all_models` but square-4 with 2 lam <= 40 that
+    passes the algebraic rung at 2 lam, every lattice point's F-term
+    classes come from the kept ranks: each `_find` call of the consistency
+    pass is one of the two per edge that `_relation_rank` makes on a mask
+    it then keeps, so no point runs the union-find of `_fterm_classes`
+    (which calls `_find` at least once on a point of two or more pairs),
+    and a vertex i keeps at most 2^indeg(i) masks.  The masks are numbered
+    as `cy3_check` numbers them, which then computes no rank.  In- and
+    out-arrows alternate around a dimer face, so a vertex's relation
+    graph is a cycle on its out-arrows, whose rank counts edges alone:
+    only the keys of the memo show a wrong numbering."""
+    calls = counting_find(monkeypatch)
+    models = 0
+    for name, g in all_models().items():
+        if name == "square-4":
+            continue
+        try:
+            td = ToricData(g)
+        except DimerError:
+            continue
+        if 2 * td.lam > 40:
+            continue
+        calls.clear()
+        if not td.algebraic_consistency(2 * td.lam).ok:
+            continue
+        assert len(calls) == sum(2 * mask.bit_count() for kept in td._ranks
+                                 for mask in kept), name
+        for kept, ins in zip(td._ranks, td.q.in_arrows):
+            assert len(kept) <= 1 << len(ins), name
+            assert all(0 <= mask < 1 << len(ins) for mask in kept), name
+        calls.clear()
+        assert td.cy3_check(2 * td.lam).ok, name
+        assert calls == [], name
+        models += 1
+    assert models == 163
 
 
 def test_points_and_report_match_piece_oracle():
