@@ -8,14 +8,14 @@ point exactly once.  It is checked per lattice point, in order of weight:
 the paths and F-term classes of a point are counted from those of lighter
 points, and no path is listed.  The Calabi-Yau complex splits into one
 summand per lattice point.  The sizes of its terms are sums of lattice
-counts, and a summand's rank depends only on its tail and on which
-relations fit below the point, so it is kept per vertex; the same rank
-counts the F-term classes of most points.  Both kernels key a lattice
-point by one int, its coordinates as digits of a radix large enough for
-every lookup, and an arrow, a relation side or the face cycle acts on
-keys by adding or subtracting its delta.  Keys are listed from columns
-of fixed homology offset, as arithmetic progressions, and no `PathClass`
-is built but for a failure record.
+counts, and a summand's rank is read from which relations of its tail
+fit below the point, as they lie on one cycle (`fterm_relations`); the
+same rank counts the F-term classes of most points.  Both kernels key a
+lattice point by one int, its coordinates as digits of a radix large
+enough for every lookup, and an arrow, a relation side or the face cycle
+acts on keys by adding or subtracting its delta.  Keys are listed from
+columns of fixed homology offset, as arithmetic progressions, and no
+`PathClass` is built but for a failure record.
 """
 
 from __future__ import annotations
@@ -110,7 +110,8 @@ class ToricData:
     class tables of the base paths it holds the matchings' byte planes
     (`byte_planes`), one int per arrow whose byte k is 1 iff the k-th
     matching in class order holds the arrow, and each class's range of
-    bytes.
+    bytes.  The first matching is the reference matching pi0, of class
+    (0, 0), as `enumerate_matchings` takes every class against it.
     """
 
     def __init__(self, g: TorusGraph, q: Optional[Quiver] = None) -> None:
@@ -119,9 +120,6 @@ class ToricData:
         # int weights, each the number of matchings holding its arrow, and
         # all positive: default_r_symmetry refuses 0
         self.wts, self.lam = default_r_symmetry(self.matchings, self.q)
-        if self.matchings[0].cls != (0, 0):
-            raise DimerError("first perfect matching is not the reference "
-                             "matching of class (0, 0)")
         self.pi0 = self.matchings[0].support
         # read by _class_table: the matchings sorted by class, each class's
         # range in that order, and per arrow its byte plane over it
@@ -141,18 +139,16 @@ class ToricData:
         self._build_base_paths()
         self._points_cache: dict[int, tuple[int, list[list[int]]]] = {}
         self._reports: dict[int, AlgebraReport] = {}
-        self._ranks: list[dict[int, int]] = [{} for _ in self.q.out_arrows]
         # the F-term relation p_a^+ = p_a^- of each arrow a
         self.rels = {a: (plus, minus)
                      for a, plus, minus in fterm_relations(self.q)}
-        for a, (plus, minus) in self.rels.items():
-            if self.path_class(plus) != self.path_class(minus):
-                raise DimerError(f"F-term relation of arrow {a} joins paths "
-                                 "of different classes")
 
     # -- plumbing ---------------------------------------------------------
 
     def _build_base_paths(self) -> None:
+        """A breadth-first path beta_ij from every i to every j.  Each j
+        is reached: the dimer graph is connected and every arrow lies on a
+        face cycle, so the quiver is strongly connected."""
         for i in range(self.q.n_vertices):
             seen = {i: ()}
             queue = deque([i])
@@ -163,8 +159,6 @@ class ToricData:
                     if h not in seen:
                         seen[h] = seen[v] + (a,)
                         queue.append(h)
-            if len(seen) != self.q.n_vertices:
-                raise DimerError("quiver not connected")
             for j, p in seen.items():
                 self._base[(i, j)] = (p, self.path_class(p, at=i))
 
@@ -264,8 +258,8 @@ class ToricData:
 
     def fterm_closure(self, path: Sequence[int]) -> frozenset[tuple[int, ...]]:
         """All paths reachable by F-term rewrites; computed afresh on every
-        call, not cached.  Each relation was checked to keep the path class
-        when this object was built, so the closure lies in one class."""
+        call, not cached.  Each relation keeps the path class
+        (`fterm_relations`), so the closure lies in one class."""
         # each relation read both ways is a rewrite, filed by first arrow
         rewrites: dict[int, list[tuple[tuple[int, ...], ...]]] = {}
         for plus, minus in self.rels.values():
@@ -391,17 +385,17 @@ class ToricData:
 
         Where each reached m - a has one class, the pairs are the (a, 0),
         and a relation a.u = b.v with m - class(a.u) reached, which is
-        m - class(b.v), joins two of them, as u.w and v.w are paths: the
-        graph of `_relation_rank`, so the classes are the pairs less its
-        kept rank.  The union-find runs only where that leaves several
+        m - class(b.v), joins two of them, as u.w and v.w are paths: edges
+        of the cycle of `fterm_relations`, so the classes are the pairs less
+        its rank.  The union-find runs only where that leaves several
         classes, or where a lighter point has several.
         """
         nv = self.q.n_vertices
         r, by_weight = self._points(max_degree)
         delta = self._deltas(r)
         steps = [[(a, delta[a]) for a in out] for out in self.q.out_arrows]
-        # per tail i, the relation a.u = b.v of each in-arrow of i, in the
-        # order of `_relation_rank`'s bits: (delta of a.u, a, u, b, v)
+        # per tail i, the relation a.u = b.v of each in-arrow of i, in
+        # order: (delta of a.u, a, u, b, v)
         glue = [[(sum(delta[x] for x in plus), plus[0],
                   [(x, delta[x]) for x in plus[:0:-1]], minus[0],
                   [(x, delta[x]) for x in minus[:0:-1]])
@@ -409,7 +403,7 @@ class ToricData:
                 for arrows in self.q.in_arrows]
         bits = [[(1 << n, rel[0]) for n, rel in enumerate(rels)]
                 for rels in glue]
-        ranks = self._ranks
+        full = [(1 << len(arrows)) - 1 for arrows in self.q.in_arrows]
         def walk(q: int, c: int, u: list[tuple[int, int]]) -> int:
             for x, dx in u:         # [u.w] from [w] = c at q
                 q += dx
@@ -440,9 +434,7 @@ class ToricData:
                     for bit, dp in bits[i]:
                         if k - dp in reached:
                             mask |= bit
-                    rk = ranks[i].get(mask)
-                    if size - (self._relation_rank(i, mask) if rk is None
-                               else rk) == 1:
+                    if size - mask.bit_count() + (mask == full[i]) == 1:
                         reached[k] = (n, 1, base, (0,) * size)
                         continue
                 parent = list(range(size))
@@ -476,11 +468,11 @@ class ToricData:
         class of an actual path.  Injectivity: all paths with one class
         form a single F-term class.  Both are read from `_fterm_classes`,
         which counts the paths and F-term classes of each point from those
-        of lighter points, mostly by the kept ranks of `_relation_rank`,
-        and lists no path.  Every path class lies in M^+, since a
-        matching's value on a path counts the path's arrows in it.  Points
-        and hits are counted per piece from the keys, which give a failing
-        point's class.  The report is kept for `cy3_check`.
+        of lighter points, mostly by the rank of the relation cycle of
+        `fterm_relations`, and lists no path.  Every path class lies in
+        M^+, since a matching's value on a path counts the path's arrows in
+        it.  Points and hits are counted per piece from the keys, which
+        give a failing point's class.  The report is kept for `cy3_check`.
         """
         nv = self.q.n_vertices
         nv2, size = nv * nv, max_degree + 1
@@ -527,17 +519,13 @@ class ToricData:
         t - x is in M^+ iff t = x.s with s in M^+; keys are unique, so each
         pair (x, s) is one (t, x).  With L[i][j][d] the points of M_ij^+ of
         weight d, dim1 sums L[head b][j][d - w_b] over arrows b, and dim3
-        L[i][j][d - lam] over i.  A summand is a graph: its vertices, the
-        columns of d2, are the out-arrows b of i with t - b in M^+, and
-        each in-arrow a of i with t - p_a^+ in M^+ is an edge, the row
-        e_b+ - e_b- between the first arrows b+- of p_a^+-, both columns as
-        t - b+- lies in (t - p_a^+) + M^+.  Its rank, the number of unions
-        its edges make (a loop is a zero row), depends only on i and the
-        mask of edges (`_relation_rank`).  d3 is a row if t - w is in M^+;
-        then every in-arrow a is an edge, as t - p_a^+ = (t - w) + a, the
-        row is -1 on each, of rank 1 as every quiver vertex lies on a face
-        cycle, and F2 o F3 = 0 iff each column is b+ as often as b-, over
-        all in-arrows of i.  Reuses the consistency report if any.
+        L[i][j][d - lam] over i.  A summand's d2 has a row e_b+ - e_b- per
+        in-arrow a of i with t - p_a^+ in M^+, b+- the first arrows of
+        p_a^+-: edges of the cycle of `fterm_relations`, so its rank is
+        their number less 1 if they are all of i's in-arrows.  d3 is a row
+        if t - w is in M^+; then every in-arrow is an edge, as t - p_a^+ =
+        (t - w) + a, and the row, -1 on each, has rank 1 and composes with
+        d2 to 0.  Reuses the consistency report if any.
         """
         pre = self._reports.get(max_degree)
         if pre is None:
@@ -552,9 +540,10 @@ class ToricData:
         # per tail i, each in-arrow a's bit and the delta of p_a^+
         ins = [[(1 << n, sum(delta[x] for x in self.rels[a][0]))
                 for n, a in enumerate(arrows)] for arrows in self.q.in_arrows]
+        full = [(1 << len(arrows)) - 1 for arrows in self.q.in_arrows]
         # count[j*nv + i][d] = L[i][j][d]; dim2 and r2 at j*size + d
         count = [[0] * size for _ in range(nv * nv)]
-        dim2, r2, ranks = [0] * (nv * size), [0] * (nv * size), self._ranks
+        dim2, r2 = [0] * (nv * size), [0] * (nv * size)
         for d, keys in enumerate(by_weight):
             for t in keys:
                 low, i = t % (nv * nv), t % nv
@@ -564,12 +553,9 @@ class ToricData:
                     if t - dp in in_plus:
                         mask |= bit
                 at = low // nv * size + d
-                dim2[at] += mask.bit_count()
-                rk = ranks[i].get(mask)
-                r2[at] += self._relation_rank(i, mask) if rk is None else rk
-        unbalanced = [i for i, arrows in enumerate(self.q.in_arrows)
-                      if sorted(self.rels[a][0][0] for a in arrows)
-                      != sorted(self.rels[a][1][0] for a in arrows)]
+                n = mask.bit_count()
+                dim2[at] += n
+                r2[at] += n - (mask == full[i])
         failures: list[tuple[int, int, str]] = []
         stats = []
         for j in range(nv):
@@ -581,29 +567,10 @@ class ToricData:
                 dim1[w:] = map(add, dim1[w:], ls[a.head])
             for d, (n1, n3) in enumerate(zip(dim1, dim3)):
                 at = j * size + d
-                if d >= lam and any(ls[i][d - lam] for i in unbalanced):
-                    failures.append((j, d, "composite not zero"))
                 if r2[at] + n3 != dim2[at]:
                     failures.append((j, d, "complex not exact at second term"))
                 stats.append((j, d, n1, dim2[at], n3, r2[at], n3))
         return Cy3Report(not failures, max_degree, failures, stats)
-
-    def _relation_rank(self, i: int, mask: int) -> int:
-        """Rank of d2 on a summand of tail i with the n-th in-arrow of i an
-        edge iff bit n of mask is set; kept, at most 2^indeg(i) per vertex.
-        `_fterm_classes` reads it too, at points whose lighter points have
-        one class each, so the consistency pass warms it for `cy3_check`."""
-        if mask not in self._ranks[i]:
-            parent, rank = {b: b for b in self.q.out_arrows[i]}, 0
-            for n, a in enumerate(self.q.in_arrows[i]):
-                if mask >> n & 1:
-                    x = _find(parent, self.rels[a][0][0])
-                    y = _find(parent, self.rels[a][1][0])
-                    if x != y:
-                        parent[x] = y
-                        rank += 1
-            self._ranks[i][mask] = rank
-        return self._ranks[i][mask]
 
     # -- the center -------------------------------------------------------
 
@@ -639,7 +606,7 @@ def decode_key(k: int, r: int, nv: int) -> tuple[int, int, Vec, int]:
     return (low % nv, low // nv, (hx - h, hy - h), high)
 
 
-def _find(parent: list[int] | dict[int, int], x: int) -> int:
+def _find(parent: list[int], x: int) -> int:
     """Union-find root of x, halving the path on the way."""
     while parent[x] != x:
         parent[x] = x = parent[parent[x]]

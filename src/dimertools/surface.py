@@ -445,7 +445,16 @@ def fterm_relations(q: Quiver) -> list[tuple[int, tuple[int, ...], tuple[int, ..
     """For each arrow a, the two paths p_a^+ (black face) and p_a^- (white).
 
     p_a^± runs from head(a) around the boundary of the face back to tail(a),
-    omitting a itself.
+    omitting a itself.  Each closes a face with a, so both have hom
+    -offset(a) and, as a perfect matching holds one arrow of each face,
+    both meet a matching 1 - [a in it] times: a relation keeps the class.
+
+    Over the in-arrows a of a vertex i, `next_black[a]` and `next_white[a]`
+    each list the out-arrows of i once, and they are the two neighbours of
+    a on the boundary of dimer face i.  So the relations of i's in-arrows
+    join its out-arrows in one cycle, the face's boundary (a loop at
+    out-degree 1), and a set of k of them has rank k, less 1 if it is all
+    of them: as rows e_b+ - e_b- of the first arrows b+- of p_a^+-.
     """
     return [(a, face_walk(q.next_black, a, a), face_walk(q.next_white, a, a))
             for a in range(q.n_arrows)]

