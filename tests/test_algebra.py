@@ -648,15 +648,8 @@ def test_relation_rank_matches_matrix_rank():
     assert masks == 16852
 
 
-def test_fterm_classes_read_kept_ranks(monkeypatch):
-    """Where every lighter point has one F-term class, a point's classes
-    are read from the rank of its tail's relation cycle, so no point of a
-    model that passes the algebraic rung runs the union-find of
-    `_fterm_classes`, and `cy3_check` runs none: `algebraic_consistency`
-    and `cy3_check` at 2 lam make no `_find` call on the 163 models of
-    `all_models` with 2 lam <= 40 that pass the algebraic rung there, nor
-    on hexagonal at D = 10 and 20 (286 and 1,771 lattice
-    points)."""
+def counting_find(monkeypatch) -> list[int]:
+    """Route `algebra._find` through a wrapper; return its list of calls."""
     calls = []
     original = algebra._find
 
@@ -665,17 +658,47 @@ def test_fterm_classes_read_kept_ranks(monkeypatch):
         return original(parent, x)
 
     monkeypatch.setattr(algebra, "_find", counting)
-    runs = [(toric("hexagonal"), d) for d in (10, 20)] + [
-        (td, 2 * td.lam) for _, td in built_models() if 2 * td.lam <= 40]
+    return calls
+
+
+def test_cy3_rank_work_does_not_grow_with_degree(monkeypatch):
+    """The ranks of the relation masks are read from the relation cycle of
+    `fterm_relations`, so on a fresh hexagonal ToricData the union-find
+    calls of algebraic_consistency and cy3_check together are as many at
+    D = 10 as at D = 20 (none at either, against 990 and 7,980 when each
+    CY3 summand ran its own union-find), while the lattice points grow
+    from 286 to 1,771."""
+    calls = counting_find(monkeypatch)
+    got = []
+    for d in (10, 20):
+        td = toric("hexagonal")
+        calls.clear()
+        assert td.algebraic_consistency(d).ok
+        assert td.cy3_check(d).ok
+        got.append(len(calls))
+    assert got == [0, 0]
+
+
+def test_fterm_classes_read_kept_ranks(monkeypatch):
+    """Where every lighter point has one F-term class, a point's classes
+    are read from the rank of its tail's relation cycle, so no point of a
+    model that passes the algebraic rung runs the union-find of
+    `_fterm_classes`, and `cy3_check` runs none: `algebraic_consistency`
+    and `cy3_check` at 2 lam make no `_find` call on the 163 models of
+    `all_models` with 2 lam <= 40 that pass the algebraic rung there."""
+    calls = counting_find(monkeypatch)
     passed = 0
-    for td, d in runs:
+    for name, td in built_models():
+        d = 2 * td.lam
+        if d > 40:
+            continue
         calls.clear()
         if not td.algebraic_consistency(d).ok:
             continue
-        assert td.cy3_check(d).ok, d
-        assert calls == [], d
+        assert td.cy3_check(d).ok, name
+        assert calls == [], name
         passed += 1
-    assert passed == 165
+    assert passed == 163
 
 
 def test_points_and_report_match_piece_oracle():
