@@ -21,9 +21,8 @@ columns of fixed homology offset, as arithmetic progressions, and no
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from collections import deque
-from itertools import chain
+from itertools import accumulate, chain, groupby
 from operator import add, attrgetter
 from typing import NamedTuple, Optional, Sequence
 
@@ -106,12 +105,12 @@ class ToricData:
     grading is always the default R-symmetry, the sum of all perfect
     matchings, so its degree `lam` is the number of matchings, and on a
     closed path of class z and degree deg it is lam*deg + rho.z, `rho`
-    being the sum of the matchings' classes.  For the
-    class tables of the base paths it holds the matchings' byte planes
-    (`byte_planes`), one int per arrow whose byte k is 1 iff the k-th
-    matching in class order holds the arrow, and each class's range of
-    bytes.  The first matching is the reference matching pi0, of class
-    (0, 0), as `enumerate_matchings` takes every class against it.
+    being the sum of the matchings' classes.  For the class tables of the
+    base paths it holds the matchings' byte planes (`byte_planes`), one
+    int per arrow whose byte k is 1 iff the k-th matching holds the arrow,
+    and each class's range of bytes, as each class is contiguous.  The
+    first matching is the reference matching pi0, of class (0, 0), as
+    `enumerate_matchings` takes every class against it.
     """
 
     def __init__(self, g: TorusGraph, q: Optional[Quiver] = None) -> None:
@@ -121,18 +120,18 @@ class ToricData:
         # all positive: default_r_symmetry refuses 0
         self.wts, self.lam = default_r_symmetry(self.matchings, self.q)
         self.pi0 = self.matchings[0].support
-        # read by _class_table: the matchings sorted by class, each class's
-        # range in that order, and per arrow its byte plane over it
-        by_cls = sorted(self.matchings, key=attrgetter("cls"))
-        classes = list(map(attrgetter("cls"), by_cls))
-        self._ranges = [(c, bisect_left(classes, c), bisect_right(classes, c))
-                        for c in dict.fromkeys(classes)]
-        self._planes = byte_planes(list(map(attrgetter("bits"), by_cls)),
-                                   self.q.n_arrows)
+        # read by _class_table: each class's range of the list, whose
+        # classes are contiguous, and per arrow its byte plane over it
+        runs = [(c, len(list(run))) for c, run in
+                groupby(map(attrgetter("cls"), self.matchings))]
+        self._ranges = [(c, end - k, end) for (c, k), end in
+                        zip(runs, accumulate(k for _, k in runs))]
+        self._planes = byte_planes(list(map(attrgetter("bits"),
+                                            self.matchings)), self.q.n_arrows)
         # the weight's closed-class part: on a closed path of class z and
         # degree deg each matching of class c counts deg + c.z, so the
         # weight is lam*deg + rho.z with rho the sum of the classes
-        self.rho = (sum(c[0] for c in classes), sum(c[1] for c in classes))
+        self.rho = tuple(sum(c[i] * k for c, k in runs) for i in (0, 1))
         # base path beta_ij per vertex pair, with its class
         self._base: dict[tuple[int, int],
                          tuple[tuple[int, ...], PathClass]] = {}
@@ -617,27 +616,26 @@ def _columns(cons: list[tuple[int, int, int]]
              ) -> list[tuple[int, int, int]]:
     """Integer points of {z : ax*zx + ay*zy + b >= 0 for all rows} as
     columns (zx, least zy, greatest zy) in order of zx, or none if the
-    region is empty; raises if it is nonempty and unbounded.  The x-range
-    comes from eliminating zy (Fourier-Motzkin: the ay == 0 rows, and each
-    lower ay > 0 row plus each upper ay < 0 row with zy cancelled), as the
-    integer ceiling of its lower and floor of its upper bounds."""
+    region is empty.  The x-range comes from eliminating zy
+    (Fourier-Motzkin: the ay == 0 rows, and each lower ay > 0 row plus
+    each upper ay < 0 row with zy cancelled), as the integer ceiling of
+    its lower and floor of its upper bounds.
+
+    No nonzero z may have z.(ax, ay) >= 0 on every row, or some bound is
+    missing.  `_pair_columns`' normals lam*c - rho sum to 0 over the
+    matchings, so such a z has one c.z for all classes c, which span the
+    plane: every edge lies in a matching (`default_r_symmetry`), so their
+    differences span the connected dimer graph's cycle space
+    (Lovasz-Plummer), whose classes generate Z^2 (`Quiver`)."""
     lower = [r for r in cons if r[1] > 0]
     upper = [r for r in cons if r[1] < 0]
     xrows = [(ax, b) for ax, ay, b in cons if ay == 0]
     xrows += [(-uy * lx + ly * ux, -uy * lb + ly * ub)
               for lx, ly, lb in lower for ux, uy, ub in upper]
-    lo = max((-(b // ax) for ax, b in xrows if ax > 0), default=None)
-    hi = min((b // -ax for ax, b in xrows if ax < 0), default=None)
     if any(ax == 0 and b < 0 for ax, b in xrows):
         return []
-    if lo is None or hi is None or not lower or not upper:
-        # empty (not unbounded) iff two bounds on zx cross over the reals
-        if lo is not None and hi is not None and lo > hi and any(
-                px * nb < nx * pb for px, pb in xrows if px > 0
-                for nx, nb in xrows if nx < 0):
-            return []
-        raise DimerError("graded piece unbounded; grading not positive "
-                         "definite on this model")
+    lo = max(-(b // ax) for ax, b in xrows if ax > 0)
+    hi = min(b // -ax for ax, b in xrows if ax < 0)
     cols = [(zx, max(-((ax * zx + b) // ay) for ax, ay, b in lower),
              min((ax * zx + b) // -ay for ax, ay, b in upper))
             for zx in range(lo, hi + 1)]

@@ -139,7 +139,8 @@ def cmd_report(args, rep: Reporter) -> int:
 def cmd_matchings(args, rep: Reporter) -> int:
     g = load_file(args.input)
     q = dualize(g)
-    for k, m in enumerate(matchings.enumerate_matchings(g, q)):
+    ms = matchings.enumerate_matchings(g, q)
+    for k, m in enumerate(matchings.listing_order(ms)):
         rep.emit({"kind": "matching", "id": k, "class": list(m.cls),
                   "support": sorted(m.support)})
     return 0
@@ -249,8 +250,9 @@ def cmd_svg(args, rep: Reporter) -> int:
         q = kwargs["q"] = dualize(g)
     try:
         if "matching" in layers:
-            kwargs["matching"] = _pick(matchings.enumerate_matchings(g, q),
-                                       args.matching, "perfect matching")
+            kwargs["matching"] = _pick(
+                matchings.listing_order(matchings.enumerate_matchings(g, q)),
+                args.matching, "perfect matching")
         if "zigzag" in layers:
             kwargs["path"] = _pick(zigzag.zigzag_paths(q), args.path,
                                    "zig-zag path")

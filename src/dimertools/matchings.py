@@ -7,12 +7,12 @@ measured against a fixed reference matching, the least support in edge-id
 order: the class of m is the quarter turn (-hy, hx) of h, the sum of m's
 edge offsets less the reference's (see `pm_class`).
 `enumerate_matchings` meets in the middle over covered-vertex bitmasks
-with each partial matching packed into one int (order key, edge bits, x
-and y class sums), so that joining a prefix with a suffix is one add,
-and builds the records from the packed ints by `map`, with no Python loop
-per matching.  `byte_planes` transposes a list of bitmasks into one int
-per bit, one byte per mask, so that a count over all matchings is a
-popcount or a sum of such ints.
+with each partial matching packed into one int (order key, edge bits)
+and filed by class, so that a join is one add and the records are built
+class by class by `map`, with no Python loop per matching and no sort.
+`byte_planes` transposes a list of bitmasks into one int per bit, one
+byte per mask, so that a count over all matchings is a popcount or a sum
+of such ints.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import math
 import sys
 from array import array
 from collections import Counter
-from itertools import repeat
+from itertools import chain, repeat
 from operator import and_, rshift
 from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
@@ -75,11 +75,11 @@ def byte_planes(masks: Sequence[int], n: int) -> list[int]:
     return planes
 
 
-def _suffixes(nbrs: list[list[tuple[int, int]]], mask: int,
-              memo: dict[int, list[int]]) -> list[int]:
+def _suffixes(nbrs: list[list[tuple[int, int, int]]], mask: int,
+              memo: dict[int, dict[int, list[int]]]) -> dict[int, list[int]]:
     """The packed partial matchings that complete the covered-vertex mask
-    to a perfect matching, by the lowest uncovered vertex rule of `_join`;
-    memo must hold the full mask.
+    to a perfect matching, by the lowest uncovered vertex rule of `_join`,
+    filed by class key; memo must hold the full mask.
 
     A module-level function rather than a closure that calls itself: such
     a closure is a reference cycle that keeps its frame's lists alive
@@ -88,37 +88,42 @@ def _suffixes(nbrs: list[list[tuple[int, int]]], mask: int,
     if got is not None:
         return got
     v = (~mask & (mask + 1)).bit_length() - 1
-    out: list[int] = []
-    for ends, d in nbrs[v]:
+    out: dict[int, list[int]] = {}
+    for ends, c, d in nbrs[v]:
         if not mask & ends:
-            out += [s + d for s in _suffixes(nbrs, mask | ends, memo)]
+            for sc, ss in _suffixes(nbrs, mask | ends, memo).items():
+                out.setdefault(sc + c, []).extend([s + d for s in ss])
     memo[mask] = out
     return out
 
 
-def _join(nbrs: list[list[tuple[int, int]]], middle: int) -> list[int]:
-    """Every perfect matching, packed: the partial matchings of `middle`
-    edges, listed layer by layer per covered-vertex mask, each joined with
-    each suffix of its mask.  The vertex matched next is always the mask's
-    lowest uncovered one, so a mask's completions depend on the mask alone
-    and each matching is found once, at the mask its first `middle` edges
-    cover.  All masks share one suffix memo."""
+def _join(nbrs: list[list[tuple[int, int, int]]], middle: int
+          ) -> dict[int, list[int]]:
+    """Every perfect matching, packed, per class key: the partial matchings
+    of `middle` edges, listed layer by layer per covered-vertex mask plus
+    class key (above the mask's bits), each joined with each suffix of its
+    mask.  The vertex matched next is always the mask's lowest uncovered
+    one, so a mask's completions depend on the mask alone and each matching
+    is found once.  All masks share one suffix memo."""
     layer = {0: [0]}
     for _ in range(middle):
         nxt: dict[int, list[int]] = {}
-        for mask, parts in layer.items():
-            v = (~mask & (mask + 1)).bit_length() - 1
-            for ends, d in nbrs[v]:
-                if not mask & ends:
-                    nxt.setdefault(mask | ends, []).extend(
+        for key, parts in layer.items():
+            v = (~key & (key + 1)).bit_length() - 1
+            for ends, c, d in nbrs[v]:
+                if not key & ends:
+                    nxt.setdefault(key + ends + c, []).extend(
                         [p + d for p in parts])
         layer = nxt
-    memo = {(1 << len(nbrs)) - 1: [0]}
-    vals: list[int] = []
-    for mask, prefixes in layer.items():
-        suffixes = _suffixes(nbrs, mask, memo)
-        vals.extend([p + s for p in prefixes for s in suffixes])
-    return vals
+    full = (1 << len(nbrs)) - 1
+    memo = {full: {0: [0]}}
+    out: dict[int, list[int]] = {}
+    for key, prefixes in layer.items():
+        mask = key & full
+        for sc, suffixes in _suffixes(nbrs, mask, memo).items():
+            out.setdefault(key - mask + sc, []).extend(
+                [p + s for p in prefixes for s in suffixes])
+    return out
 
 
 def pm_class(pi: Container[int], pi0: Container[int], g: TorusGraph) -> Vec:
@@ -141,52 +146,56 @@ def pm_class(pi: Container[int], pi0: Container[int], g: TorusGraph) -> Vec:
 
 def enumerate_matchings(g: TorusGraph, q: object = None
                         ) -> list[PerfectMatching]:
-    """Complete duplicate-free matching list, classes against the first,
-    which is `reference_matching(g)`; `q` is not read, and stays for
+    """Every perfect matching once, classes against the first, which is
+    `reference_matching(g)`; each class is contiguous, the first's first,
+    in no set order (see `listing_order`).  `q` is not read, and stays for
     callers that pass it.
 
-    Each matching is built by matching the lowest uncovered vertex, in
-    rotation order, so the covered-vertex mask decides every later choice
-    and `_join` meets in the middle.  A partial matching is one int of four
-    fields, from the top: its order key, the OR of 2^(|E|-1-e) over its
-    edges e; its edge bits; and the sums over its edges of -y and of x
-    offset, each less the least such value at the edge's black vertex, in
-    F bits with 2^(F-1) above the sum of these values over all edges.  A
-    prefix and a suffix share no edge and the sums stay below 2^F, so no
-    field carries into the next.  One descending sort orders by key, which
-    is the lexicographic order of the sorted edge ids, as all supports have
-    the same size; so the first entry is the least support.  Every matching
-    holds one edge per black vertex, so the biases cancel and a class, the
-    `pm_class` (-hy, hx), is the sums minus the first entry's.  The records
-    are built by `map` over the sorted ints, one class tuple per class,
-    with no Python loop per matching.
+    Matching the lowest uncovered vertex, in rotation order, lets `_join`
+    meet in the middle.  A partial matching is one int, its order key (the
+    OR of 2^(|E|-1-e) over its edges e) above its edge bits, filed by class
+    key, the sum of x*2^F + y over its edges' offsets (x, y); 2^(F-2)
+    exceeds the sum of all |y|, so a key difference reads back exactly.  The
+    greatest order key is the least list of sorted edge ids, as supports
+    have one size; one `max` per class finds it.  A class, the `pm_class`
+    (-hy, hx), is its key less the first's, and the records are built by
+    `map`, one class tuple per class, with no Python loop per matching.
     """
-    turned = [(-ed.offset[1], ed.offset[0]) for ed in g.edges]
-    least: dict[int, Vec] = {}
-    for ed, (tx, ty) in zip(g.edges, turned):
-        lx, ly = least.get(ed.black, (tx, ty))
-        least[ed.black] = (min(lx, tx), min(ly, ty))
-    fields = [(tx - least[ed.black][0], ty - least[ed.black][1])
-              for ed, (tx, ty) in zip(g.edges, turned)]
-    f = sum(map(sum, fields)).bit_length() + 1
-    n, low = len(g.edges), 2 * f
+    n, nv = len(g.edges), len(g.colors)
+    f = sum(abs(ed.offset[1]) for ed in g.edges).bit_length() + 2
     edges = [(1 << ed.black | 1 << ed.white,
-              1 << (2 * n - 1 - e + low) | 1 << (e + low) | fx << f | fy)
-             for e, (ed, (fx, fy)) in enumerate(zip(g.edges, fields))]
-    vals = _join([[edges[e] for e in rot] for rot in g.rotation],
-                 len(g.black_vertices) // 2)
-    vals.sort(reverse=True)
-    keys = list(map(and_, vals, repeat((1 << low) - 1)))
-    bx, by = divmod(keys[0] if keys else 0, 1 << f)
-    classes = {c: ((c >> f) - bx, (c & (1 << f) - 1) - by) for c in set(keys)}
-    bits = map(and_, map(rshift, vals, repeat(low)), repeat((1 << n) - 1))
-    return list(map(tuple.__new__, repeat(PerfectMatching),
-                    zip(bits, map(classes.__getitem__, keys))))
+              (ed.offset[0] << f) + ed.offset[1] << nv,
+              1 << 2 * n - 1 - e | 1 << e)
+             for e, ed in enumerate(g.edges)]
+    by_cls = _join([[edges[e] for e in rot] for rot in g.rotation],
+                   (nv + 2) // 4)
+    if not by_cls:
+        return []
+    keys, lists = list(by_cls), list(by_cls.values())
+    tops = list(map(max, lists))
+    i = tops.index(max(tops))
+    k = lists[i].index(tops[i])
+    lists[i][0], lists[i][k] = lists[i][k], lists[i][0]
+    keys[0], keys[i], lists[0], lists[i] = keys[i], keys[0], lists[i], lists[0]
+    half, low = 1 << f - 1, (1 << f) - 1
+    classes = [(half - (d + half & low), d + half >> f)
+               for d in [c - keys[0] >> nv for c in keys]]
+    return list(map(tuple.__new__, repeat(PerfectMatching), zip(
+        map(and_, chain.from_iterable(lists), repeat((1 << n) - 1)),
+        chain.from_iterable(map(repeat, classes, map(len, lists))))))
+
+
+def listing_order(ms: Iterable[PerfectMatching]) -> list[PerfectMatching]:
+    """The matchings sorted by their lists of sorted edge ids, the order in
+    which `matchings` and `svg --matching` number them.  Perfect matchings
+    of one graph have one size, so this is the descending order of their
+    bits written from bit 0 up."""
+    return sorted(ms, key=lambda m: bin(m.bits)[:1:-1], reverse=True)
 
 
 def reference_matching(g: TorusGraph) -> Optional[frozenset[int]]:
-    """The reference matching of `enumerate_matchings`, the least support
-    in canonical edge order, or None if g has no perfect matching.
+    """The first matching of `enumerate_matchings` and of `listing_order`,
+    the least support in edge-id order, or None if g has none.
 
     Found without enumerating: scan the edges in id order and keep an edge
     when the Hall kernel still finds a perfect matching that contains the

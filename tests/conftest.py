@@ -86,9 +86,9 @@ def _extend_matchings_oracle(g, v0, covered, chosen, results):
 
 
 def enumerate_matchings_oracle(g):
-    """Oracle for `matchings.enumerate_matchings`: every support by a
-    recursion over the rotations, sorted by its sorted edge ids, with
-    classes taken against the first."""
+    """Oracle for `matchings.enumerate_matchings` in `listing_order`: every
+    support by a recursion over the rotations, sorted by its sorted edge
+    ids, with classes taken against the first."""
     supports = []
     _extend_matchings_oracle(g, 0, [False] * len(g.colors), [], supports)
     supports.sort(key=lambda s: sorted(s))

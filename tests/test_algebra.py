@@ -14,6 +14,7 @@ from conftest import (CONSISTENT, NONDEGENERATE, bounding_box_lp,
 from dimertools import algebra
 from dimertools.algebra import (AlgebraFailure, AlgebraReport, Cy3Report,
                                 PathClass, ToricData, decode_key)
+from dimertools.matchings import polygon
 from dimertools.polygen import pattern_to_dimer, square_pattern
 from dimertools.rationallp import solve_lp
 from dimertools.surface import DimerError, fterm_relations, load_file
@@ -924,10 +925,12 @@ def outcome(points, cons):
 
 def test_columns_match_lp_box():
     """`_columns` lists the integer points of the LP box that meet every
-    row, or raises where the LP finds the region unbounded: on a few
-    boundary cases (a region with no integer point is empty unless it is
-    unbounded, also where its zx-range is a real interval between two
-    integers) and on 3,000 seeded random systems of 1-6 rows."""
+    row wherever the LP finds the region bounded or empty: on a few
+    boundary cases (a region with no integer point is empty, also where
+    its zx-range is a real interval between two integers) and on 3,000
+    seeded random systems of 1-6 rows.  Where the LP finds it unbounded,
+    `_columns` is not asked: no graded piece's rows are such
+    (`test_graded_piece_rows_bound_every_direction`)."""
     cases = [
         [(0, 2, -1), (0, -2, 1)],              # the line zy = 1/2
         [(2, 0, -1), (-2, 0, 1)],              # the line zx = 1/2
@@ -943,20 +946,39 @@ def test_columns_match_lp_box():
             set(), set(), "unbounded",
             {(0, -1), (0, 0), (0, 1), (1, -1), (1, 0), (1, 1), (2, -1),
              (2, 0)}]
-    assert [outcome(column_points, c) for c in cases] == want
     assert [outcome(box_points, c) for c in cases] == want
+    bounded = [(c, w) for c, w in zip(cases, want) if w != "unbounded"]
+    assert [column_points(c) for c, _ in bounded] == [w for _, w in bounded]
     rng = random.Random(8)
     seen = Counter()
     for _ in range(3000):
         cons = [(rng.randint(-4, 4),
                  0 if rng.random() < 0.25 else rng.randint(-4, 4),
                  rng.randint(-8, 8)) for _ in range(rng.randint(1, 6))]
-        got = outcome(column_points, cons)
-        assert got == outcome(box_points, cons), cons
-        seen["unbounded" if got == "unbounded" else
-             "points" if got else "empty"] += 1
+        want = outcome(box_points, cons)
+        if want != "unbounded":
+            assert column_points(cons) == want, cons
+        seen["unbounded" if want == "unbounded" else
+             "points" if want else "empty"] += 1
     assert min(seen[k] for k in ("empty", "unbounded", "points")) >= 100, \
         seen
+
+
+def test_graded_piece_rows_bound_every_direction():
+    """On every model that builds ToricData the classes span the plane and
+    the mean class rho/lam lies inside their hull, so the normals
+    lam*c - rho of `_pair_columns`' rows bound every direction, as
+    `_columns` needs: each counterclockwise hull edge has the mean
+    strictly on its left."""
+    models = built_models()
+    assert len(models) == 373
+    for name, td in models:
+        hull = polygon(td.matchings).vertices
+        (rx, ry), lam = td.rho, td.lam
+        assert len(hull) >= 3, name
+        for (ax, ay), (bx, by) in zip(hull, hull[1:] + hull[:1]):
+            assert (bx - ax) * (ry - lam * ay) > (by - ay) * (rx - lam * ax), \
+                name
 
 
 def box_columns(cons):

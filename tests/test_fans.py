@@ -13,7 +13,8 @@ from dimertools.fans import (Fan2D, LocalFan, boundary_system,
                              external_matchings, extremal_matching,
                              global_fan, local_fan, pairing, resonate)
 from dimertools.matchings import (PerfectMatching, enumerate_matchings,
-                                  pm_class, polygon, reference_matching)
+                                  listing_order, pm_class, polygon,
+                                  reference_matching)
 from dimertools.polygen import merging_move, pattern_to_dimer, square_pattern
 from dimertools.surface import (BLACK, DimerError, dualize, load_file,
                                 split_vertex, vadd)
@@ -353,14 +354,15 @@ def test_resonate_precondition(load_quiver):
 def test_resonance_steps_class_by_quarter_turn():
     """Resonating along a zig-zag path of class c moves the class by the
     quarter turn (c_y, -c_x) of c: zag->zig adds it, zig->zag subtracts
-    it.  Checked from the first 20 matchings of every model of
-    `all_models` but gen-square 4, along every path that can resonate."""
+    it.  Checked from the first 20 matchings in `listing_order` of every
+    model of `all_models` but gen-square 4, along every path that can
+    resonate."""
     done = 0
     for name in all_models():
         if name == "square-4" or zigzag(name) is None:
             continue
         _, q, paths, ms = enumerated(name)
-        for m in ms[:20]:
+        for m in listing_order(ms)[:20]:
             for eta in paths:
                 turn = (eta.cls[1], -eta.cls[0])
                 for direction, sign in (("zag->zig", 1), ("zig->zag", -1)):

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
+from itertools import groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,9 +20,9 @@ from dimertools import matchings
 from dimertools.cli import main
 from dimertools.matchings import (PerfectMatching, bvn_decompose,
                                   coboundary, enumerate_matchings,
-                                  hall_check, nondegeneracy_check, pm_class,
-                                  polygon, polygon_normal_form,
-                                  reference_matching)
+                                  hall_check, listing_order,
+                                  nondegeneracy_check, pm_class, polygon,
+                                  polygon_normal_form, reference_matching)
 from dimertools.polygen import merging_move, pattern_to_dimer, square_pattern
 from dimertools.surface import (BLACK, WHITE, DimerError, TorusGraph,
                                 dualize, dump, load_file)
@@ -223,26 +224,38 @@ def _merged_models(count, seed):
     return out
 
 
+def assert_listed(ms, want, where):
+    """ms holds the matchings of the oracle list want as
+    `enumerate_matchings` lists them: in `listing_order` they are want,
+    the first is want's first, and each class is one run."""
+    assert listing_order(ms) == want, where
+    assert ms[:1] == want[:1], where
+    runs = [c for c, _ in groupby(m.cls for m in ms)]
+    assert len(runs) == len(set(runs)), where
+
+
 def test_enumeration_matches_oracle():
-    """Same matchings, classes and order as the oracle on every fixture
-    that loads, gen-square 1-4 and a sample of merged square patterns;
-    both lists are empty on three_rhombi and balwnopm."""
+    """The oracle's matchings and classes, the reference first and each
+    class contiguous, on every fixture that loads, gen-square 1-4 and a
+    sample of merged square patterns; both lists are empty on
+    three_rhombi and balwnopm."""
     models = _loadable_models()
     models += [(f"merged-{k}", g)
                for k, g in enumerate(_merged_models(16, seed=5))]
     for name, g in models:
         q = dualize(g)
         ms = enumerate_matchings(g, q)
-        assert ms == enumerate_matchings_oracle(g), name
+        assert_listed(ms, enumerate_matchings_oracle(g), name)
         assert (ms == []) == (name in ("three_rhombi", "balwnopm")), name
 
 
 def test_enumeration_at_every_split(monkeypatch):
-    """The same list as the oracle whatever the depth at which prefixes
-    meet suffixes, from 0 (the suffix memo alone) to |B| (the prefix
-    layers alone): at every depth on every fixture that loads, gen-square
-    1-3 and the merged models of `test_enumeration_matches_oracle`, and
-    at 0, |B|/2 and |B| on gen-square 4."""
+    """The oracle's matchings, the reference first and each class
+    contiguous, whatever the depth at which prefixes meet suffixes, from 0
+    (the suffix memo alone) to |B| (the prefix layers alone): at every
+    depth on every fixture that loads, gen-square 1-3 and the merged
+    models of `test_enumeration_matches_oracle`, and at 0, |B|/2 and |B|
+    on gen-square 4."""
     join = matchings._join
     depth = 0           # read by the stand-in at each call
     monkeypatch.setattr(matchings, "_join", lambda nbrs, _: join(nbrs, depth))
@@ -255,7 +268,25 @@ def test_enumeration_at_every_split(monkeypatch):
         b = len(g.colors) // 2
         depths = (0, b // 2, b) if name == "square-4" else range(b + 1)
         for depth in depths:
-            assert enumerate_matchings(g, q) == want, (name, depth)
+            assert_listed(enumerate_matchings(g, q), want, (name, depth))
+
+
+def test_enumeration_lists_classes_in_runs():
+    """On every model of `all_models`, gen-square 4 included, the list
+    starts with `reference_matching` and holds each class in one run,
+    whose length is the class's multiplicity in the matching polygon."""
+    with_matchings = 0
+    for name, g in all_models().items():
+        ms = enumerate_matchings(g)
+        if not ms:
+            assert reference_matching(g) is None, name
+            continue
+        assert ms[0].support == reference_matching(g), name
+        runs = [(c, len(list(run))) for c, run in groupby(m.cls for m in ms)]
+        assert dict(runs) == polygon(ms).points, name
+        assert len(dict(runs)) == len(runs), name
+        with_matchings += 1
+    assert with_matchings == 374
 
 
 def test_perfect_matching_has_no_dict():
@@ -319,9 +350,9 @@ def reoffset(g, v, t):
 def test_classes_ignore_vertex_lifts(name, tmp_path, capsys):
     """Moving one vertex's lift by t = (5, -3) moves every matching's
     offset sum by the same t, so every class, the order of the matchings
-    and the `polygon` output stay.  At a white vertex this widens the
-    packed class fields; at a black vertex the per-black-vertex bias
-    absorbs it.  `enumerate_matchings` reads the offsets and no quiver."""
+    and the `polygon` output stay: every class key moves by the same
+    amount, and the keys' digit width with the sum of |y| offsets.
+    `enumerate_matchings` reads the offsets and no quiver."""
     g = all_models()[name]
     want = enumerate_matchings(g)
 
@@ -344,8 +375,8 @@ def test_classes_ignore_vertex_lifts(name, tmp_path, capsys):
 
 def test_enumerated_classes_match_pm_class():
     """Every enumerated class is `pm_class` of the matching against
-    `reference_matching`, on every model of `all_models`: no field of the
-    packed partial matchings carries into the next."""
+    `reference_matching`, on every model of `all_models`: each class key
+    difference reads back exactly."""
     for name, g in all_models().items():
         _, q, _, ms = enumerated(name)
         pi0 = reference_matching(g)
@@ -355,7 +386,8 @@ def test_enumerated_classes_match_pm_class():
 @pytest.mark.parametrize("kernel", ["enumerate", "nondegeneracy",
                                     "r_symmetry"])
 def test_kernels_match_oracles(kernel):
-    """Enumeration, the non-degeneracy check and the weights of the default
+    """Enumeration (in `listing_order`, the reference first and each class
+    contiguous), the non-degeneracy check and the weights of the default
     R-symmetry equal their oracles in `conftest` on every model of
     `all_models`; the R-symmetry raises exactly where some arrow is in no
     matching."""
@@ -365,7 +397,7 @@ def test_kernels_match_oracles(kernel):
             continue
         _, q, _, ms = enumerated(name)
         if kernel == "enumerate":
-            assert ms == enumerate_matchings_oracle(g), name
+            assert_listed(ms, enumerate_matchings_oracle(g), name)
             continue
         counts = matching_counts_oracle(ms, q.n_arrows)
         if not ms or 0 in counts:

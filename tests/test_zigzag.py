@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import CONSISTENT, NONDEGENERATE
+from dimertools.matchings import nondegeneracy_check, polygon
 from dimertools.surface import BLACK, DimerError
 from dimertools.zigzag import (CosetCount, NonPrimitiveClass, ParallelShare,
                                SelfIntersection, ZeroClass, angular_sort,
@@ -14,6 +15,7 @@ from dimertools.zigzag import (CosetCount, NonPrimitiveClass, ParallelShare,
                                coset_representatives, geometric_check,
                                normal_polygon_twice_area, properly_ordered,
                                wedge, zigzag_paths)
+from test_fans import all_models, enumerated
 
 CLASSES = {
     "hexagonal": [(-1, 1), (0, -1), (1, 0)],
@@ -185,3 +187,23 @@ def test_coset_representatives_match_grid_oracle():
                 assert reps == grid_coset_representatives(u, v), (u, v)
                 assert len(reps) == abs(wedge(u, v))
     assert pairs == 27_248
+
+
+def test_vertex_count_is_twice_polygon_area_iff_properly_ordered():
+    """On every non-degenerate model of `all_models`, gen-square 4
+    included, |Q0| is twice the area of the matching polygon, the shoelace
+    sum over its hull, exactly when the model is properly ordered;
+    otherwise |Q0| is larger."""
+    seen = Counter()
+    for name, g in all_models().items():
+        if not nondegeneracy_check(g).ok:
+            continue
+        _, q, paths, ms = enumerated(name)
+        hull = polygon(ms).vertices
+        twice = sum(ax * by - ay * bx for (ax, ay), (bx, by)
+                    in zip(hull, hull[1:] + hull[:1]))
+        ordered = properly_ordered(q, paths)
+        assert (q.n_vertices == twice) == ordered, name
+        assert q.n_vertices >= twice, name
+        seen[ordered] += 1
+    assert seen == {True: 300, False: 73}
