@@ -6,16 +6,17 @@ constant on F-term classes and embed the path algebra into a lattice
 algebra; algebraic consistency asks that the embedding hits every lattice
 point exactly once.  It is checked per lattice point, in order of weight:
 the paths and F-term classes of a point are counted from those of lighter
-points, and no path is listed.  The Calabi-Yau complex splits into one
-summand per lattice point.  The sizes of its terms are sums of lattice
-counts, and a summand's rank is read from which relations of its tail
-fit below the point, as they lie on one cycle (`fterm_relations`); the
-same rank counts the F-term classes of most points.  Both kernels key a
-lattice point by one int, its coordinates as digits of a radix large
-enough for every lookup, and an arrow, a relation side or the face cycle
-acts on keys by adding or subtracting its delta.  Keys are listed from
-columns of fixed homology offset, as arithmetic progressions, and no
-`PathClass` is built but for a failure record.
+points, and no path is listed; a point's classes are mostly read from the
+rank of the relations of its tail that fit below it, as they lie on one
+cycle (`fterm_relations`).  The Calabi-Yau complex splits into one
+summand per lattice point, whose ranks a passing consistency report
+fixes, so its exactness is an identity on the report's lattice counts,
+with no point visited.  The kernels key a lattice point by one int, its
+coordinates as digits of a radix large enough for every lookup, and an
+arrow, a relation side or the face cycle acts on keys by adding or
+subtracting its delta.  Keys are listed from columns of fixed homology
+offset, as arithmetic progressions, and no `PathClass` is built but for a
+failure record.
 """
 
 from __future__ import annotations
@@ -471,7 +472,8 @@ class ToricData:
         `fterm_relations`, and lists no path.  Every path class lies in
         M^+, since a matching's value on a path counts the path's arrows in
         it.  Points and hits are counted per piece from the keys, which
-        give a failing point's class.  The report is kept for `cy3_check`.
+        give a failing point's class.  The report is kept, whose lattice
+        counts `cy3_check` reads.
         """
         nv = self.q.n_vertices
         nv2, size = nv * nv, max_degree + 1
@@ -505,26 +507,32 @@ class ToricData:
     # -- the Calabi-Yau complex ------------------------------------------
 
     def cy3_check(self, max_degree: int) -> Cy3Report:
-        """Bounded-degree exactness of the one-sided complex.
+        """Bounded-degree exactness of the one-sided complex, read from the
+        lattice counts of the consistency report (reused if kept).
 
-        Per target vertex j and weight d the three terms have bases of
-        pairs (x, m), m a lattice point, of class c(x).m: c(x) is the class
-        of the arrow b in the first term, of the relation side p_a^+ in the
-        second and of the face cycle w in the third.  The differentials
-        split off the first arrow of the partner paths of each relation and
-        keep the class, so the complex is a sum of one summand per point t
-        of M_ij^+ of weight d, over all i; dims and ranks add up per (j, d).
-        Prepending a path x raises each matching's value by 0 or more, so
-        t - x is in M^+ iff t = x.s with s in M^+; keys are unique, so each
-        pair (x, s) is one (t, x).  With L[i][j][d] the points of M_ij^+ of
-        weight d, dim1 sums L[head b][j][d - w_b] over arrows b, and dim3
-        L[i][j][d - lam] over i.  A summand's d2 has a row e_b+ - e_b- per
-        in-arrow a of i with t - p_a^+ in M^+, b+- the first arrows of
-        p_a^+-: edges of the cycle of `fterm_relations`, so its rank is
-        their number less 1 if they are all of i's in-arrows.  d3 is a row
-        if t - w is in M^+; then every in-arrow is an edge, as t - p_a^+ =
-        (t - w) + a, and the row, -1 on each, has rank 1 and composes with
-        d2 to 0.  Reuses the consistency report if any.
+        Per target vertex j and weight d the terms have bases of pairs
+        (x, s), s a lattice point, of class c(x).s: c(x) is an arrow b in
+        the first term, a relation side p_a^+ in the second and the face
+        cycle w in the third.  The differentials keep the class, so the
+        complex is a sum of one summand per point t = x.s of M_ij^+, over
+        all i.  With L[i][j][d] the points of M_ij^+ of weight d, dim1 sums
+        L[head b][j][d - w_b] over arrows b, dim2 L[tail a][j][d - lam + w_a]
+        over arrows a, and dim3 L[i][j][d - lam] over i.
+
+        A summand's d2 has a row e_b+ - e_b- per in-arrow a of i with
+        t - p_a^+ in M^+, b+- the first arrows of p_a^+-.  Under a passing
+        report every nonempty point has one F-term class, which
+        `_fterm_classes` counts as its first arrows less the rank of d2
+        (the cycle of `fterm_relations`); so per (j, d), rank d2 is dim1
+        less the points, plus 1 at d = 0 for e_j, the only point of weight
+        0.  d3 is a row if t - w is in M^+; then every relation fits, as
+        t - p_a^+ = (t - w) + a, and the row, -1 on each, has rank 1: d3
+        is injective.  Exactness at the second term, dim2 - rank d2 = dim3,
+        holds at a summand unless every relation fits and t - w is not in
+        M^+; so it holds per (j, d) iff it does per summand, iff the counts
+        form of the Hilbert series identity K.L = I holds at every
+        (i, j, d), of which it is the sum over tails i.  O(nv*|Q1|*D)
+        additions; no lattice point is visited.
         """
         pre = self._reports.get(max_degree)
         if pre is None:
@@ -533,42 +541,24 @@ class ToricData:
             raise DimerError("algebraic consistency fails up to degree "
                              f"{max_degree}: Calabi-Yau bases undefined")
         nv, lam, size = self.q.n_vertices, self.lam, max_degree + 1
-        r, by_weight = self._points(max_degree)
-        in_plus = set(chain.from_iterable(by_weight))
-        delta = self._deltas(r)
-        # per tail i, each in-arrow a's bit and the delta of p_a^+
-        ins = [[(1 << n, sum(delta[x] for x in self.rels[a][0]))
-                for n, a in enumerate(arrows)] for arrows in self.q.in_arrows]
-        full = [(1 << len(arrows)) - 1 for arrows in self.q.in_arrows]
-        # count[j*nv + i][d] = L[i][j][d]; dim2 and r2 at j*size + d
-        count = [[0] * size for _ in range(nv * nv)]
-        dim2, r2 = [0] * (nv * size), [0] * (nv * size)
-        for d, keys in enumerate(by_weight):
-            for t in keys:
-                low, i = t % (nv * nv), t % nv
-                count[low][d] += 1
-                mask = 0
-                for bit, dp in ins[i]:
-                    if t - dp in in_plus:
-                        mask |= bit
-                at = low // nv * size + d
-                n = mask.bit_count()
-                dim2[at] += n
-                r2[at] += n - (mask == full[i])
+        # L[i][j][d] at (i*nv + j)*size + d, in order of (i, j, d)
+        counts = [s[3] for s in pre.piece_stats]
         failures: list[tuple[int, int, str]] = []
         stats = []
         for j in range(nv):
-            # per d, dim1 sums L[head b][j][d - w_b], dim3 L[i][j][d - lam]
-            ls, dim1 = count[j * nv:j * nv + nv], [0] * size
-            dim3 = [0] * min(lam, size) + [
-                sum(c) for c in zip(*ls)][:max(size - lam, 0)]
+            ls = [counts[(i * nv + j) * size:(i * nv + j + 1) * size]
+                  for i in range(nv)]
+            dim0 = [sum(c) for c in zip(*ls)]
+            dim1, dim2 = [0] * size, [0] * size
             for a, w in zip(self.q.arrows, self.wts):
                 dim1[w:] = map(add, dim1[w:], ls[a.head])
-            for d, (n1, n3) in enumerate(zip(dim1, dim3)):
-                at = j * size + d
-                if r2[at] + n3 != dim2[at]:
+                dim2[lam - w:] = map(add, dim2[lam - w:], ls[a.tail])
+            dim3 = ([0] * lam + dim0)[:size]
+            for d, (n0, n1, n2, n3) in enumerate(zip(dim0, dim1, dim2, dim3)):
+                r2 = n1 - n0 + (d == 0)
+                if r2 + n3 != n2:
                     failures.append((j, d, "complex not exact at second term"))
-                stats.append((j, d, n1, dim2[at], n3, r2[at], n3))
+                stats.append((j, d, n1, n2, n3, r2, n3))
         return Cy3Report(not failures, max_degree, failures, stats)
 
     # -- the center -------------------------------------------------------

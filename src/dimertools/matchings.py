@@ -20,9 +20,8 @@ from __future__ import annotations
 import math
 import sys
 from array import array
-from collections import Counter
-from itertools import chain, repeat
-from operator import and_, rshift
+from itertools import chain, groupby, repeat
+from operator import and_, attrgetter, rshift
 from typing import Container, Iterable, NamedTuple, Optional, Sequence
 
 from .surface import BLACK, DimerError, TorusGraph, Vec
@@ -415,9 +414,13 @@ class PMPolygon(NamedTuple):
 
 
 def polygon(matchings: Sequence[PerfectMatching]) -> PMPolygon:
+    """Classes with multiplicities, added up over runs of one class: one
+    run each in `enumerate_matchings`' list, any number elsewhere."""
     if not matchings:
         raise DimerError("no perfect matchings")
-    points = dict(Counter(m.cls for m in matchings))
+    points: dict[Vec, int] = {}
+    for c, run in groupby(map(attrgetter("cls"), matchings)):
+        points[c] = points.get(c, 0) + len(list(run))
     return PMPolygon(points, convex_hull(list(points)))
 
 

@@ -390,23 +390,26 @@ def test_quiver_strongly_connected():
 
 
 def test_cy3_lists_each_pair_once(monkeypatch):
-    """One cy3_check lists the columns of the lattice points of each vertex
-    pair once, and none after algebraic_consistency at the same degree
-    bound, whose keys of the lattice points it reads."""
-    td, fresh = toric("memeg"), toric("memeg")
-    assert td.algebraic_consistency(4).ok
-    fresh._reports[4] = td._reports[4]
+    """On a fresh ToricData, one cy3_check lists the columns of the lattice
+    points of each vertex pair once, through the consistency rung it runs.
+    After algebraic_consistency at the same degree bound, cy3_check reads
+    the kept report's lattice counts and lists, keys or classes no lattice
+    point: it calls none of `_points`, `_pair_columns`, `_deltas` or
+    `_fterm_classes`."""
     calls = []
-    original = ToricData._pair_columns
-
-    def counting(self, i, j, max_weight):
-        calls.append((i, j, max_weight))
-        return original(self, i, j, max_weight)
-
-    monkeypatch.setattr(ToricData, "_pair_columns", counting)
-    assert fresh.cy3_check(4).ok
+    for name in ("_points", "_pair_columns", "_deltas", "_fterm_classes"):
+        def counting(self, *args, name=name,
+                     original=getattr(ToricData, name)):
+            calls.append((name, *args))
+            return original(self, *args)
+        monkeypatch.setattr(ToricData, name, counting)
+    td = toric("memeg")
+    assert td.cy3_check(4).ok
     nv = td.q.n_vertices
-    assert sorted(calls) == [(i, j, 4) for i in range(nv) for j in range(nv)]
+    assert sorted(c[1:] for c in calls if c[0] == "_pair_columns") == [
+        (i, j, 4) for i in range(nv) for j in range(nv)]
+    td = toric("memeg")
+    assert td.algebraic_consistency(4).ok
     calls.clear()
     assert td.cy3_check(4).ok
     assert calls == []
@@ -493,19 +496,19 @@ def cy3_oracle(td, max_degree):
 
 
 def test_cy3_matches_oracle():
-    """The per-lattice-point complex gives the report of the global
-    matrices: verdict, every failure in order, and the dims and ranks per
-    (j, d).  A stub consistency report makes cy3_check run on xyloops,
-    which fails algebraic consistency, so failing complexes are compared
-    too; at the real report both refuse it alike."""
+    """Where the consistency report passes, the rung gives the report of
+    the global matrices: verdict, every failure in order, and the dims and
+    ranks per (j, d); where it fails, both refuse the model alike.  The
+    rung reads its ranks from a passing report, so failing complexes are
+    compared between the two oracles, on a stub consistency report that
+    makes them run on xyloops, which fails algebraic consistency."""
     failing = 0
     for name in NONDEGENERATE:
         for d in (3, 7, 14):
-            new, old = toric(name), toric(name)
-            for td in (new, old):
-                td._reports[d] = AlgebraReport(True, d, [], [])
-            rep = new.cy3_check(d)
-            assert rep == cy3_oracle(old, d), (name, d)
+            td = toric(name)
+            td._reports[d] = AlgebraReport(True, d, [], [])
+            rep = cy3_oracle(td, d)
+            assert rep == cy3_summands_oracle(td, d), (name, d)
             failing += not rep.ok
             new, old = toric(name), toric(name)
             if new.algebraic_consistency(d).ok:
@@ -533,10 +536,10 @@ def test_cy3_matches_summand_oracle():
     at degree 4, lam and 2 lam up to 40 (790 pairs), both kernels match
     their oracles.  Int keys and deltas give the tuple-keyed kernel's
     paths, F-term classes and F-class of every pair at every lattice
-    point.  Ranks from components give the report of the two matrices per
-    summand, with a stub consistency report so that failing complexes are
-    compared too."""
-    pairs = failing = 0
+    point.  Where the consistency report passes (675 pairs), the ranks
+    read from its lattice counts give the report of the two matrices per
+    summand; on the other 115 the rung refuses the model."""
+    pairs = passing = 0
     for name, g in all_models().items():
         if name == "square-4":
             continue
@@ -560,13 +563,16 @@ def test_cy3_matches_summand_oracle():
                            for (a, b), end in zip(base.items(), ends)
                            for c in range(end - b)}
                 assert (n, ncls, of_pair) == want[k], (name, d, k)
-            td._reports[d] = AlgebraReport(True, d, [], [])
-            rep = td.cy3_check(d)
-            assert rep == cy3_summands_oracle(td, d), (name, d)
+            if td.algebraic_consistency(d).ok:
+                rep = td.cy3_check(d)
+                assert rep == cy3_summands_oracle(td, d), (name, d)
+                assert rep.ok, (name, d)
+                passing += 1
+            else:
+                with pytest.raises(DimerError, match="bases undefined"):
+                    td.cy3_check(d)
             pairs += 1
-            failing += not rep.ok
-    assert pairs == 790
-    assert failing == 76
+    assert (pairs, passing) == (790, 675)
 
 
 def lattice_counts(td, max_degree):
@@ -604,17 +610,28 @@ def hilbert_mismatches(td):
 
 
 def test_lattice_counts_meet_hilbert_identity():
-    """The lattice counts the CY3 sizes are read from satisfy the counts
-    form of the Calabi-Yau Hilbert series identity up to 2 lam on the
-    consistent fixtures and gen-square 1-2, and break it on xyloops, which
-    fails algebraic consistency: an independent check of the counts."""
-    for name in ("conifold", "examplestp", "hexagonal", "memeg",
-                 "nonmin_conifold"):
-        assert hilbert_mismatches(toric(name)) == [], name
-    for n in (1, 2):
-        td = ToricData(pattern_to_dimer(square_pattern(n)))
-        assert hilbert_mismatches(td) == [], n
-    assert len(hilbert_mismatches(toric("xyloops"))) == 35
+    """The counts form of the Calabi-Yau Hilbert series identity, L.K = I,
+    holds up to 2 lam on each of the 163 models of `all_models` with
+    2 lam <= 40 that pass the algebraic rung at 2 lam, and breaks on each
+    of the 39 that fail it (35 (i, j, d) on xyloops).  cy3_check sums the
+    other side of the product, K.L, over tails, so this is an independent
+    check of the counts the rung rests on."""
+    consistent, refuted, differ, sizes = 0, 0, [], {}
+    for name, td in built_models():
+        if 2 * td.lam > 40:
+            continue
+        ok = td.algebraic_consistency(2 * td.lam).ok
+        bad = hilbert_mismatches(td)
+        if ok and not bad:
+            consistent += 1
+        elif not ok and bad:
+            refuted += 1
+        else:
+            differ.append(name)
+        sizes[name] = len(bad)
+    assert differ == []
+    assert (consistent, refuted) == (163, 39)
+    assert sizes["xyloops"] == 35
 
 
 def test_relation_rank_matches_matrix_rank():
@@ -664,11 +681,12 @@ def counting_find(monkeypatch) -> list[int]:
 
 def test_cy3_rank_work_does_not_grow_with_degree(monkeypatch):
     """The ranks of the relation masks are read from the relation cycle of
-    `fterm_relations`, so on a fresh hexagonal ToricData the union-find
-    calls of algebraic_consistency and cy3_check together are as many at
-    D = 10 as at D = 20 (none at either, against 990 and 7,980 when each
-    CY3 summand ran its own union-find), while the lattice points grow
-    from 286 to 1,771."""
+    `fterm_relations`, and cy3_check reads its ranks from the report's
+    lattice counts, so on a fresh hexagonal ToricData the union-find calls
+    of algebraic_consistency and cy3_check together are as many at D = 10
+    as at D = 20 (none at either, against 990 and 7,980 when each CY3
+    summand ran its own union-find), while the lattice points grow from
+    286 to 1,771."""
     calls = counting_find(monkeypatch)
     got = []
     for d in (10, 20):
@@ -684,9 +702,10 @@ def test_fterm_classes_read_kept_ranks(monkeypatch):
     """Where every lighter point has one F-term class, a point's classes
     are read from the rank of its tail's relation cycle, so no point of a
     model that passes the algebraic rung runs the union-find of
-    `_fterm_classes`, and `cy3_check` runs none: `algebraic_consistency`
-    and `cy3_check` at 2 lam make no `_find` call on the 163 models of
-    `all_models` with 2 lam <= 40 that pass the algebraic rung there."""
+    `_fterm_classes`, and `cy3_check` reads the report's lattice counts:
+    `algebraic_consistency` and `cy3_check` at 2 lam make no `_find` call
+    on the 163 models of `all_models` with 2 lam <= 40 that pass the
+    algebraic rung there."""
     calls = counting_find(monkeypatch)
     passed = 0
     for name, td in built_models():

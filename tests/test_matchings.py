@@ -289,6 +289,29 @@ def test_enumeration_lists_classes_in_runs():
     assert with_matchings == 374
 
 
+def test_polygon_counts_ungrouped_matchings():
+    """`polygon` counts a class met in several runs once per matching: on
+    a shuffled copy of each nondegenerate fixture's matchings and of
+    gen-square 2's, the points are the classes' multiplicities and the
+    hull is that of the grouped list.  The four lists with a class of
+    several matchings hold it in several runs."""
+    rng = random.Random(3)
+    graphs = [load_file(fixture_path(name)) for name in NONDEGENERATE]
+    graphs.append(pattern_to_dimer(square_pattern(2)))
+    split = 0
+    for g in graphs:
+        ms = enumerate_matchings(g)
+        shuffled = rng.sample(ms, len(ms))
+        want = {}
+        for m in ms:
+            want[m.cls] = want.get(m.cls, 0) + 1
+        got = polygon(shuffled)
+        assert got.points == want
+        assert got.vertices == polygon(ms).vertices
+        split += len(list(groupby(m.cls for m in shuffled))) > len(want)
+    assert split == 4          # each list with a class of several matchings
+
+
 def test_perfect_matching_has_no_dict():
     m = PerfectMatching.from_support(frozenset({0, 2}), (1, -1))
     assert not hasattr(m, "__dict__")
