@@ -3,13 +3,14 @@
 A perfect matching is stored as an int bitmask, bit e set iff edge e is in
 it; through the dual quiver it doubles as a 0/1 cochain on arrows whose
 coboundary is 1 on every quiver face.  Relative cohomology classes are
-measured against a fixed reference matching, the least support in edge-id
-order: the class of m is the quarter turn (-hy, hx) of h, the sum of m's
-edge offsets less the reference's (see `pm_class`).
+measured against a fixed reference matching pi0, the least support in
+edge-id order, which `reference_matching` finds by one Hall search: the
+class of m is the quarter turn (-hy, hx) of h, the sum of m's edge
+offsets less pi0's (see `pm_class`).
 `enumerate_matchings` meets in the middle over covered-vertex bitmasks
-with each partial matching packed into one int (order key, edge bits)
-and filed by class, so that a join is one add and the records are built
-class by class by `map`, with no Python loop per matching and no sort.
+with each partial matching packed into one int, its edge bits, filed by
+class, so that a join is one add and the records are built class by
+class by `map`, with no Python loop per matching and no sort.
 `byte_planes` transposes a list of bitmasks into one int per bit, one
 byte per mask, so that a count over all matchings is a popcount or a sum
 of such ints.
@@ -151,36 +152,35 @@ def enumerate_matchings(g: TorusGraph, q: object = None
     callers that pass it.
 
     Matching the lowest uncovered vertex, in rotation order, lets `_join`
-    meet in the middle.  A partial matching is one int, its order key (the
-    OR of 2^(|E|-1-e) over its edges e) above its edge bits, filed by class
-    key, the sum of x*2^F + y over its edges' offsets (x, y); 2^(F-2)
-    exceeds the sum of all |y|, so a key difference reads back exactly.  The
-    greatest order key is the least list of sorted edge ids, as supports
-    have one size; one `max` per class finds it.  A class, the `pm_class`
-    (-hy, hx), is its key less the first's, and the records are built by
-    `map`, one class tuple per class, with no Python loop per matching.
+    meet in the middle.  A partial matching is one int, its edge bits,
+    filed by class key, the sum of x*2^F + y over its edges' offsets
+    (x, y); 2^(F-2) exceeds the sum of all |y|, so a key difference reads
+    back exactly.  The reference's bits go to the front of its class's
+    list, the class found by the same key sum over its edges, and that
+    class goes first.  A class, the `pm_class` (-hy, hx), is its key less
+    the first's, and the records are built by `map`, one class tuple per
+    class, with no Python loop per matching.
     """
-    n, nv = len(g.edges), len(g.colors)
+    nv = len(g.colors)
     f = sum(abs(ed.offset[1]) for ed in g.edges).bit_length() + 2
     edges = [(1 << ed.black | 1 << ed.white,
-              (ed.offset[0] << f) + ed.offset[1] << nv,
-              1 << 2 * n - 1 - e | 1 << e)
+              (ed.offset[0] << f) + ed.offset[1] << nv, 1 << e)
              for e, ed in enumerate(g.edges)]
     by_cls = _join([[edges[e] for e in rot] for rot in g.rotation],
                    (nv + 2) // 4)
     if not by_cls:
         return []
+    ref = reference_matching(g)
     keys, lists = list(by_cls), list(by_cls.values())
-    tops = list(map(max, lists))
-    i = tops.index(max(tops))
-    k = lists[i].index(tops[i])
+    i = keys.index(sum(edges[e][1] for e in ref))
+    k = lists[i].index(edge_mask(ref))
     lists[i][0], lists[i][k] = lists[i][k], lists[i][0]
     keys[0], keys[i], lists[0], lists[i] = keys[i], keys[0], lists[i], lists[0]
     half, low = 1 << f - 1, (1 << f) - 1
     classes = [(half - (d + half & low), d + half >> f)
                for d in [c - keys[0] >> nv for c in keys]]
     return list(map(tuple.__new__, repeat(PerfectMatching), zip(
-        map(and_, chain.from_iterable(lists), repeat((1 << n) - 1)),
+        chain.from_iterable(lists),
         chain.from_iterable(map(repeat, classes, map(len, lists))))))
 
 
@@ -496,8 +496,9 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int]
                   ) -> list[PerfectMatching]:
     """Write a nonnegative integer cochain with constant coboundary k as a
     sum of k perfect matchings: find a matching inside the support with
-    the Hall kernel, subtract, repeat.  Constant coboundary makes the
-    support a regular bipartite multigraph, so the matching exists."""
+    the Hall kernel, subtract, repeat.  A k-regular bipartite multigraph
+    has a perfect matching (Konig), and after j subtractions the support
+    is (k-j)-regular, so every search succeeds and nothing is left."""
     unknown = set(vec) - {ed.id for ed in g.edges}
     if unknown:
         raise DimerError(f"decomposition input names unknown edges "
@@ -510,16 +511,12 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int]
         raise DimerError(f"coboundary is not constant: {sorted(ks)}")
     k = ks.pop()
     pi0 = reference_matching(g)
-    if pi0 is None and k > 0:
-        raise DimerError("model has no perfect matchings")
     blacks = g.black_vertices
     out: list[PerfectMatching] = []
     work = dict(vec)
     for _ in range(k):
         live = [ed for ed in g.edges if work.get(ed.id, 0) > 0]
         match = _max_matching(_adjacency(live), blacks)
-        if not all(b in match for b in blacks):
-            raise DimerError("support graph lost the marriage property")
         edge_of: dict[tuple[int, int], int] = {}
         for ed in live:
             edge_of.setdefault((ed.black, ed.white), ed.id)
@@ -527,6 +524,4 @@ def bvn_decompose(g: TorusGraph, vec: dict[int, int]
         for e in m:
             work[e] -= 1
         out.append(PerfectMatching.from_support(m, pm_class(m, pi0, g)))
-    if any(work.values()):
-        raise DimerError(f"leftover after {k} matchings")
     return out

@@ -14,7 +14,6 @@ polygon is a square; the merging move splices two curves into one.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import NamedTuple
 
 from .surface import DimerError, Edge, ParseError, TorusGraph, Vec, vadd, vsub
@@ -253,11 +252,6 @@ def validate_pattern(pattern: CurvePattern) -> PatternReport:
         if any(a == b for a, b in zip(signs, signs[1:] + signs[:1])) \
                 and len(signs) > 1:
             failures.append(f"curve {cid} crossing signs do not alternate")
-        u = pattern.curve_class(cid)
-        if u == (0, 0):
-            failures.append(f"curve {cid} has zero class")
-        elif gcd(u[0], u[1]) != 1:
-            failures.append(f"curve {cid} class not primitive")
     geo = geometric_check(pattern.as_flows())
     for f in geo.failures:
         failures.append(f"intersection failure: {f}")

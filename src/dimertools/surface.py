@@ -134,7 +134,8 @@ class TorusGraph:
         order) and, per dart, `succ` (the next edge in the rotation at its
         vertex), `face_of` (its face) and `lift` (the displacement of its
         vertex's copy from that of the face's first dart); returns each
-        face's closing displacement."""
+        face's closing displacement.  The face map is a permutation of
+        darts, so each walk closes at its first dart."""
         self.succ: dict[tuple[int, int], int] = {}
         for v, rot in enumerate(self.rotation):
             self.succ.update(((v, e), nxt)
@@ -156,8 +157,6 @@ class TorusGraph:
                 pos = vadd(pos, self._dart_disp(v, e))
                 w = self.other_end(e, v)
                 d = (w, self.succ[(w, e)])
-            if d != d0:
-                raise TopologyError("face tracing produced a non-cycle orbit")
             self.faces.append(face)
             closing.append(pos)
         return closing
@@ -470,7 +469,8 @@ def split_vertex(g: TorusGraph, v: int, position: int) -> TorusGraph:
     new bivalent vertex of the opposite colour.  ``position`` selects the gap
     in the rotation: edges rot[position:] stay with v, the preceding ones
     move to the new same-colour vertex.  Splitting at gap 0 keeps a single
-    nonempty group, which still inserts the bivalent bridge.
+    nonempty group, which still inserts the bivalent bridge.  Every moved
+    edge has v at its end of v's colour, so that end becomes the new vertex.
     """
     rot = g.rotation[v]
     k = len(rot)
@@ -489,17 +489,11 @@ def split_vertex(g: TorusGraph, v: int, position: int) -> TorusGraph:
     edges = list(g.edges)
     rotation = [list(r) for r in g.rotation]
 
-    def remap(eid: int, new_end: int) -> None:
-        e = edges[eid]
-        if e.black == v and colors[new_end] == BLACK:
-            edges[eid] = Edge(e.id, new_end, e.white, e.offset)
-        elif e.white == v and colors[new_end] == WHITE:
-            edges[eid] = Edge(e.id, e.black, new_end, e.offset)
-        else:  # pragma: no cover - internal misuse
-            raise DimerError("split remap color mismatch")
-
     for eid in move:
-        remap(eid, same)
+        e = edges[eid]
+        edges[eid] = (Edge(e.id, same, e.white, e.offset)
+                      if g.colors[v] == BLACK
+                      else Edge(e.id, e.black, same, e.offset))
 
     e1 = len(edges)  # v -- mid
     e2 = e1 + 1      # mid -- same
@@ -520,7 +514,8 @@ def contract_bivalent(g: TorusGraph, v: int) -> TorusGraph:
     """Remove a bivalent vertex, merging its two distinct neighbours.
 
     Refuses when the neighbours coincide: such a doubled edge cannot be
-    removed without changing the model.
+    removed without changing the model.  Both neighbours have the other
+    colour than v, as every edge joins a black and a white vertex.
     """
     rot = g.rotation[v]
     if len(rot) != 2:
@@ -531,8 +526,6 @@ def contract_bivalent(g: TorusGraph, v: int) -> TorusGraph:
     if n1 == n2:
         raise DimerError(
             "bivalent vertex with coincident neighbours cannot be removed")
-    if g.colors[n1] != g.colors[n2]:  # pragma: no cover - structural
-        raise DimerError("bivalent vertex with same-coloured neighbours")
     # Merge n2 into n1: all edges of n2 except e2 are re-attached to n1,
     # inserted into n1's rotation where e1 was.  Walking n1 -> v -> n2 gives
     # the displacement of n2's merged copy relative to n1's; re-anchoring a

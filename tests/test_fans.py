@@ -319,6 +319,23 @@ def test_boundary_system_pairing(load_quiver):
             assert [x.support for x in both] == [m.support]
 
 
+def test_boundary_system_class():
+    """On every ray of every geometrically consistent model of
+    `all_models`, the boundary system has homology class -2r*gamma for
+    the ray's r representatives."""
+    rays = 0
+    for name in consistent_models():
+        q, paths, _ = zigzag(name)
+        for gamma in global_fan(paths).rays:
+            r = sum(p.cls == gamma for p in paths)
+            s = boundary_system(q, paths, gamma)
+            cls = tuple(sum(k * q.arrows[a].offset[i] for a, k in s.items())
+                        for i in (0, 1))
+            assert cls == (-2 * r * gamma[0], -2 * r * gamma[1]), name
+            rays += 1
+    assert rays == 840
+
+
 def test_adjacent_cone_resonance(load_quiver):
     """Resonating through every representative of a shared ray carries one
     cone's extremal matching to the other's."""

@@ -6,7 +6,7 @@ import random
 import subprocess
 import sys
 import tracemalloc
-from itertools import groupby
+from itertools import chain, groupby
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -197,15 +197,50 @@ def _loadable_models():
 
 def test_reference_matching_without_enumeration():
     """The greedy search finds the first matching of the oracle list on
-    every fixture that loads and on gen-square 1-4, and None where there
-    is no perfect matching."""
+    every model of `all_models`, and None where there is no perfect
+    matching."""
     with_matchings = 0
-    for name, g in _loadable_models():
+    for name, g in all_models().items():
         ms = enumerate_matchings_oracle(g)
         want = ms[0].support if ms else None
         assert reference_matching(g) == want, name
         with_matchings += bool(ms)
-    assert with_matchings == 11
+    assert with_matchings == 374
+
+
+def test_join_packs_edge_bits_only(monkeypatch):
+    """On every model of `all_models`, each packed value `_join` returns
+    is a matching's edge bits alone, below 2^|E|, and the values are the
+    bits of the listed matchings."""
+    join = matchings._join
+    out = []
+    monkeypatch.setattr(matchings, "_join",
+                        lambda nbrs, middle: out.append(join(nbrs, middle))
+                        or out[-1])
+    for name, g in all_models().items():
+        out.clear()
+        ms = enumerate_matchings(g)
+        (by_cls,) = out
+        packed = sorted(chain.from_iterable(by_cls.values()))
+        assert all(p < 1 << len(g.edges) for p in packed), name
+        assert packed == sorted(m.bits for m in ms), name
+
+
+def test_enumeration_searches_reference_once(monkeypatch):
+    """`enumerate_matchings` calls `reference_matching` once on every
+    fixture that has perfect matchings and on gen-square 1-3, and never on
+    balwnopm and three_rhombi, which have none."""
+    search = matchings.reference_matching
+    calls = []
+    monkeypatch.setattr(matchings, "reference_matching",
+                        lambda g: calls.append(g) or search(g))
+    for name, g in _loadable_models():
+        if name == "square-4":
+            continue
+        calls.clear()
+        ms = enumerate_matchings(g)
+        assert (ms == []) == (name in ("three_rhombi", "balwnopm")), name
+        assert calls == ([g] if ms else []), name
 
 
 def _merged_models(count, seed):

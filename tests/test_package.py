@@ -1,7 +1,8 @@
 """Package-wide properties: the README example runs, no module of
 `dimertools` guards anything with `assert`, none but the renderer
-computes with floats, none imports a name it does not use, and records
-are `NamedTuple`s but for three dataclasses."""
+computes with floats, none imports a name it does not use, none
+excuses a line from coverage, and records are `NamedTuple`s but for
+three dataclasses."""
 
 import ast
 import os
@@ -88,6 +89,16 @@ def test_no_unused_imports_in_package():
         found += [f"{path.name}:{line} {name}"
                   for name, line in imported.items()
                   if name not in used and (path.name, name) not in kept]
+    assert found == []
+
+
+def test_no_coverage_pragmas_in_package():
+    """No line of a `dimertools` module is excused from coverage: a branch
+    that cannot run is deleted, with the reason in a docstring."""
+    found = [f"{path.name}:{k}" for path in sorted(PACKAGE.glob("*.py"))
+             for k, line in enumerate(
+                 path.read_text(encoding="utf-8").splitlines(), 1)
+             if "pragma: no cover" in line]
     assert found == []
 
 

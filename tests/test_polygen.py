@@ -13,14 +13,29 @@ from conftest import FIXTURES
 from dimertools.cli import main
 from dimertools.matchings import (enumerate_matchings, nondegeneracy_check,
                                   polygon, polygon_normal_form)
-from dimertools.polygen import (CurvePattern, dump_pattern, load_pattern,
-                                merging_move, pattern_to_dimer,
-                                square_pattern, trace_cells,
-                                validate_pattern)
+from dimertools.polygen import (CurvePattern, Segment, dump_pattern,
+                                load_pattern, merging_move,
+                                pattern_to_dimer, square_pattern,
+                                trace_cells, validate_pattern)
 from dimertools.surface import DimerError, ParseError, dualize, vadd
 from dimertools.symmetry import find_anomaly_free, find_rhombic
 from dimertools.zigzag import geometric_check, properly_ordered, \
     zigzag_paths
+
+
+def test_validate_pattern_lists_each_defect_once():
+    """A one-crossing pattern whose curves have classes (0, 0) and (2, 0)
+    fails with each defect listed once: the zero and the non-primitive
+    class are reported by the intersection check alone."""
+    p = CurvePattern(1, [Segment(0, 0, 0, 0, 0, 2, (0, 0)),
+                         Segment(1, 1, 0, 1, 0, 3, (2, 0))], [(0,), (1,)])
+    report = validate_pattern(p)
+    assert not report.ok
+    assert report.failures == [
+        "cell 0 boundary neither oriented nor alternating",
+        "intersection failure: ZeroClass(path=0)",
+        "intersection failure: NonPrimitiveClass(path=1)",
+        "intersection failure: ParallelShare(path_a=0, path_b=1, arrow=0)"]
 
 
 def test_square_pattern_structure():
